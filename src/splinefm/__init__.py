@@ -27,6 +27,7 @@ from .schema import (
     EncodedRow,
     FieldSchema,
     build_schema,
+    encode_columns,
     encode_row,
     infer_schema,
 )

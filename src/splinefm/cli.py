@@ -21,12 +21,13 @@ from . import __version__
 from .bin_export import export_binned, make_boundaries
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
+    _continuous_kind,
     load_model,
     make_interaction,
     save_model,
     segmentized_curve,
 )
-from .schema import ContinuousNumerical, infer_schema
+from .schema import infer_schema
 from .synthetic import (
     DEFAULT_CURVES,
     build_synthetic_schema,
@@ -224,9 +225,7 @@ def cmd_export_bins(args) -> None:
     if field_name is None:
         raise ConfigError("export.field is required")
     model = load_model(args.model)
-    kind = model.schema.field_named(field_name).kind
-    if not isinstance(kind, ContinuousNumerical):
-        raise ConfigError(f"field {field_name!r} is not continuous numerical")
+    kind = _continuous_kind(model, field_name)
     boundaries = make_boundaries(
         kind.transform,
         int(export_cfg.get("bins", 200)),
@@ -326,6 +325,12 @@ def cmd_curves(args) -> None:
     model = load_model(args.model)
     segment = _parse_segment(args.segment)
     grid = _parse_grid(args.grid)
+    _continuous_kind(model, args.field)
+    missing = [
+        f.name for f in model.schema.fields if f.name != args.field and f.name not in segment
+    ]
+    if missing:
+        raise ConfigError(f"--segment gives no value for field(s) {', '.join(missing)}")
     scores = segmentized_curve(model, segment, args.field, grid)
     out_rows = list(zip(grid.tolist(), scores.tolist()))
     if args.output:

@@ -388,7 +388,7 @@ def fit_span(model: ModelParams, segment: dict, field_name: str, grid_factor: in
     raw_grid = [kind.transform.inverse(u) for u in u_grid]
     curve = segmentized_curve(model, segment, field_name, raw_grid)
     # Evaluate the basis at the points the encoder actually sees.
-    u_seen = np.array([kind.transform.apply(z) for z in raw_grid])
+    u_seen = kind.transform.apply_many(raw_grid)
     design = np.column_stack([kind.basis.eval_many(u_seen), np.ones(len(u_seen))])
     coef = _lstsq_minnorm(design, curve)
     max_residual = float(np.max(np.abs(design @ coef - curve)))
@@ -428,8 +428,8 @@ def fit_pairwise_span(
         surface[i] = segmentized_curve(model, raw, field_f, raw_f)
     target = surface.ravel()
 
-    B = kind_e.basis.eval_many(np.array([kind_e.transform.apply(z) for z in raw_e]))
-    C = kind_f.basis.eval_many(np.array([kind_f.transform.apply(z) for z in raw_f]))
+    B = kind_e.basis.eval_many(kind_e.transform.apply_many(raw_e))
+    C = kind_f.basis.eval_many(kind_f.transform.apply_many(raw_f))
     n_e, n_f = B.shape[0], C.shape[0]
     ones_e = np.ones((n_e, 1))
     ones_f = np.ones((n_f, 1))

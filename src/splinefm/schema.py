@@ -1,4 +1,5 @@
-"""Per-field encoding rules and row encoding into sparse feature vectors.
+"""Per-field encoding rules, and encoding of raw rows into sparse features,
+one row (`encode_row`) or one field column (`encode_columns`) at a time.
 
 A field is either categorical (one-hot with a reserved unknown slot),
 binned numerical (one-hot over intervals), or continuous numerical
@@ -8,6 +9,7 @@ with a per-field sum reduction).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "EncodedRow",
     "infer_schema",
     "encode_row",
+    "encode_columns",
 ]
 
 
@@ -195,12 +198,41 @@ def build_schema(named_kinds, label_kind: str = "binary") -> DatasetSchema:
 
 
 def _parse_number(raw, field_name: str) -> float:
+    """Parse one raw numerical value; empty or NaN means missing (NaN)."""
     if raw is None or raw == "":
         return math.nan
     try:
-        return float(raw)
+        z = float(raw)
     except (TypeError, ValueError):
         raise DataError(f"field {field_name!r}: cannot parse {raw!r} as a number") from None
+    if math.isinf(z):
+        raise DataError(f"field {field_name!r}: value {raw!r} is not finite")
+    return z
+
+
+def _parse_column(column: list, field_name: str) -> np.ndarray:
+    """`_parse_number` over a column. Plain `float` parses a column without
+    empty, unparsable or infinite cells; any other column goes value by
+    value, which yields NaN for the missing cells and raises the errors."""
+    try:
+        z = np.fromiter(map(float, column), dtype=float, count=len(column))
+    except (TypeError, ValueError):
+        z = None
+    if z is None or np.isinf(z).any():
+        z = np.array([_parse_number(v, field_name) for v in column], dtype=float)
+    return z
+
+
+def _missing_column(name: str) -> DataError:
+    return DataError(f"column {name!r} of the schema is missing from the data")
+
+
+def _column(rows, name: str) -> list:
+    """The raw values of column `name`, one per row."""
+    try:
+        return list(map(operator.itemgetter(name), rows))
+    except KeyError:
+        raise _missing_column(name) from None
 
 
 def infer_schema(rows, config) -> DatasetSchema:
@@ -232,15 +264,14 @@ def infer_schema(rows, config) -> DatasetSchema:
             raise ConfigError(f"declared field {name!r} not found in the sample header")
         kind = decl.get("kind")
         if kind == "categorical":
-            seen = sorted({str(r[name]) for r in rows})
+            seen = sorted({str(v) for v in _column(rows, name)})
             vocab = {v: i for i, v in enumerate(seen)}
             named_kinds.append(
                 (name, Categorical(vocab, unknown_slot=decl.get("unknown_slot", True)))
             )
         elif kind in ("binned", "continuous"):
-            values = np.array(
-                [v for r in rows if math.isfinite(v := _parse_number(r[name], name))]
-            )
+            values = _parse_column(_column(rows, name), name)
+            values = values[~np.isnan(values)]
             if values.size == 0:
                 raise DataError(f"field {name!r} has no valid numerical values")
             if kind == "binned":
@@ -276,12 +307,22 @@ def infer_schema(rows, config) -> DatasetSchema:
 
 
 def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
-    """Encode one raw row (dict of field name -> raw value)."""
+    """Encode one raw row (dict of field name -> raw value).
+
+    A missing binned value falls in the bin holding the midpoint of the
+    boundary range. A missing continuous value is encoded at u = 0.5:
+    the median under the quantile transform, the range midpoint under
+    `minmax`.
+    """
     entries = []
     for f in schema.fields:
         k = f.kind
+        try:
+            value = raw[f.name]
+        except KeyError:
+            raise _missing_column(f.name) from None
         if isinstance(k, Categorical):
-            key = str(raw[f.name])
+            key = str(value)
             idx = k.vocabulary.get(key)
             if idx is None:
                 if not k.unknown_slot:
@@ -291,14 +332,14 @@ def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
                 idx = k.unknown_index
             entries.append((f.offset + idx, 1.0, f.field_id))
         elif isinstance(k, BinnedNumerical):
-            z = _parse_number(raw[f.name], f.name)
+            z = _parse_number(value, f.name)
             if math.isnan(z):
                 z = 0.5 * (k.boundaries[0] + k.boundaries[-1])
             entries.append((f.offset + k.bin_of(z), 1.0, f.field_id))
         else:
-            z = _parse_number(raw[f.name], f.name)
+            z = _parse_number(value, f.name)
             if math.isnan(z):
-                u = 0.5  # missing -> transform median
+                u = 0.5  # missing: quantile median, or minmax range midpoint
             else:
                 u = k.transform.apply(z)
             first, values = k.basis.eval_sparse(u)
@@ -306,3 +347,61 @@ def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
                 if v != 0.0:
                     entries.append((f.offset + first + i, float(v), f.field_id))
     return EncodedRow(entries=tuple(entries), label=float(label))
+
+
+def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
+    """Encode raw rows one field column at a time.
+
+    Returns per-field (n, c_f) arrays `idx` (field-local indices) and
+    `val`, with c_f = degree+1 for continuous fields and 1 otherwise.
+    Row r holds the entries `encode_row` gives for rows[r], bit for bit:
+    the nonzero entries of each field left-aligned in index order, and
+    index 0 with value 0.0 after them. Missing values are encoded as in
+    `encode_row`. Invalid values raise the same errors as `encode_row`;
+    when several fields hold one, the first field in schema order is
+    reported.
+    """
+    rows = list(rows)
+    n = len(rows)
+    idx, val = [], []
+    for f in schema.fields:
+        k = f.kind
+        column = _column(rows, f.name)
+        if isinstance(k, Categorical):
+            lookup = k.vocabulary.get
+            codes = np.array([lookup(str(v), -1) for v in column], dtype=np.intp)
+            unseen = codes < 0
+            if unseen.any():
+                if not k.unknown_slot:
+                    key = str(column[int(np.argmax(unseen))])
+                    raise DataError(
+                        f"field {f.name!r}: unseen value {key!r} and no unknown slot"
+                    )
+                codes[unseen] = k.unknown_index
+            idx.append(codes[:, None])
+            val.append(np.ones((n, 1)))
+            continue
+        z = _parse_column(column, f.name)
+        missing = np.isnan(z)
+        if isinstance(k, BinnedNumerical):
+            b = k.boundaries
+            z[missing] = 0.5 * (b[0] + b[-1])
+            bins = np.searchsorted(b, z, side="right") - 1
+            idx.append(np.clip(bins, 0, k.width - 1)[:, None])
+            val.append(np.ones((n, 1)))
+            continue
+        # Missing: u = 0.5, the quantile median or the minmax range midpoint.
+        u = np.full(n, 0.5)
+        u[~missing] = k.transform.apply_many(z[~missing])
+        first, values = k.basis.eval_batch(u)
+        # Left-align the nonzero entries of each row, keeping index order;
+        # the zeros after them become padding (index 0, value +0.0).
+        order = np.argsort(values == 0.0, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+        padding = values == 0.0
+        order += first[:, None]
+        order[padding] = 0
+        values[padding] = 0.0
+        idx.append(order)
+        val.append(values)
+    return idx, val

@@ -2,7 +2,8 @@
 
 Evaluation uses the local triangular (de Boor) scheme over the degree+1
 functions active at a point, so the cost per point is O(degree^2)
-regardless of the basis size.
+regardless of the basis size. `eval_batch` runs the same scheme over a
+whole array of points at once.
 """
 from __future__ import annotations
 
@@ -74,13 +75,48 @@ class SplineBasis:
             values[j] = saved
         return s - d, values
 
+    def eval_batch(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate the degree+1 active functions at every point of `z`.
+
+        Returns (first[n], values[n, degree+1]) with the meaning of
+        `eval_sparse` row by row. The recurrence is the same, with the
+        same operations in the same order, vectorized over points, so
+        each row equals `eval_sparse` of that point bit for bit.
+        """
+        z = np.asarray(z, dtype=float).ravel()
+        if not np.isfinite(z).all():
+            bad = float(z[~np.isfinite(z)][0])
+            raise ConfigError(f"cannot evaluate basis at non-finite point {bad!r}")
+        # min(max(z, 0), 1) as the scalar path computes it (keeps -0.0).
+        z = np.where(z < 0.0, 0.0, z)
+        z = np.where(z > 1.0, 1.0, z)
+        d = self.degree
+        t = self.knots
+        s = np.searchsorted(t, z, side="right") - 1
+        s = np.minimum(np.maximum(s, d), self.num_functions - 1)
+
+        values = np.empty((z.size, d + 1))
+        left = np.empty((z.size, d + 1))
+        right = np.empty((z.size, d + 1))
+        values[:, 0] = 1.0
+        for j in range(1, d + 1):
+            left[:, j] = z - t[s + 1 - j]
+            right[:, j] = t[s + j] - z
+            saved = np.zeros(z.size)
+            for r in range(j):
+                denom = right[:, r + 1] + left[:, j - r]
+                term = values[:, r] / denom
+                values[:, r] = saved + right[:, r + 1] * term
+                saved = left[:, j - r] * term
+            values[:, j] = saved
+        return s - d, values
+
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         """Dense basis matrix of shape (len(z), num_functions)."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((z.size, self.num_functions))
-        for row, zi in enumerate(z.ravel()):
-            first, values = self.eval_sparse(zi)
-            out[row, first : first + self.degree + 1] = values
+        first, values = self.eval_batch(z)
+        out = np.zeros((first.size, self.num_functions))
+        rows = np.arange(first.size)[:, None]
+        out[rows, first[:, None] + np.arange(self.degree + 1)] = values
         return out
 
     def to_dict(self) -> dict:

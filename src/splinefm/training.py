@@ -23,7 +23,8 @@ from .model import (
     ModelParams,
     init_params,
 )
-from .schema import DatasetSchema, encode_row
+from .schema import DatasetSchema, encode_columns
+from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
 __all__ = [
     "TrainConfig",
@@ -105,41 +106,8 @@ def pack(schema: DatasetSchema, rows, labels) -> PackedData:
     labels = np.asarray(labels, dtype=float)
     if len(rows) != labels.size:
         raise DataError(f"{len(rows)} rows but {labels.size} labels")
-    n = len(rows)
-    widths = []
-    for f in schema.fields:
-        widths.append(f.kind.basis.degree + 1 if f.reduction == "sum" else 1)
-    idx = [np.zeros((n, c), dtype=np.intp) for c in widths]
-    val = [np.zeros((n, c)) for c in widths]
-    for r, raw in enumerate(rows):
-        encoded = encode_row(schema, raw)
-        cursor = {f.field_id: 0 for f in schema.fields}
-        for gi, v, fid in encoded.entries:
-            c = cursor[fid]
-            idx[fid][r, c] = gi - schema.fields[fid].offset
-            val[fid][r, c] = v
-            cursor[fid] = c + 1
+    idx, val = encode_columns(schema, rows)
     return PackedData(schema=schema, idx=idx, val=val, y=labels)
-
-
-def pack_encoded(schema: DatasetSchema, encoded_rows) -> PackedData:
-    """Pack already-encoded rows (labels taken from the rows)."""
-    n = len(encoded_rows)
-    widths = [
-        f.kind.basis.degree + 1 if f.reduction == "sum" else 1 for f in schema.fields
-    ]
-    idx = [np.zeros((n, c), dtype=np.intp) for c in widths]
-    val = [np.zeros((n, c)) for c in widths]
-    y = np.empty(n)
-    for r, row in enumerate(encoded_rows):
-        y[r] = row.label
-        cursor = {f.field_id: 0 for f in schema.fields}
-        for gi, v, fid in row.entries:
-            c = cursor[fid]
-            idx[fid][r, c] = gi - schema.fields[fid].offset
-            val[fid][r, c] = v
-            cursor[fid] = c + 1
-    return PackedData(schema=schema, idx=idx, val=val, y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,14 @@ def _check_finite_scalar(z: float, name: str) -> float:
     return z
 
 
+def _check_finite_array(z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        bad = float(z[~np.isfinite(z)][0])
+        raise ConfigError(f"transform input must be finite, got {bad!r}")
+    return z
+
+
 @dataclass(frozen=True)
 class QuantileTransform:
     """Piecewise-linear empirical CDF approximation.
@@ -48,6 +56,11 @@ class QuantileTransform:
         """Map a raw value into [0, 1]; out-of-range values clamp to 0/1."""
         z = _check_finite_scalar(z, "transform input")
         return float(np.interp(z, self.reference_points, self.levels))
+
+    def apply_many(self, z) -> np.ndarray:
+        """`apply` over an array; each element equals `apply` bit for bit."""
+        z = _check_finite_array(z)
+        return np.interp(z, self.reference_points, self.levels)
 
     def inverse(self, u: float) -> float:
         """Piecewise-linear inverse of apply, defined for u in [0, 1]."""
@@ -83,6 +96,13 @@ class AffineTransform:
         z = _check_finite_scalar(z, "transform input")
         u = (z - self.low) / (self.high - self.low)
         return min(max(u, 0.0), 1.0)
+
+    def apply_many(self, z) -> np.ndarray:
+        """`apply` over an array; each element equals `apply` bit for bit."""
+        u = (_check_finite_array(z) - self.low) / (self.high - self.low)
+        # min(max(u, 0), 1) as `apply` computes it (keeps -0.0).
+        u = np.where(u < 0.0, 0.0, u)
+        return np.where(u > 1.0, 1.0, u)
 
     def inverse(self, u: float) -> float:
         u = float(u)

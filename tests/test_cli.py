@@ -231,3 +231,69 @@ def test_exit_code_bad_label_column(tmp_path):
             fh,
         )
     assert main(["train", str(cfg)]) == 3
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
+def test_eval_non_finite_continuous_value_is_data_error(trained, tmp_path, capsys, value):
+    data = tmp_path / "inf.csv"
+    write_rows(data, ["color", "x", "label"], [["red", "3.0", 1], ["red", value, 1]])
+    assert main(["eval", str(trained["out"] / "model.json"), str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'x'" in err
+
+
+def test_train_non_finite_binned_value_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=50)
+    with open(data, "a", newline="") as fh:
+        csv.writer(fh).writerow(["red", "inf", 1])
+    cfg = tmp_path / "config.yaml"
+    doc = write_config(cfg, data, tmp_path / "out", epochs=1)
+    doc["schema"]["fields"][1] = {"name": "x", "kind": "binned", "bins": 4}
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    assert main(["train", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'x'" in err
+
+
+def test_eval_missing_schema_column_is_data_error(trained, tmp_path, capsys):
+    data = tmp_path / "no_x.csv"
+    write_rows(data, ["color", "label"], [["red", 1], ["blue", 0]])
+    assert main(["eval", str(trained["out"] / "model.json"), str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "'x'" in err
+
+
+def test_curves_segment_missing_field_is_config_error(trained, capsys):
+    model = trained["out"] / "model.json"
+    assert main(["curves", str(model), "x", "--grid", "0:10:3"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "color" in err
+
+
+def test_curves_on_categorical_field_is_config_error(trained, capsys):
+    model = trained["out"] / "model.json"
+    rc = main(["curves", str(model), "color", "--segment", "x=3", "--grid", "0:10:3"])
+    assert rc == 2
+    assert "not continuous" in capsys.readouterr().err
+
+
+def test_curves_on_binned_field_is_config_error(trained, tmp_path, capsys):
+    export_cfg = tmp_path / "export.yaml"
+    with open(export_cfg, "w") as fh:
+        yaml.safe_dump({"export": {"field": "x", "bins": 8}}, fh)
+    out = tmp_path / "exp"
+    assert main(["export-bins", str(trained["out"] / "model.json"), str(export_cfg),
+                 "--output", str(out)]) == 0
+    rc = main(["curves", str(out / "model_binned.json"), "x", "--segment", "color=red",
+               "--grid", "0:10:3"])
+    assert rc == 2
+    assert "not continuous" in capsys.readouterr().err

@@ -153,3 +153,55 @@ def test_serialization_reconstructs_knots():
     basis = build_uniform(9, 3)
     clone = SplineBasis.from_dict(basis.to_dict())
     npt.assert_array_equal(clone.knots, basis.knots)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    degree=st.integers(min_value=0, max_value=3),
+    extra=st.integers(min_value=0, max_value=12),
+    points=st.lists(
+        st.one_of(
+            st.floats(min_value=-0.5, max_value=1.5),
+            st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1.0 + 1e-15, 5e-324]),
+        ),
+        max_size=40,
+    ),
+)
+def test_property_eval_batch_equals_eval_sparse_bitwise(degree, extra, points):
+    basis = build_uniform(degree + 1 + extra, degree)
+    # Every break-point, so points exactly on knots are always covered.
+    points = points + np.unique(basis.knots).tolist()
+    first, values = basis.eval_batch(points)
+    assert first.shape == (len(points),)
+    assert values.shape == (len(points), degree + 1)
+    for z, f, v in zip(points, first, values):
+        f_ref, v_ref = basis.eval_sparse(z)
+        assert f == f_ref
+        npt.assert_array_equal(bits(v), bits(v_ref))
+
+
+def test_eval_batch_empty_and_non_finite():
+    basis = build_uniform(8, 3)
+    first, values = basis.eval_batch([])
+    assert first.shape == (0,) and values.shape == (0, 4)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            basis.eval_batch([0.5, bad])
+        with pytest.raises(ConfigError):
+            basis.eval_many([bad])
+
+
+def test_eval_many_rows_equal_dense_eval():
+    basis = build_uniform(9, 2)
+    grid = np.concatenate([np.linspace(-0.1, 1.1, 257), np.unique(basis.knots)])
+    dense = basis.eval_many(grid)
+    for z, row in zip(grid, dense):
+        npt.assert_array_equal(bits(row), bits(basis.eval(z)))

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinefm.errors import ConfigError, DataError
 from splinefm.model import forward, make_interaction
 from splinefm.schema import (
+    BinnedNumerical,
     Categorical,
     ContinuousNumerical,
     build_schema,
@@ -20,7 +23,7 @@ from splinefm.training import (
     predict_scores,
     train,
 )
-from splinefm.transforms import AffineTransform
+from splinefm.transforms import AffineTransform, fit_quantile
 
 
 def binary_cat():
@@ -240,3 +243,109 @@ def test_best_epoch_selection_uses_holdout():
     model, metrics = train(cfg, schema, make_interaction("ffm", schema, 2), data)
     holdout_losses = [r["holdout_loss"] for r in metrics.history]
     assert metrics.cross_entropy == pytest.approx(min(holdout_losses), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Column-wise packing against the per-row encoder
+
+
+def oracle_pack(schema, rows):
+    """Pack `encode_row` entries row by row: nonzero entries left-aligned
+    in index order, padding index 0 with value 0.0."""
+    widths = [f.kind.basis.degree + 1 if f.reduction == "sum" else 1 for f in schema.fields]
+    idx = [np.zeros((len(rows), c), dtype=np.intp) for c in widths]
+    val = [np.zeros((len(rows), c)) for c in widths]
+    for r, raw in enumerate(rows):
+        cursor = [0] * len(widths)
+        for gi, v, fid in encode_row(schema, raw).entries:
+            idx[fid][r, cursor[fid]] = gi - schema.fields[fid].offset
+            val[fid][r, cursor[fid]] = v
+            cursor[fid] += 1
+    return idx, val
+
+
+def assert_packed_bitwise(data, idx, val):
+    assert len(data.idx) == len(idx) and len(data.val) == len(val)
+    for got, want in zip(data.idx, idx):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        npt.assert_array_equal(got, want)
+    for got, want in zip(data.val, val):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def schemas_and_rows(draw, closed_values=("x", "y")):
+    """A schema with every field kind, and raw rows that exercise it."""
+    sample = draw(
+        st.lists(st.integers(min_value=-5, max_value=30), min_size=2, max_size=30).filter(
+            lambda v: min(v) < max(v)
+        )
+    )
+    lo, hi = float(min(sample)), float(max(sample))
+    quantile = fit_quantile(sample, draw(st.integers(min_value=1, max_value=40)))
+
+    def basis():
+        degree = draw(st.integers(min_value=0, max_value=3))
+        return build_uniform(degree + 1 + draw(st.integers(min_value=0, max_value=6)), degree)
+
+    schema = build_schema(
+        [
+            ("open", Categorical({"a": 0, "b": 1, "c": 2}, unknown_slot=True)),
+            ("closed", Categorical({"x": 0, "y": 1}, unknown_slot=False)),
+            ("bin", BinnedNumerical(np.unique(np.asarray(sample, dtype=float)))),
+            ("q", ContinuousNumerical(quantile, basis())),
+            ("m", ContinuousNumerical(AffineTransform(lo, hi), basis())),
+        ]
+    )
+    number = st.one_of(
+        st.sampled_from(sorted(set(sample)) + quantile.reference_points.tolist()),
+        st.floats(min_value=lo - 10, max_value=hi + 10),
+        st.floats(min_value=lo - 10, max_value=hi + 10).map(repr),
+        st.sampled_from(["", None, "nan", -0.0]),  # missing, and a signed zero
+    )
+    row = st.fixed_dictionaries(
+        {
+            "open": st.sampled_from(["a", "b", "c", "unseen", 3, None]),
+            "closed": st.sampled_from(closed_values),
+            "bin": number,
+            "q": number,
+            "m": number,
+        }
+    )
+    return schema, draw(st.lists(row, max_size=25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=schemas_and_rows())
+def test_property_pack_equals_per_row_oracle_bitwise(case):
+    schema, rows = case
+    idx, val = oracle_pack(schema, rows)
+    assert_packed_bitwise(pack(schema, rows, np.zeros(len(rows))), idx, val)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=schemas_and_rows(closed_values=("x", "y", "unseen")))
+def test_property_pack_raises_what_encode_row_raises(case):
+    schema, rows = case
+    try:
+        expected = oracle_pack(schema, rows)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            pack(schema, rows, np.zeros(len(rows)))
+        assert str(got.value) == str(exc)
+    else:
+        assert_packed_bitwise(pack(schema, rows, np.zeros(len(rows))), *expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pack_fewer_rows_than_basis_support(n):
+    # Cubic basis: fewer rows than degree + 1, and the single-row case.
+    schema = mixed_schema()
+    rows, labels = random_rows(n, 12)
+    rows[0]["z"] = ""
+    data = pack(schema, rows, labels)
+    assert data.n == n
+    assert [a.shape for a in data.idx] == [(n, 1), (n, 1), (n, 4)]
+    assert_packed_bitwise(data, *oracle_pack(schema, rows))
+

@@ -111,3 +111,30 @@ def test_serialization_round_trip_bit_exact():
     clone = transform_from_dict(doc)
     npt.assert_array_equal(clone.reference_points, t.reference_points)
     npt.assert_array_equal(clone.levels, t.levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sample=st.lists(st.integers(min_value=-20, max_value=50), min_size=2, max_size=40).filter(
+        lambda v: min(v) < max(v)
+    ),
+    resolution=st.integers(min_value=1, max_value=30),
+    points=st.lists(st.floats(min_value=-100, max_value=100), max_size=30),
+)
+def test_property_apply_many_equals_apply_bitwise(sample, resolution, points):
+    quantile = fit_quantile(sample, resolution)
+    affine = AffineTransform(float(min(sample)), float(max(sample)))
+    # Reference points and bounds exactly, plus -0.0 at the clamp.
+    points = points + quantile.reference_points.tolist() + [-0.0, affine.low, affine.high]
+    for t in (quantile, affine):
+        batch = t.apply_many(points)
+        single = np.array([t.apply(z) for z in points])
+        npt.assert_array_equal(batch.view(np.uint64), single.view(np.uint64))
+
+
+def test_apply_many_rejects_non_finite():
+    for t in (fit_quantile([1, 2, 3], 2), AffineTransform(0.0, 1.0)):
+        with pytest.raises(ConfigError):
+            t.apply_many([0.5, float("inf")])
+        with pytest.raises(ConfigError):
+            t.apply_many([float("nan")])
