@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .schema import ContinuousNumerical, DatasetSchema, EncodedRow, encode_row
 
 __all__ = [
@@ -319,32 +319,6 @@ def backward(
     return grad
 
 
-def apply_grad(model: ModelParams, grad: SparseGrad, scale: float = 1.0) -> None:
-    """Add `scale * grad` onto the model parameters in place."""
-    schema = model.schema
-    model.w0 += scale * grad.w0
-    for idx, g in grad.w.items():
-        model.w[idx] += scale * g
-    for idx, g in grad.v.items():
-        fid = _field_of(schema, idx)
-        model.V[fid][idx - schema.fields[fid].offset] += scale * g
-    if grad.s:
-        s = model.interaction.strengths
-        for (e, f), g in grad.s.items():
-            s[e, f] += scale * g
-            if e != f:
-                s[f, e] += scale * g
-    for key, g in grad.m.items():
-        model.interaction.matrices[key] += scale * g
-
-
-def _field_of(schema: DatasetSchema, idx: int) -> int:
-    for f in schema.fields:
-        if f.offset <= idx < f.offset + f.width:
-            return f.field_id
-    raise ConfigError(f"feature index {idx} out of range")
-
-
 # ---------------------------------------------------------------------------
 # Segmentized curves and spanning-property fits
 
@@ -469,6 +443,11 @@ MODEL_FORMAT_VERSION = 1
 
 
 def model_to_dict(model: ModelParams) -> dict:
+    return {**_model_head(model), "V": [v.tolist() for v in model.V]}
+
+
+def _model_head(model: ModelParams) -> dict:
+    """Every entry of `model_to_dict` but the trailing embedding tables."""
     inter = model.interaction
     if isinstance(inter, FMIdentity):
         idoc = {"variant": "fm", "dim": inter.dim}
@@ -500,46 +479,119 @@ def model_to_dict(model: ModelParams) -> dict:
         "interaction": idoc,
         "w0": model.w0,
         "w": model.w.tolist(),
-        "V": [v.tolist() for v in model.V],
     }
 
 
+def _array(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a finite float array of `shape`, else a DataError naming `what`."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} is not a numeric array") from None
+    if a.size == 0 and 0 in shape:
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise DataError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise DataError(f"{what} holds a non-finite value")
+    return a
+
+
 def model_from_dict(doc: dict) -> ModelParams:
+    """Rebuild a model from its document. Every array is checked against
+    the schema's widths and the interaction's dims and must be finite; a
+    missing entry, a wrong shape or a non-finite value is a DataError."""
+    if not isinstance(doc, dict):
+        raise DataError("model document is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {doc.get('format_version')!r}")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise DataError(f"model document lacks the entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed model document: {exc}") from None
+
+
+def _model_from_doc(doc: dict) -> ModelParams:
     schema = DatasetSchema.from_dict(doc["schema"])
+    m = len(schema.fields)
     idoc = doc["interaction"]
     variant = idoc["variant"]
     if variant == "fm":
         inter = FMIdentity(dim=idoc["dim"])
     elif variant == "ffm":
-        inter = FFMFieldConcat(num_fields=idoc["num_fields"], block_dim=idoc["block_dim"])
+        if idoc["num_fields"] != m:
+            raise DataError(f"FFM num_fields is {idoc['num_fields']}, the schema has {m} fields")
+        inter = FFMFieldConcat(num_fields=m, block_dim=idoc["block_dim"])
     elif variant == "fwfm":
-        inter = FwFMScalars(
-            strengths=np.asarray(idoc["strengths"]), dim=idoc["dim"], learn=idoc["learn"]
-        )
+        strengths = _array(idoc["strengths"], "interaction strengths", (m, m))
+        inter = FwFMScalars(strengths=strengths, dim=idoc["dim"], learn=idoc["learn"])
     elif variant == "fmfm":
+        dims = tuple(idoc["dims"])
+        if len(dims) != m:
+            raise DataError(f"FmFM has {len(dims)} dims, the schema has {m} fields")
+        keys = {f"{e},{f}": (e, f) for e in range(m) for f in range(e, m)}
+        if set(idoc["matrices"]) != set(keys):
+            raise DataError("FmFM pair matrices do not cover exactly the pairs e <= f")
         matrices = {
-            tuple(int(x) for x in key.split(",")): np.asarray(M)
-            for key, M in idoc["matrices"].items()
+            (e, f): _array(idoc["matrices"][key], f"pair matrix {key}", (dims[e], dims[f]))
+            for key, (e, f) in keys.items()
         }
-        inter = FmFMMatrices(dims=tuple(idoc["dims"]), matrices=matrices, learn=idoc["learn"])
+        inter = FmFMMatrices(dims=dims, matrices=matrices, learn=idoc["learn"])
     else:
         raise ConfigError(f"unknown model variant {variant!r}")
+    w0 = float(doc["w0"])
+    if not np.isfinite(w0):
+        raise DataError("w0 is not finite")
+    if len(doc["V"]) != m:
+        raise DataError(f"{len(doc['V'])} V tables for {m} fields")
+    V = [
+        _array(v, f"V table of field {f.name!r}", (f.width, inter.embed_dim(f.field_id)))
+        for f, v in zip(schema.fields, doc["V"])
+    ]
     return ModelParams(
         schema=schema,
         interaction=inter,
-        w0=float(doc["w0"]),
-        w=np.asarray(doc["w"], dtype=float),
-        V=[np.asarray(v, dtype=float) for v in doc["V"]],
+        w0=w0,
+        w=_array(doc["w"], "w", (schema.total_features,)),
+        V=V,
     )
 
 
+_SAVE_ROWS = 1024  # embedding rows per encoded chunk
+
+
 def save_model(model: ModelParams, path) -> None:
+    """Write `model_to_dict(model)` as JSON, byte for byte what `json.dump`
+    writes. `json.dumps` runs CPython's C encoder, which `json.dump` never
+    uses; each table goes out in chunks of rows, so neither the document
+    nor a whole table is ever held as one string."""
+    head = json.dumps(_model_head(model))
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
+        fh.write(head[:-1])
+        fh.write(', "V": [')
+        for i, v in enumerate(model.V):
+            fh.write(", [" if i else "[")
+            for start in range(0, len(v), _SAVE_ROWS):
+                if start:
+                    fh.write(", ")
+                fh.write(json.dumps(v[start : start + _SAVE_ROWS].tolist())[1:-1])
+            fh.write("]")
+        fh.write("]}")
 
 
 def load_model(path) -> ModelParams:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model file; a file that cannot be read, parsed or rebuilt is a
+    DataError naming it."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read model file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+    try:
+        return model_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from None

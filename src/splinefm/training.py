@@ -151,20 +151,12 @@ def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
     return scores
 
 
-@dataclass
-class _DenseGrads:
-    w0: float
-    w: np.ndarray
-    V: list
-    s: np.ndarray | None
-    M: dict | None
-
-
-def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _DenseGrads:
-    schema = model.schema
+def _pair_grads(model: ModelParams, P, d_score):
+    """d score / d P_f per row (G, carrying the d_score factor) and the
+    dense gradients of the FwFM strengths and FmFM matrices when learned."""
     inter = model.interaction
-    m = len(schema.fields)
-    G = [np.zeros_like(p) for p in P]  # d score / d P_f, per row
+    m = len(model.schema.fields)
+    G = [np.zeros_like(p) for p in P]
     ds = None
     dM = None
     if isinstance(inter, FwFMScalars) and inter.learn:
@@ -200,17 +192,46 @@ def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _DenseG
                 G[f] += d_score[:, None] * (Pe @ Mat)
                 if dM is not None:
                     dM[(e, f)] += Pe.T @ (d_score[:, None] * Pf)
+    return G, ds, dM
 
-    dw = np.zeros_like(model.w)
-    dV = [np.zeros_like(v) for v in model.V]
-    for fld in schema.fields:
+
+@dataclass
+class _BatchGrads:
+    """Gradients of one batch: per field, only the rows the batch touches."""
+
+    w0: float
+    rows: list  # per field: sorted unique field-local rows
+    w: list  # per field: (u,) linear-weight gradients of those rows
+    V: list  # per field: (u, k_f) embedding gradients of those rows
+    s: np.ndarray | None
+    M: dict | None
+
+
+def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _BatchGrads:
+    G, ds, dM = _pair_grads(model, P, d_score)
+    rows, dw, dV = [], [], []
+    for fld in model.schema.fields:
         fid = fld.field_id
         idx, val = data.idx[fid], data.val[fid]
-        np.add.at(dw, idx + fld.offset, val * d_score[:, None])
-        # G already carries the d_score factor from the pair loop.
-        for c in range(idx.shape[1]):
-            np.add.at(dV[fid], idx[:, c], val[:, c, None] * G[fid])
-    return _DenseGrads(w0=float(d_score.sum()), w=dw, V=dV, s=ds, M=dM)
+        uniq, inv = np.unique(idx, return_inverse=True)
+        inv = inv.reshape(idx.shape)
+        # Segment sums with np.bincount, which adds its weights in input
+        # order: the (n, c) block in C order for w, and column by column
+        # for V (G already carries the d_score factor), so every sum is
+        # the same in bits as accumulating the entries one by one.
+        dw.append(
+            np.bincount(inv.ravel(), (val * d_score[:, None]).ravel(), minlength=uniq.size)
+        )
+        k = G[fid].shape[1]
+        keys = np.ascontiguousarray(inv.T)[:, :, None] * k + np.arange(k)
+        weights = np.ascontiguousarray(val.T)[:, :, None] * G[fid]
+        dV.append(
+            np.bincount(keys.ravel(), weights.ravel(), minlength=uniq.size * k).reshape(
+                uniq.size, k
+            )
+        )
+        rows.append(uniq)
+    return _BatchGrads(w0=float(d_score.sum()), rows=rows, w=dw, V=dV, s=ds, M=dM)
 
 
 # ---------------------------------------------------------------------------
@@ -244,54 +265,53 @@ class _Optimizer:
     def __init__(self, config: TrainConfig, model: ModelParams):
         self.config = config
         inter = model.interaction
-        self.learn_s = isinstance(inter, FwFMScalars) and inter.learn
-        self.learn_m = isinstance(inter, FmFMMatrices) and inter.learn
-        if config.optimizer == "adagrad":
-            self.acc_w0 = 0.0
-            self.acc_w = np.zeros_like(model.w)
-            self.acc_V = [np.zeros_like(v) for v in model.V]
-            self.acc_s = np.zeros_like(inter.strengths) if self.learn_s else None
-            self.acc_M = (
-                {k: np.zeros_like(M) for k, M in inter.matrices.items()}
-                if self.learn_m
-                else None
-            )
+        # AdaGrad keeps one accumulator per parameter array; SGD keeps None.
+        acc = np.zeros_like if config.optimizer == "adagrad" else (lambda a: None)
+        self.acc_w0 = 0.0
+        self.acc_w = [acc(model.w[f.offset : f.offset + f.width]) for f in model.schema.fields]
+        self.acc_V = [acc(v) for v in model.V]
+        if isinstance(inter, FwFMScalars) and inter.learn:
+            self.acc_s = acc(inter.strengths)
+        if isinstance(inter, FmFMMatrices) and inter.learn:
+            self.acc_M = {k: acc(M) for k, M in inter.matrices.items()}
 
-    def step(self, model: ModelParams, g: _DenseGrads) -> None:
+    def step(self, model: ModelParams, g: _BatchGrads) -> None:
         cfg = self.config
         lr = cfg.step_size
-        if cfg.l2 > 0.0:
-            g.w0 += cfg.l2 * model.w0
-            g.w += cfg.l2 * model.w
-            for dv, v in zip(g.V, model.V):
-                dv += cfg.l2 * v
-        if cfg.optimizer == "sgd":
-            model.w0 -= lr * g.w0
-            model.w -= lr * g.w
-            for v, dv in zip(model.V, g.V):
-                v -= lr * dv
-            if self.learn_s and g.s is not None:
-                model.interaction.strengths[:] -= lr * g.s
-            if self.learn_m and g.M is not None:
-                for key, dM in g.M.items():
-                    model.interaction.matrices[key][:] -= lr * dM
-            return
-        eps = cfg.adagrad_eps
-        self.acc_w0 += g.w0 * g.w0
-        model.w0 -= lr * g.w0 / (math.sqrt(self.acc_w0) + eps)
-        self.acc_w += g.w * g.w
-        model.w -= lr * g.w / (np.sqrt(self.acc_w) + eps)
-        for v, dv, acc in zip(model.V, g.V, self.acc_V):
-            acc += dv * dv
-            v -= lr * dv / (np.sqrt(acc) + eps)
-        if self.learn_s and g.s is not None:
-            self.acc_s += g.s * g.s
-            model.interaction.strengths[:] -= lr * g.s / (np.sqrt(self.acc_s) + eps)
-        if self.learn_m and g.M is not None:
+        g_w0 = g.w0 + cfg.l2 * model.w0 if cfg.l2 > 0.0 else g.w0
+        if cfg.optimizer == "adagrad":
+            self.acc_w0 += g_w0 * g_w0
+            model.w0 -= lr * g_w0 / (math.sqrt(self.acc_w0) + cfg.adagrad_eps)
+        else:
+            model.w0 -= lr * g_w0
+        for fld, rows, dw, dv in zip(model.schema.fields, g.rows, g.w, g.V):
+            fid = fld.field_id
+            w = model.w[fld.offset : fld.offset + fld.width]
+            self._update(w, self.acc_w[fid], rows, dw)
+            self._update(model.V[fid], self.acc_V[fid], rows, dv)
+        if g.s is not None:
+            self._update(model.interaction.strengths, self.acc_s, slice(None), g.s, decay=False)
+        if g.M is not None:
             for key, dM in g.M.items():
-                acc = self.acc_M[key]
-                acc += dM * dM
-                model.interaction.matrices[key][:] -= lr * dM / (np.sqrt(acc) + eps)
+                M = model.interaction.matrices[key]
+                self._update(M, self.acc_M[key], slice(None), dM, decay=False)
+
+    def _update(self, param, acc, rows, grad, decay=True) -> None:
+        """Step `param[rows]` (in place) along `grad`; `acc` is the AdaGrad
+        accumulator of `param`, or None for SGD."""
+        cfg = self.config
+        if decay and cfg.l2 > 0.0:
+            # The decay term gives every row a gradient, so every row moves.
+            dense = np.zeros_like(param)
+            dense[rows] = grad
+            grad = dense + cfg.l2 * param
+            rows = slice(None)
+        if acc is None:
+            param[rows] -= cfg.step_size * grad
+            return
+        acc_rows = acc[rows] + grad * grad
+        acc[rows] = acc_rows
+        param[rows] -= cfg.step_size * grad / (np.sqrt(acc_rows) + cfg.adagrad_eps)
 
 
 def _snapshot(model: ModelParams):

@@ -297,3 +297,49 @@ def test_curves_on_binned_field_is_config_error(trained, tmp_path, capsys):
                "--grid", "0:10:3"])
     assert rc == 2
     assert "not continuous" in capsys.readouterr().err
+
+
+def _broken_model(tmp_path, trained, name, edit):
+    doc = json.loads((trained["out"] / "model.json").read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _eval_data_error(trained, model_path, capsys):
+    assert main(["eval", str(model_path), str(trained["data"])]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(model_path) in err
+    return err
+
+
+def test_eval_missing_model_file_is_data_error(trained, tmp_path, capsys):
+    err = _eval_data_error(trained, tmp_path / "absent.json", capsys)
+    assert "cannot read" in err
+
+
+def test_eval_unparsable_model_file_is_data_error(trained, tmp_path, capsys):
+    path = tmp_path / "oops.json"
+    path.write_text("{oops")
+    err = _eval_data_error(trained, path, capsys)
+    assert "not valid JSON" in err
+
+
+def test_eval_short_embedding_table_is_data_error(trained, tmp_path, capsys):
+    def drop_two_rows(doc):
+        doc["V"][1] = doc["V"][1][:-2]
+
+    path = _broken_model(tmp_path, trained, "short.json", drop_two_rows)
+    err = _eval_data_error(trained, path, capsys)
+    assert "'x'" in err and "shape" in err
+
+
+def test_eval_nan_linear_weight_is_data_error(trained, tmp_path, capsys):
+    def poison(doc):
+        doc["w"][0] = float("nan")
+
+    path = _broken_model(tmp_path, trained, "nan.json", poison)
+    assert "NaN" in path.read_text()
+    err = _eval_data_error(trained, path, capsys)
+    assert "non-finite" in err

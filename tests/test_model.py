@@ -1,11 +1,12 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinefm.errors import ConfigError
+from splinefm.errors import ConfigError, DataError
 from splinefm.model import (
     FFMFieldConcat,
     FMIdentity,
@@ -17,9 +18,11 @@ from splinefm.model import (
     fit_span,
     forward,
     init_params,
+    load_model,
     make_interaction,
     model_from_dict,
     model_to_dict,
+    save_model,
     segmentized_curve,
 )
 from splinefm.schema import (
@@ -476,3 +479,90 @@ def test_model_serialization_bit_exact(variant):
         npt.assert_array_equal(a, b)
     row = encode_row(schema, {"a": "1", "b": "q", "z": 0.27})
     assert forward(clone, row)[0] == forward(model, row)[0]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_save_model_bytes_equal_json_dump(variant, tmp_path):
+    # Tables longer than one encoded chunk, an empty-dim table and the
+    # learned FwFM strengths / FmFM matrices all round out the document.
+    schema = build_schema(
+        [
+            ("a", binary_cat()),
+            ("id", Categorical({str(i): i for i in range(2500)}, unknown_slot=True)),
+            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
+        ]
+    )
+    model = random_model(schema, variant, seed=23)
+    model.w[3] = -0.0
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        json.dump(model_to_dict(model), fh)
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == reference.read_bytes()
+
+    empty = init_params(schema, make_interaction(variant, schema, 0), seed=0)
+    with open(reference, "w") as fh:
+        json.dump(model_to_dict(empty), fh)
+    save_model(empty, tmp_path / "empty.json")
+    assert (tmp_path / "empty.json").read_bytes() == reference.read_bytes()
+    # Zero-dim tables and pair matrices are written as bare `[]` lists.
+    assert [v.shape for v in load_model(tmp_path / "empty.json").V] == [v.shape for v in empty.V]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_model_peak_memory_not_above_json_dump(tmp_path):
+    schema = build_schema(
+        [
+            ("id", Categorical({str(i): i for i in range(10_000)}, unknown_slot=True)),
+            ("a", binary_cat()),
+        ]
+    )
+    model = random_model(schema, "fwfm", seed=5, dim=8)
+
+    def dump():
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(model_to_dict(model), fh)
+
+    reference = _traced_peak(dump)
+    peak = _traced_peak(lambda: save_model(model, tmp_path / "model.json"))
+    assert peak <= reference, (peak, reference)
+
+
+def _doc(variant="fmfm"):
+    return json.loads(json.dumps(model_to_dict(random_model(small_schema(), variant, seed=3))))
+
+
+@pytest.mark.parametrize(
+    "variant, edit, message",
+    [
+        ("fm", lambda d: d["V"][2].pop(), "shape"),
+        ("fm", lambda d: d["V"].pop(), "V tables"),
+        ("fm", lambda d: d["w"].append(0.0), "shape"),
+        ("fm", lambda d: d["V"][0][1].append(0.5), "numeric array"),
+        ("fm", lambda d: d.__setitem__("w0", float("inf")), "w0"),
+        ("fm", lambda d: d.pop("w"), "'w'"),
+        ("ffm", lambda d: d["V"][0][0].pop(), "numeric array"),
+        ("ffm", lambda d: d["interaction"].__setitem__("num_fields", 2), "num_fields"),
+        ("fwfm", lambda d: d["interaction"]["strengths"].pop(), "strengths"),
+        ("fwfm", lambda d: d["interaction"]["strengths"][0].__setitem__(1, float("nan")),
+         "non-finite"),
+        ("fmfm", lambda d: d["interaction"]["matrices"]["0,2"].pop(), "pair matrix 0,2"),
+        ("fmfm", lambda d: d["interaction"]["matrices"].pop("1,1"), "pairs"),
+        ("fmfm", lambda d: d["interaction"]["dims"].pop(), "dims"),
+        ("fmfm", lambda d: d["V"][1][0].__setitem__(0, float("-inf")), "non-finite"),
+    ],
+)
+def test_model_from_dict_rejects_inconsistent_documents(variant, edit, message):
+    doc = _doc(variant)
+    model_from_dict(doc)
+    edit(doc)
+    with pytest.raises(DataError, match=message):
+        model_from_dict(doc)

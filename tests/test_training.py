@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinefm import training
 from splinefm.errors import ConfigError, DataError
-from splinefm.model import forward, make_interaction
+from splinefm.model import FmFMMatrices, FwFMScalars, forward, init_params, make_interaction
 from splinefm.schema import (
     BinnedNumerical,
     Categorical,
@@ -349,3 +350,174 @@ def test_pack_fewer_rows_than_basis_support(n):
     assert [a.shape for a in data.idx] == [(n, 1), (n, 1), (n, 4)]
     assert_packed_bitwise(data, *oracle_pack(schema, rows))
 
+
+
+# ---------------------------------------------------------------------------
+# The batched backward pass and the sparse optimizer step
+
+VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
+
+
+def wide_schema(vocab=40):
+    return build_schema(
+        [
+            ("id", Categorical({str(i): i for i in range(vocab)}, unknown_slot=True)),
+            ("b", binary_cat()),
+            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
+        ]
+    )
+
+
+def wide_rows(n, seed, ids):
+    """Rows over a few ids (so a batch repeats indices) and spline points on
+    the knots and ends, where some basis values are zero and rows pad."""
+    rng = np.random.default_rng(seed)
+    z = rng.choice([0.0, 1.0, 1 / 3, 0.5, 2 / 3, rng.random(), rng.random()], size=n)
+    rows = [
+        {"id": str(rng.choice(ids)), "b": str(rng.integers(0, 2)), "z": float(z[i])}
+        for i in range(n)
+    ]
+    return rows, rng.integers(0, 2, size=n).astype(float)
+
+
+def randomized(model, seed):
+    """Nonzero linear weights, strengths and pair matrices, so every
+    gradient term is exercised."""
+    rng = np.random.default_rng(seed)
+    model.w0 = float(rng.normal())
+    model.w[:] = rng.normal(size=model.w.shape)
+    inter = model.interaction
+    if isinstance(inter, FwFMScalars):
+        s = rng.normal(size=inter.strengths.shape)
+        inter.strengths[:] = 0.5 * (s + s.T)
+    elif isinstance(inter, FmFMMatrices):
+        for M in inter.matrices.values():
+            M[:] = rng.normal(size=M.shape)
+    return model
+
+
+def _parameters(model):
+    """Every trainable array of the model, by name."""
+    out = {"w": model.w, **{f"V{f}": v for f, v in enumerate(model.V)}}
+    inter = model.interaction
+    if isinstance(inter, FwFMScalars):
+        out["s"] = inter.strengths
+    elif isinstance(inter, FmFMMatrices):
+        out.update({f"M{e},{f}": M for (e, f), M in inter.matrices.items()})
+    return out
+
+
+def _dense(model, g):
+    """The sparse batch gradient scattered onto zero tables."""
+    out = {name: np.zeros_like(a) for name, a in _parameters(model).items()}
+    for fld, rows, dw, dv in zip(model.schema.fields, g.rows, g.w, g.V):
+        out["w"][rows + fld.offset] = dw
+        out[f"V{fld.field_id}"][rows] = dv
+    if g.s is not None:
+        out["s"] = np.triu(g.s, 1)  # pairs e < f read strengths[e, f] only
+    for (e, f), dM in (g.M or {}).items():
+        out[f"M{e},{f}"] = dM
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
+    schema = wide_schema()
+    rows, labels = wide_rows(24, 13, ids=["0", "3", "7", "unseen"])
+    data = pack(schema, rows, labels)
+    assert (data.val[2] == 0.0).any()  # padded spline entries
+    model = randomized(init_params(schema, make_interaction(variant, schema, 3), seed=2), 3)
+
+    def loss():
+        return training._mean_loss("logloss", predict_scores(model, data), data.y)
+
+    P, _ = training._field_vectors(model, data)
+    _, d_score = training._loss_and_dscore("logloss", predict_scores(model, data), data.y)
+    g = training._batch_backward(model, data, P, d_score / data.n)
+    h = 1e-6
+    model.w0 += h
+    plus = loss()
+    model.w0 -= 2 * h
+    minus = loss()
+    model.w0 += h
+    assert g.w0 == pytest.approx((plus - minus) / (2 * h), rel=1e-6, abs=1e-9)
+    for name, grad in _dense(model, g).items():
+        table = _parameters(model)[name]
+        for pos in np.ndindex(table.shape):
+            keep = table[pos]
+            table[pos] = keep + h
+            plus = loss()
+            table[pos] = keep - h
+            minus = loss()
+            table[pos] = keep
+            fd = (plus - minus) / (2 * h)
+            assert grad[pos] == pytest.approx(fd, rel=1e-5, abs=1e-8), (name, pos)
+
+
+def _dense_backward(model, data, P, d_score):
+    """Reference: dense zero tables filled entry by entry with np.add.at."""
+    G, ds, dM = training._pair_grads(model, P, d_score)
+    dw = np.zeros_like(model.w)
+    dV = [np.zeros_like(v) for v in model.V]
+    for fld in model.schema.fields:
+        fid = fld.field_id
+        idx, val = data.idx[fid], data.val[fid]
+        np.add.at(dw, idx + fld.offset, val * d_score[:, None])
+        for c in range(idx.shape[1]):
+            np.add.at(dV[fid], idx[:, c], val[:, c, None] * G[fid])
+    return float(d_score.sum()), dw, dV, ds, dM
+
+
+def reference_train(cfg, schema, interaction, data):
+    """`train` without a holdout, with the dense backward and a step that
+    updates every row of every table."""
+    model = init_params(schema, interaction, seed=cfg.seed)
+    params = _parameters(model)
+    acc = {name: np.zeros_like(a) for name, a in params.items()}
+    acc_w0 = 0.0
+    order_rng = np.random.default_rng(cfg.seed + 1)
+    lr, eps = cfg.step_size, cfg.adagrad_eps
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
+            batch = data.subset(order[start : start + cfg.batch_size])
+            P, _ = training._field_vectors(model, batch)
+            _, d_score = training._loss_and_dscore(cfg.loss, predict_scores(model, batch), batch.y)
+            g0, dw, dV, ds, dM = _dense_backward(model, batch, P, d_score / batch.n)
+            grads = {"w": dw, **{f"V{f}": dv for f, dv in enumerate(dV)}}
+            if ds is not None:
+                grads["s"] = ds
+            grads.update({f"M{e},{f}": M for (e, f), M in (dM or {}).items()})
+            if cfg.l2 > 0.0:
+                g0 += cfg.l2 * model.w0
+                for name in ["w", *(f"V{f}" for f in range(len(dV)))]:
+                    grads[name] += cfg.l2 * params[name]
+            if cfg.optimizer == "sgd":
+                model.w0 -= lr * g0
+                for name, grad in grads.items():
+                    params[name] -= lr * grad
+                continue
+            acc_w0 += g0 * g0
+            model.w0 -= lr * g0 / (math.sqrt(acc_w0) + eps)
+            for name, grad in grads.items():
+                acc[name] += grad * grad
+                params[name] -= lr * grad / (np.sqrt(acc[name]) + eps)
+    return model
+
+
+@pytest.mark.parametrize("variant", ("ffm", "fwfm", "fmfm"))
+@pytest.mark.parametrize("optimizer", ("adagrad", "sgd"))
+@pytest.mark.parametrize("l2", (0.0, 0.01))
+def test_sparse_step_bit_identical_to_dense_reference(variant, optimizer, l2):
+    # 501 id rows, batches of 16 over 40 ids: most rows go untouched.
+    schema = wide_schema(vocab=500)
+    rows, labels = wide_rows(96, 17, ids=[str(i) for i in range(0, 500, 13)])
+    data = pack(schema, rows, labels)
+    cfg = TrainConfig(optimizer=optimizer, l2=l2, step_size=0.2, batch_size=16, epochs=3, seed=4)
+    model, _ = train(cfg, schema, make_interaction(variant, schema, 3), data)
+    reference = reference_train(cfg, schema, make_interaction(variant, schema, 3), data)
+    assert float(model.w0).hex() == float(reference.w0).hex()
+    for name, a in _parameters(reference).items():
+        assert _parameters(model)[name].tobytes() == a.tobytes(), name
+    untouched = np.setdiff1d(np.arange(501), np.concatenate(data.idx[0]))
+    assert untouched.size > 400
