@@ -9,7 +9,6 @@ from .model import (
     FmFMMatrices,
     FwFMScalars,
     ModelParams,
-    backward,
     fit_pairwise_span,
     fit_span,
     forward,

@@ -164,6 +164,23 @@ def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(**config.get("train", {}))
 
 
+# The loss `eval` scores a model with follows from the schema's label kind.
+_LABEL_LOSS = {"binary": "logloss", "real": "squared"}
+
+
+def _check_loss(cfg: TrainConfig, schema) -> TrainConfig:
+    """`cfg`, validated, unless its loss is not the one `eval` scores
+    `schema` with."""
+    cfg.validate()
+    loss = _LABEL_LOSS[schema.label_kind]
+    if cfg.loss != loss:
+        raise ConfigError(
+            f"train.loss {cfg.loss!r} does not match schema.label_kind "
+            f"{schema.label_kind!r}, which eval scores with {loss!r}"
+        )
+    return cfg
+
+
 def _metrics_doc(metrics) -> dict:
     return {
         "cross_entropy": metrics.cross_entropy,
@@ -187,7 +204,7 @@ def cmd_train(args) -> None:
     interaction = make_interaction(
         model_cfg.get("variant", "fm"), schema, int(model_cfg.get("dim", 4))
     )
-    train_cfg = _train_config(config)
+    train_cfg = _check_loss(_train_config(config), schema)
     data = pack(schema, rows, labels)
 
     def progress(record):
@@ -206,9 +223,8 @@ def cmd_eval(args) -> None:
     config = _load_config(args.config) if args.config else {}
     model = load_model(args.model)
     rows, labels = _read_table(config.get("data", {"path": args.data}))
-    loss = "logloss" if model.schema.label_kind == "binary" else "squared"
     data = pack(model.schema, rows, labels)
-    metrics = evaluate(model, data, loss)
+    metrics = evaluate(model, data, _LABEL_LOSS[model.schema.label_kind])
     doc = _metrics_doc(metrics)
     print(json.dumps(doc, indent=2))
     if args.output:
@@ -366,8 +382,8 @@ def cmd_sweep(args) -> None:
         combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
     results = []
     base = config.get("train", {})
-    for combo in combos:
-        cfg = TrainConfig(**{**base, **combo})
+    configs = [_check_loss(TrainConfig(**{**base, **combo}), schema) for combo in combos]
+    for combo, cfg in zip(combos, configs):
         _, metrics = train(cfg, schema, interaction, data)
         loss = metrics.cross_entropy if cfg.loss == "logloss" else metrics.rmse
         results.append((*[combo[k] for k in keys], loss))

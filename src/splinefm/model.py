@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -23,10 +24,8 @@ __all__ = [
     "FwFMScalars",
     "FmFMMatrices",
     "ModelParams",
-    "SparseGrad",
     "init_params",
     "forward",
-    "backward",
     "segmentized_curve",
     "fit_span",
     "fit_pairwise_span",
@@ -39,8 +38,30 @@ __all__ = [
 # Interaction specifications
 
 
+class _Interaction:
+    """Every variant scores a pair of reduced field vectors as <P_e, M_ef P_f>
+    and differs only in M_ef. `pair_score` scores one pair of one row. The
+    batched kernels take one (n, k_f) array P[f] per field and run over the
+    pairs e < f in order: `scores(P, total)` adds each pair's scores to
+    `total` (n,) and returns it; `grads(P, d_score)` returns the per-field
+    G[f] = d_score * d score / d P[f] and the gradients of `tensors()`.
+    """
+
+    def tensors(self) -> dict:
+        """The arrays the spec learns, by name; empty when it learns none."""
+        return {}
+
+    def tensor_parameters(self) -> int:
+        """How many free parameters `tensors()` holds."""
+        return sum(t.size for t in self.tensors().values())
+
+
+def _pairs(m: int):
+    return combinations(range(m), 2)
+
+
 @dataclass(frozen=True)
-class FMIdentity:
+class FMIdentity(_Interaction):
     """Plain FM: shared embedding dim, implicit identity pair matrices."""
 
     dim: int
@@ -51,12 +72,24 @@ class FMIdentity:
     def pair_score(self, e, f, a, b) -> float:
         return float(a @ b)
 
-    def d_pair_da(self, e, f, a, b) -> np.ndarray:
-        return b
+    def scores(self, P, total):
+        for e, f in _pairs(len(P)):
+            total += np.einsum("nk,nk->n", P[e], P[f])
+        return total
+
+    def grads(self, P, d_score):
+        G = [np.zeros_like(p) for p in P]
+        for e, f in _pairs(len(P)):
+            G[e] += d_score[:, None] * P[f]
+            G[f] += d_score[:, None] * P[e]
+        return G, {}
+
+    def to_doc(self) -> dict:
+        return {"variant": "fm", "dim": self.dim}
 
 
 @dataclass(frozen=True)
-class FFMFieldConcat:
+class FFMFieldConcat(_Interaction):
     """FFM: each embedding is a concatenation of per-field blocks.
 
     The pair (e, f) reads block f of e's vector against block e of f's
@@ -71,21 +104,31 @@ class FFMFieldConcat:
         return self.num_fields * self.block_dim
 
     def _block(self, vec, fid):
+        """Block `fid` of the last axis: of one vector, or of every row."""
         k = self.block_dim
-        return vec[fid * k : (fid + 1) * k]
+        return vec[..., fid * k : (fid + 1) * k]
 
     def pair_score(self, e, f, a, b) -> float:
         return float(self._block(a, f) @ self._block(b, e))
 
-    def d_pair_da(self, e, f, a, b) -> np.ndarray:
-        out = np.zeros_like(a)
-        k = self.block_dim
-        out[f * k : (f + 1) * k] = self._block(b, e)
-        return out
+    def scores(self, P, total):
+        for e, f in _pairs(len(P)):
+            total += np.einsum("nk,nk->n", self._block(P[e], f), self._block(P[f], e))
+        return total
+
+    def grads(self, P, d_score):
+        G = [np.zeros_like(p) for p in P]
+        for e, f in _pairs(len(P)):
+            self._block(G[e], f)[:] += d_score[:, None] * self._block(P[f], e)
+            self._block(G[f], e)[:] += d_score[:, None] * self._block(P[e], f)
+        return G, {}
+
+    def to_doc(self) -> dict:
+        return {"variant": "ffm", "num_fields": self.num_fields, "block_dim": self.block_dim}
 
 
 @dataclass(frozen=True)
-class FwFMScalars:
+class FwFMScalars(_Interaction):
     """FwFM: implicit pair matrix s[e, f] * I with a learned symmetric s."""
 
     strengths: np.ndarray = field(repr=False)  # (m, m) symmetric
@@ -98,16 +141,48 @@ class FwFMScalars:
     def pair_score(self, e, f, a, b) -> float:
         return float(self.strengths[e, f] * (a @ b))
 
-    def d_pair_da(self, e, f, a, b) -> np.ndarray:
-        return self.strengths[e, f] * b
+    def scores(self, P, total):
+        for e, f in _pairs(len(P)):
+            total += self.strengths[e, f] * np.einsum("nk,nk->n", P[e], P[f])
+        return total
+
+    def grads(self, P, d_score):
+        G = [np.zeros_like(p) for p in P]
+        ds = np.zeros_like(self.strengths) if self.learn else None
+        for e, f in _pairs(len(P)):
+            s_ef = self.strengths[e, f]
+            G[e] += (s_ef * d_score)[:, None] * P[f]
+            G[f] += (s_ef * d_score)[:, None] * P[e]
+            if self.learn:
+                g = float(d_score @ np.einsum("nk,nk->n", P[e], P[f]))
+                ds[e, f] += g
+                ds[f, e] += g
+        return G, {"strengths": ds} if self.learn else {}
+
+    def tensors(self) -> dict:
+        return {"strengths": self.strengths} if self.learn else {}
+
+    def tensor_parameters(self) -> int:
+        # s[e, f] and s[f, e] are one parameter, stored twice.
+        m = len(self.strengths)
+        return m * (m + 1) // 2 if self.learn else 0
+
+    def to_doc(self) -> dict:
+        return {
+            "variant": "fwfm",
+            "dim": self.dim,
+            "learn": self.learn,
+            "strengths": self.strengths.tolist(),
+        }
 
 
 @dataclass(frozen=True)
-class FmFMMatrices:
+class FmFMMatrices(_Interaction):
     """General variant: an explicit matrix per unordered field pair.
 
     `matrices[(e, f)]` with e <= f has shape (k_e, k_f); the reversed
-    orientation uses its transpose. Per-field dims may differ.
+    orientation uses its transpose. Per-field dims may differ. The learned
+    tensors are named "e,f", as in the model document.
     """
 
     dims: tuple  # per-field embedding dims
@@ -123,11 +198,32 @@ class FmFMMatrices:
     def pair_score(self, e, f, a, b) -> float:
         return float(a @ self.matrix(e, f) @ b)
 
-    def d_pair_da(self, e, f, a, b) -> np.ndarray:
-        return self.matrix(e, f) @ b
+    def scores(self, P, total):
+        for e, f in _pairs(len(P)):
+            total += np.einsum("nk,kl,nl->n", P[e], self.matrix(e, f), P[f])
+        return total
 
-    def d_pair_db(self, e, f, a, b) -> np.ndarray:
-        return self.matrix(e, f).T @ a
+    def grads(self, P, d_score):
+        G = [np.zeros_like(p) for p in P]
+        dM = {name: np.zeros_like(M) for name, M in self.tensors().items()}
+        for e, f in _pairs(len(P)):
+            M = self.matrix(e, f)
+            G[e] += d_score[:, None] * (P[f] @ M.T)
+            G[f] += d_score[:, None] * (P[e] @ M)
+            if self.learn:
+                dM[f"{e},{f}"] += P[e].T @ (d_score[:, None] * P[f])
+        return G, dM
+
+    def tensors(self) -> dict:
+        return {f"{e},{f}": M for (e, f), M in self.matrices.items()} if self.learn else {}
+
+    def to_doc(self) -> dict:
+        return {
+            "variant": "fmfm",
+            "dims": list(self.dims),
+            "learn": self.learn,
+            "matrices": {f"{e},{f}": M.tolist() for (e, f), M in sorted(self.matrices.items())},
+        }
 
 
 InteractionSpec = FMIdentity | FFMFieldConcat | FwFMScalars | FmFMMatrices
@@ -147,13 +243,9 @@ class ModelParams:
 
     @property
     def num_parameters(self) -> int:
+        """w0, w, the V tables and the interaction's learned tensors."""
         n = 1 + self.w.size + sum(v.size for v in self.V)
-        if isinstance(self.interaction, FwFMScalars) and self.interaction.learn:
-            m = len(self.schema.fields)
-            n += m * (m + 1) // 2
-        if isinstance(self.interaction, FmFMMatrices) and self.interaction.learn:
-            n += sum(M.size for M in self.interaction.matrices.values())
-        return n
+        return n + self.interaction.tensor_parameters()
 
 
 def init_params(
@@ -175,9 +267,7 @@ def init_params(
     )
 
 
-def make_interaction(
-    variant: str, schema: DatasetSchema, dim: int, seed: int = 0
-) -> InteractionSpec:
+def make_interaction(variant: str, schema: DatasetSchema, dim: int) -> InteractionSpec:
     """Build an interaction spec of the named variant for a schema."""
     m = len(schema.fields)
     if variant == "fm":
@@ -188,15 +278,13 @@ def make_interaction(
         return FwFMScalars(strengths=np.ones((m, m)), dim=dim)
     if variant == "fmfm":
         dims = tuple(dim for _ in range(m))
-        matrices = {
-            (e, f): np.eye(dim) for e in range(m) for f in range(e, m)
-        }
+        matrices = {(e, f): np.eye(dim) for e in range(m) for f in range(e, m)}
         return FmFMMatrices(dims=dims, matrices=matrices)
     raise ConfigError(f"unknown model variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward
+# Per-row reference scorer
 
 
 @dataclass
@@ -204,15 +292,6 @@ class _Slot:
     field_id: int
     p: np.ndarray  # reduced embedding vector
     y: float  # reduced linear term
-    entries: list  # (global_index, value, field-local index) feeding this slot
-
-
-@dataclass
-class ForwardTrace:
-    slots: list
-    score: float
-    _row_ref: EncodedRow = None
-    _model_ref: object = None
 
 
 def _build_slots(model: ModelParams, row: EncodedRow) -> list:
@@ -226,25 +305,26 @@ def _build_slots(model: ModelParams, row: EncodedRow) -> list:
         fld = schema.fields[fid]
         if not fld.offset <= idx < fld.offset + fld.width:
             raise ConfigError(f"feature index {idx} does not belong to field {fid}")
-        local = idx - fld.offset
-        contrib_p = value * model.V[fid][local]
+        contrib_p = value * model.V[fid][idx - fld.offset]
         contrib_y = value * model.w[idx]
         if fld.reduction == "sum":
             if current is not None and current.field_id == fid:
                 current.p = current.p + contrib_p
                 current.y += contrib_y
-                current.entries.append((idx, value, local))
             else:
-                current = _Slot(fid, contrib_p.copy(), contrib_y, [(idx, value, local)])
+                current = _Slot(fid, contrib_p.copy(), contrib_y)
                 slots.append(current)
         else:
-            slots.append(_Slot(fid, contrib_p, contrib_y, [(idx, value, local)]))
+            slots.append(_Slot(fid, contrib_p, contrib_y))
             current = None
     return slots
 
 
-def forward(model: ModelParams, row: EncodedRow) -> tuple[float, ForwardTrace]:
-    """Score one encoded row; the trace retains reduced slots for backward."""
+def forward(model: ModelParams, row: EncodedRow) -> float:
+    """Score one encoded row, slot by slot: the reference for the batched
+    `training.predict_scores`. Each entry of an identity-reduced field is
+    its own slot, so a row with several entries in one field also scores
+    the pairs within that field, through M_ee."""
     slots = _build_slots(model, row)
     inter = model.interaction
     score = model.w0
@@ -255,68 +335,7 @@ def forward(model: ModelParams, row: EncodedRow) -> tuple[float, ForwardTrace]:
         for j in range(i + 1, len(slots)):
             sj = slots[j]
             score += inter.pair_score(si.field_id, sj.field_id, si.p, sj.p)
-    trace = ForwardTrace(slots=slots, score=score, _row_ref=row, _model_ref=model)
-    return score, trace
-
-
-@dataclass
-class SparseGrad:
-    """Gradients for exactly the parameters touched by one row."""
-
-    w0: float = 0.0
-    w: dict = field(default_factory=dict)  # global index -> float
-    v: dict = field(default_factory=dict)  # global index -> ndarray
-    s: dict = field(default_factory=dict)  # (e, f) e <= f -> float
-    m: dict = field(default_factory=dict)  # (e, f) e <= f -> ndarray
-
-
-def backward(
-    model: ModelParams, row: EncodedRow, trace: ForwardTrace, d_score: float
-) -> SparseGrad:
-    """Differentiate the forward score; returns a sparse gradient."""
-    if trace._row_ref is not row or trace._model_ref is not model:
-        raise ConfigError("trace does not belong to this (model, row) pair")
-    grad = SparseGrad()
-    if d_score == 0.0:
-        return grad
-    grad.w0 = d_score
-    inter = model.interaction
-    slots = trace.slots
-    learn_s = isinstance(inter, FwFMScalars) and inter.learn
-    learn_m = isinstance(inter, FmFMMatrices) and inter.learn
-
-    dp = [np.zeros_like(s.p) for s in slots]
-    for i in range(len(slots)):
-        si = slots[i]
-        for j in range(i + 1, len(slots)):
-            sj = slots[j]
-            e, f = si.field_id, sj.field_id
-            dp[i] += inter.d_pair_da(e, f, si.p, sj.p)
-            if hasattr(inter, "d_pair_db"):
-                dp[j] += inter.d_pair_db(e, f, si.p, sj.p)
-            else:
-                # Remaining variants are orientation-symmetric.
-                dp[j] += inter.d_pair_da(f, e, sj.p, si.p)
-            if learn_s:
-                key = (e, f)  # slots ordered by field id, so e <= f
-                grad.s[key] = grad.s.get(key, 0.0) + d_score * float(si.p @ sj.p)
-            if learn_m:
-                key = (e, f)
-                contrib = d_score * np.outer(si.p, sj.p)
-                if key in grad.m:
-                    grad.m[key] += contrib
-                else:
-                    grad.m[key] = contrib
-
-    for slot, g in zip(slots, dp):
-        for idx, value, _local in slot.entries:
-            grad.w[idx] = grad.w.get(idx, 0.0) + value * d_score
-            contrib = (value * d_score) * g
-            if idx in grad.v:
-                grad.v[idx] += contrib
-            else:
-                grad.v[idx] = contrib
-    return grad
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +348,7 @@ def segmentized_curve(model: ModelParams, segment: dict, field_name: str, grid):
     for i, z in enumerate(grid):
         raw = dict(segment)
         raw[field_name] = z
-        score, _ = forward(model, encode_row(model.schema, raw))
-        scores[i] = score
+        scores[i] = forward(model, encode_row(model.schema, raw))
     return scores
 
 
@@ -448,35 +466,10 @@ def model_to_dict(model: ModelParams) -> dict:
 
 def _model_head(model: ModelParams) -> dict:
     """Every entry of `model_to_dict` but the trailing embedding tables."""
-    inter = model.interaction
-    if isinstance(inter, FMIdentity):
-        idoc = {"variant": "fm", "dim": inter.dim}
-    elif isinstance(inter, FFMFieldConcat):
-        idoc = {
-            "variant": "ffm",
-            "num_fields": inter.num_fields,
-            "block_dim": inter.block_dim,
-        }
-    elif isinstance(inter, FwFMScalars):
-        idoc = {
-            "variant": "fwfm",
-            "dim": inter.dim,
-            "learn": inter.learn,
-            "strengths": inter.strengths.tolist(),
-        }
-    else:
-        idoc = {
-            "variant": "fmfm",
-            "dims": list(inter.dims),
-            "learn": inter.learn,
-            "matrices": {
-                f"{e},{f}": M.tolist() for (e, f), M in sorted(inter.matrices.items())
-            },
-        }
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "schema": model.schema.to_dict(),
-        "interaction": idoc,
+        "interaction": model.interaction.to_doc(),
         "w0": model.w0,
         "w": model.w.tolist(),
     }
@@ -504,7 +497,7 @@ def model_from_dict(doc: dict) -> ModelParams:
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {doc.get('format_version')!r}")
+        raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
     try:
         return _model_from_doc(doc)
     except KeyError as exc:
@@ -540,7 +533,7 @@ def _model_from_doc(doc: dict) -> ModelParams:
         }
         inter = FmFMMatrices(dims=dims, matrices=matrices, learn=idoc["learn"])
     else:
-        raise ConfigError(f"unknown model variant {variant!r}")
+        raise DataError(f"unknown model variant {variant!r}")
     w0 = float(doc["w0"])
     if not np.isfinite(w0):
         raise DataError("w0 is not finite")

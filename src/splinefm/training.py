@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .model import (
-    FFMFieldConcat,
-    FMIdentity,
-    FmFMMatrices,
-    FwFMScalars,
-    ModelParams,
-    init_params,
-)
+from .model import ModelParams, init_params
 from .schema import DatasetSchema, encode_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
@@ -127,72 +120,10 @@ def _field_vectors(model: ModelParams, data: PackedData):
     return P, linear
 
 
-def _pair_batch(inter, e: int, f: int, Pe, Pf) -> np.ndarray:
-    if isinstance(inter, FMIdentity):
-        return np.einsum("nk,nk->n", Pe, Pf)
-    if isinstance(inter, FwFMScalars):
-        return inter.strengths[e, f] * np.einsum("nk,nk->n", Pe, Pf)
-    if isinstance(inter, FFMFieldConcat):
-        k = inter.block_dim
-        return np.einsum(
-            "nk,nk->n", Pe[:, f * k : (f + 1) * k], Pf[:, e * k : (e + 1) * k]
-        )
-    return np.einsum("nk,kl,nl->n", Pe, inter.matrix(e, f), Pf)
-
-
 def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
     """Raw (pre-link) scores for every packed row."""
-    P, scores = _field_vectors(model, data)
-    inter = model.interaction
-    m = len(model.schema.fields)
-    for e in range(m):
-        for f in range(e + 1, m):
-            scores = scores + _pair_batch(inter, e, f, P[e], P[f])
-    return scores
-
-
-def _pair_grads(model: ModelParams, P, d_score):
-    """d score / d P_f per row (G, carrying the d_score factor) and the
-    dense gradients of the FwFM strengths and FmFM matrices when learned."""
-    inter = model.interaction
-    m = len(model.schema.fields)
-    G = [np.zeros_like(p) for p in P]
-    ds = None
-    dM = None
-    if isinstance(inter, FwFMScalars) and inter.learn:
-        ds = np.zeros_like(inter.strengths)
-    if isinstance(inter, FmFMMatrices) and inter.learn:
-        dM = {key: np.zeros_like(Mat) for key, Mat in inter.matrices.items()}
-
-    for e in range(m):
-        for f in range(e + 1, m):
-            Pe, Pf = P[e], P[f]
-            if isinstance(inter, FMIdentity):
-                G[e] += d_score[:, None] * Pf
-                G[f] += d_score[:, None] * Pe
-            elif isinstance(inter, FwFMScalars):
-                s_ef = inter.strengths[e, f]
-                G[e] += (s_ef * d_score)[:, None] * Pf
-                G[f] += (s_ef * d_score)[:, None] * Pe
-                if ds is not None:
-                    g = float(d_score @ np.einsum("nk,nk->n", Pe, Pf))
-                    ds[e, f] += g
-                    ds[f, e] += g
-            elif isinstance(inter, FFMFieldConcat):
-                k = inter.block_dim
-                G[e][:, f * k : (f + 1) * k] += (
-                    d_score[:, None] * Pf[:, e * k : (e + 1) * k]
-                )
-                G[f][:, e * k : (e + 1) * k] += (
-                    d_score[:, None] * Pe[:, f * k : (f + 1) * k]
-                )
-            else:
-                Mat = inter.matrix(e, f)
-                G[e] += d_score[:, None] * (Pf @ Mat.T)
-                G[f] += d_score[:, None] * (Pe @ Mat)
-                if dM is not None:
-                    dM[(e, f)] += Pe.T @ (d_score[:, None] * Pf)
-    return G, ds, dM
+    P, linear = _field_vectors(model, data)
+    return model.interaction.scores(P, linear)
 
 
 @dataclass
@@ -203,12 +134,11 @@ class _BatchGrads:
     rows: list  # per field: sorted unique field-local rows
     w: list  # per field: (u,) linear-weight gradients of those rows
     V: list  # per field: (u, k_f) embedding gradients of those rows
-    s: np.ndarray | None
-    M: dict | None
+    tensors: dict  # dense gradients of the interaction's tensors, by name
 
 
 def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _BatchGrads:
-    G, ds, dM = _pair_grads(model, P, d_score)
+    G, d_tensors = model.interaction.grads(P, d_score)
     rows, dw, dV = [], [], []
     for fld in model.schema.fields:
         fid = fld.field_id
@@ -231,7 +161,7 @@ def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _BatchG
             )
         )
         rows.append(uniq)
-    return _BatchGrads(w0=float(d_score.sum()), rows=rows, w=dw, V=dV, s=ds, M=dM)
+    return _BatchGrads(w0=float(d_score.sum()), rows=rows, w=dw, V=dV, tensors=d_tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +194,12 @@ def _mean_loss(loss: str, scores, y) -> float:
 class _Optimizer:
     def __init__(self, config: TrainConfig, model: ModelParams):
         self.config = config
-        inter = model.interaction
         # AdaGrad keeps one accumulator per parameter array; SGD keeps None.
         acc = np.zeros_like if config.optimizer == "adagrad" else (lambda a: None)
         self.acc_w0 = 0.0
         self.acc_w = [acc(model.w[f.offset : f.offset + f.width]) for f in model.schema.fields]
         self.acc_V = [acc(v) for v in model.V]
-        if isinstance(inter, FwFMScalars) and inter.learn:
-            self.acc_s = acc(inter.strengths)
-        if isinstance(inter, FmFMMatrices) and inter.learn:
-            self.acc_M = {k: acc(M) for k, M in inter.matrices.items()}
+        self.tensors = {name: (t, acc(t)) for name, t in model.interaction.tensors().items()}
 
     def step(self, model: ModelParams, g: _BatchGrads) -> None:
         cfg = self.config
@@ -289,12 +215,8 @@ class _Optimizer:
             w = model.w[fld.offset : fld.offset + fld.width]
             self._update(w, self.acc_w[fid], rows, dw)
             self._update(model.V[fid], self.acc_V[fid], rows, dv)
-        if g.s is not None:
-            self._update(model.interaction.strengths, self.acc_s, slice(None), g.s, decay=False)
-        if g.M is not None:
-            for key, dM in g.M.items():
-                M = model.interaction.matrices[key]
-                self._update(M, self.acc_M[key], slice(None), dM, decay=False)
+        for name, grad in g.tensors.items():
+            self._update(*self.tensors[name], slice(None), grad, decay=False)
 
     def _update(self, param, acc, rows, grad, decay=True) -> None:
         """Step `param[rows]` (in place) along `grad`; `acc` is the AdaGrad
@@ -314,28 +236,20 @@ class _Optimizer:
         param[rows] -= cfg.step_size * grad / (np.sqrt(acc_rows) + cfg.adagrad_eps)
 
 
+def _tensors(model: ModelParams) -> list:
+    """Every trainable array of the model: w, the V tables and the
+    interaction's learned tensors (w0 is a float)."""
+    return [model.w, *model.V, *model.interaction.tensors().values()]
+
+
 def _snapshot(model: ModelParams):
-    inter = model.interaction
-    extra = None
-    if isinstance(inter, FwFMScalars):
-        extra = inter.strengths.copy()
-    elif isinstance(inter, FmFMMatrices):
-        extra = {k: M.copy() for k, M in inter.matrices.items()}
-    return (model.w0, model.w.copy(), [v.copy() for v in model.V], extra)
+    return model.w0, [t.copy() for t in _tensors(model)]
 
 
 def _restore(model: ModelParams, snap) -> None:
-    w0, w, V, extra = snap
-    model.w0 = w0
-    model.w[:] = w
-    for v, vs in zip(model.V, V):
-        v[:] = vs
-    inter = model.interaction
-    if isinstance(inter, FwFMScalars) and extra is not None:
-        inter.strengths[:] = extra
-    elif isinstance(inter, FmFMMatrices) and extra is not None:
-        for k, M in extra.items():
-            inter.matrices[k][:] = M
+    model.w0, saved = snap
+    for t, t_saved in zip(_tensors(model), saved):
+        t[:] = t_saved
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +300,8 @@ def train(
         epoch_loss = 0.0
         for start in range(0, data.n, config.batch_size):
             batch = data.subset(order[start : start + config.batch_size])
-            P, scores = _field_vectors(model, batch)
-            inter = model.interaction
-            m = len(schema.fields)
-            for e in range(m):
-                for f in range(e + 1, m):
-                    scores = scores + _pair_batch(inter, e, f, P[e], P[f])
+            P, linear = _field_vectors(model, batch)
+            scores = model.interaction.scores(P, linear)
             loss, d_score = _loss_and_dscore(config.loss, scores, batch.y)
             if not math.isfinite(loss):
                 raise NumericalError(

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 import yaml
 
+from splinefm import training
 from splinefm.bin_export import export_binned, make_boundaries
 from splinefm.cli import main as cli_main
 from splinefm.model import (
     FFMFieldConcat,
     FMIdentity,
     FwFMScalars,
-    backward,
     fit_pairwise_span,
     fit_span,
     forward,
@@ -218,30 +218,33 @@ def _perturb(model, kind, key, h):
 
 
 def _touched(model, grad):
-    schema = model.schema
+    """(kind, key, gradient) for every parameter a batch gradient covers.
+    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
     out = [("w0", None, grad.w0)]
-    for idx, g in grad.w.items():
-        out.append(("w", idx, g))
-    for idx, g in grad.v.items():
-        fid = next(
-            f.field_id for f in schema.fields if f.offset <= idx < f.offset + f.width
-        )
-        local = idx - schema.fields[fid].offset
-        for comp, gc in enumerate(g):
-            out.append(("v", (fid, local, comp), gc))
-    for pair, g in grad.s.items():
-        out.append(("s", pair, g))
-    for pair, g in grad.m.items():
-        for r in range(g.shape[0]):
-            for c in range(g.shape[1]):
-                out.append(("m", (pair, r, c), g[r, c]))
+    for fld, rows, dw, dv in zip(model.schema.fields, grad.rows, grad.w, grad.V):
+        for local, gw, gv in zip(rows, dw, dv):
+            out.append(("w", fld.offset + local, gw))
+            for comp, gc in enumerate(gv):
+                out.append(("v", (fld.field_id, local, comp), gc))
+    for name, g in grad.tensors.items():
+        for pos in np.ndindex(g.shape):
+            if name == "strengths":
+                if pos[0] <= pos[1]:
+                    out.append(("s", pos, g[pos]))
+            else:
+                pair = tuple(int(i) for i in name.split(","))
+                out.append(("m", (pair, *pos), g[pos]))
     return out
 
 
 def test_acceptance_4_gradient_check(capsys):
+    # The training backward pass (`_batch_backward`) on each row as a batch
+    # of one with d_score = 1, against central differences of the row's
+    # score under the per-row reference scorer.
     start = time.time()
     h = 1e-5
     worst = 0.0
+    kinds = set()
     rng = np.random.default_rng(3)
     for i in range(100):
         schema = mixed_schema()
@@ -252,13 +255,15 @@ def test_acceptance_4_gradient_check(capsys):
             "z": float(rng.random()),
         }
         row = encode_row(schema, raw)
-        _, trace = forward(model, row)
-        grad = backward(model, row, trace, d_score=1.0)
+        data = pack(schema, [raw], [0.0])
+        P, _ = training._field_vectors(model, data)
+        grad = training._batch_backward(model, data, P, np.ones(1))
         for kind, key, g in _touched(model, grad):
+            kinds.add(kind)
             _perturb(model, kind, key, h)
-            plus, _ = forward(model, row)
+            plus = forward(model, row)
             _perturb(model, kind, key, -2 * h)
-            minus, _ = forward(model, row)
+            minus = forward(model, row)
             _perturb(model, kind, key, h)
             fd = (plus - minus) / (2 * h)
             # Floor keeps roundoff noise in near-zero gradients from
@@ -266,7 +271,7 @@ def test_acceptance_4_gradient_check(capsys):
             rel = abs(fd - g) / max(abs(fd), abs(g), 1e-6)
             worst = max(worst, rel)
     elapsed = time.time() - start
-    ok = worst < 1e-4 and elapsed < 30.0
+    ok = worst < 1e-4 and elapsed < 30.0 and kinds == {"w0", "w", "v", "s", "m"}
     report(capsys, 4, "analytic gradients match finite differences", ok,
            f"max relative error {worst:.2e} over 100 rows, {elapsed:.1f} s")
 
@@ -336,7 +341,7 @@ def test_acceptance_5_brute_force_equivalence(capsys):
                 for loc in chosen:
                     entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
             assert len(entries) <= 6
-            score, _ = forward(model, EncodedRow(entries=tuple(entries), label=0.0))
+            score = forward(model, EncodedRow(entries=tuple(entries), label=0.0))
             expected = _brute_force(model, entries)
             worst = max(worst, abs(score - expected) / max(abs(expected), 1e-12))
     # Sum-reduced field: pre-sum its entries and apply the same oracle.
@@ -345,7 +350,7 @@ def test_acceptance_5_brute_force_equivalence(capsys):
     for i, variant in enumerate(VARIANTS):
         model = random_model(schema_z, variant, seed=5100 + i)
         row = encode_row(schema_z, {"a": "1", "b": "q", "z": 0.37})
-        score, _ = forward(model, row)
+        score = forward(model, row)
         import copy as _copy
 
         proxy = _copy.deepcopy(model)
@@ -390,13 +395,13 @@ def test_acceptance_6_export_fidelity(capsys):
         binned, export = export_binned(model, "z", boundaries)
         for mid in export.midpoints:
             raw = {"a": "0", "z": float(mid)}
-            s0, _ = forward(model, encode_row(model.schema, raw))
-            s1, _ = forward(binned, encode_row(binned.schema, raw))
+            s0 = forward(model, encode_row(model.schema, raw))
+            s1 = forward(binned, encode_row(binned.schema, raw))
             worst_mid = max(worst_mid, abs(s1 - s0) / max(abs(s0), 1e-12))
         diffs = [
             abs(
-                forward(model, encode_row(model.schema, {"a": "1", "z": float(z)}))[0]
-                - forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))[0]
+                forward(model, encode_row(model.schema, {"a": "1", "z": float(z)}))
+                - forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))
             )
             for z in grid
         ]

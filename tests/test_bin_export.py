@@ -104,8 +104,8 @@ def test_midpoint_scores_match_original(variant):
     for j, mid in enumerate(export.midpoints):
         for a in ("0", "1"):
             raw = {"a": a, "z": float(mid)}
-            s_orig, _ = forward(model, encode_row(model.schema, raw))
-            s_binned, _ = forward(binned, encode_row(binned.schema, raw))
+            s_orig = forward(model, encode_row(model.schema, raw))
+            s_binned = forward(binned, encode_row(binned.schema, raw))
             assert s_binned == pytest.approx(s_orig, abs=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_scores_constant_within_each_bin():
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         probes = np.linspace(lo, hi - 1e-9, 7)
         scores = [
-            forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))[0]
+            forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))
             for z in probes
         ]
         npt.assert_allclose(scores, scores[0], atol=1e-12)
@@ -131,8 +131,8 @@ def test_discrepancy_shrinks_with_bin_count():
         binned, _ = export_binned(model, "z", boundaries)
         diffs = [
             abs(
-                forward(model, encode_row(model.schema, {"a": "0", "z": float(z)}))[0]
-                - forward(binned, encode_row(binned.schema, {"a": "0", "z": float(z)}))[0]
+                forward(model, encode_row(model.schema, {"a": "0", "z": float(z)}))
+                - forward(binned, encode_row(binned.schema, {"a": "0", "z": float(z)}))
             )
             for z in grid
         ]
@@ -187,10 +187,10 @@ def test_exported_model_serialization_round_trip(tmp_path):
     save_model(binned, path)
     clone = load_model(path)
     raw = {"a": "1", "z": 6.3}
-    s1, _ = forward(binned, encode_row(binned.schema, raw))
-    s2, _ = forward(clone, encode_row(clone.schema, raw))
+    s1 = forward(binned, encode_row(binned.schema, raw))
+    s2 = forward(clone, encode_row(clone.schema, raw))
     assert s1 == s2
     # The JSON document itself round-trips through model_from_dict too.
     doc = json.loads(json.dumps(model_to_dict(binned)))
     clone2 = model_from_dict(doc)
-    assert forward(clone2, encode_row(clone2.schema, raw))[0] == s1
+    assert forward(clone2, encode_row(clone2.schema, raw)) == s1

@@ -343,3 +343,58 @@ def test_eval_nan_linear_weight_is_data_error(trained, tmp_path, capsys):
     assert "NaN" in path.read_text()
     err = _eval_data_error(trained, path, capsys)
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.__setitem__("format_version", 99), "format version 99"),
+        (lambda d: d["interaction"].__setitem__("variant", "xfm"), "variant 'xfm'"),
+    ],
+)
+def test_eval_unsupported_model_document_is_data_error(trained, tmp_path, capsys, edit, message):
+    path = _broken_model(tmp_path, trained, "unsupported.json", edit)
+    err = _eval_data_error(trained, path, capsys)
+    assert message in err
+
+
+def _write_loss_config(tmp_path, label_kind, loss, sweep=False):
+    data = tmp_path / "data.csv"
+    cfg = tmp_path / "config.yaml"
+    write_dataset(data, n=100)
+    doc = write_config(cfg, data, tmp_path / "out", epochs=1)
+    doc["schema"]["label_kind"] = label_kind
+    if sweep:
+        doc["sweep"] = {"grid": {"loss": ["logloss", "squared"]}}
+    else:
+        doc["train"]["loss"] = loss
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "label_kind, loss", [("binary", "squared"), ("real", "logloss")]
+)
+def test_train_loss_label_kind_mismatch_is_config_error(tmp_path, capsys, label_kind, loss):
+    cfg = _write_loss_config(tmp_path, label_kind, loss)
+    assert main(["train", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"train.loss {loss!r}" in err and f"label_kind {label_kind!r}" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_train_real_label_kind_with_squared_loss(tmp_path):
+    cfg = _write_loss_config(tmp_path, "real", "squared")
+    assert main(["train", str(cfg)]) == 0
+    assert main(["eval", str(tmp_path / "out" / "model.json"), str(tmp_path / "data.csv")]) == 0
+
+
+@pytest.mark.parametrize("label_kind", ["binary", "real"])
+def test_sweep_loss_label_kind_mismatch_is_config_error(tmp_path, capsys, label_kind):
+    # The grid holds both losses, so one of them disagrees with either kind.
+    cfg = _write_loss_config(tmp_path, label_kind, None, sweep=True)
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "train.loss" in err and f"label_kind {label_kind!r}" in err
+    assert not (tmp_path / "out" / "sweep.tsv").exists()

@@ -6,14 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinefm.errors import ConfigError, DataError
+from splinefm import training
+from splinefm.errors import DataError
 from splinefm.model import (
     FFMFieldConcat,
     FMIdentity,
     FmFMMatrices,
     FwFMScalars,
     ModelParams,
-    backward,
     fit_pairwise_span,
     fit_span,
     forward,
@@ -34,6 +34,7 @@ from splinefm.schema import (
     encode_row,
 )
 from splinefm.splines import build_uniform
+from splinefm.training import pack
 from splinefm.transforms import AffineTransform
 
 VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
@@ -140,7 +141,7 @@ def test_forward_matches_brute_force_identity_reductions(variant):
             for loc in locals_:
                 entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
         row = EncodedRow(entries=tuple(entries), label=0.0)
-        score, _ = forward(model, row)
+        score = forward(model, row)
         expected = brute_force_score(model, entries)
         assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -151,7 +152,7 @@ def test_forward_matches_brute_force_with_sum_reduction(variant):
     model = random_model(schema, variant, seed=3)
     raw = {"a": "1", "b": "q", "z": 0.37}
     row = encode_row(schema, raw)
-    score, _ = forward(model, row)
+    score = forward(model, row)
     # Pre-sum the continuous field's entries into one synthetic feature,
     # then apply the same raw double-loop oracle.
     z_field = schema.field_named("z")
@@ -180,7 +181,7 @@ def test_zero_parameters_score_is_bias():
     for v in model.V:
         v[:] = 0.0
     model.w0 = 1.75
-    score, _ = forward(model, encode_row(schema, {"a": "0", "b": "p", "z": 0.6}))
+    score = forward(model, encode_row(schema, {"a": "0", "b": "p", "z": 0.6}))
     assert score == 1.75
 
 
@@ -199,7 +200,7 @@ def test_hand_computed_three_feature_fm():
     model.V[1][:] = [[2, 1], [1, 2]]
     model.V[2][:] = [[1, 1], [3, 0]]
     row = encode_row(schema, {"a": "1", "b": "0", "c": "1"})
-    score, _ = forward(model, row)
+    score = forward(model, row)
     # By hand: w0 + w_a1 + w_b0 + w_c1 + <(0,1),(2,1)> + <(0,1),(3,0)> + <(2,1),(3,0)>
     assert score == pytest.approx(1 + 2 + 3 + 6 + 1 + 0 + 6, abs=1e-12)
 
@@ -209,7 +210,7 @@ def test_ffm_against_textbook_block_oracle():
     inter = FFMFieldConcat(num_fields=2, block_dim=2)
     model = init_params(schema, inter, seed=5)
     row = encode_row(schema, {"a": "1", "b": "0"})
-    score, _ = forward(model, row)
+    score = forward(model, row)
     va = model.V[0][1]
     vb = model.V[1][0]
     # Feature of field 0 exposes its field-1 block; vice versa.
@@ -239,26 +240,30 @@ def perturb(model, kind, key, h):
         model.interaction.matrices[pair][r, c] += h
 
 
+def batch_of_one(model, raw, d_score=1.0):
+    """The batched backward pass over the single packed row `raw`."""
+    data = pack(model.schema, [raw], [0.0])
+    P, _ = training._field_vectors(model, data)
+    return training._batch_backward(model, data, P, np.array([d_score]))
+
+
 def touched_params(model, grad):
-    schema = model.schema
+    """(kind, key, gradient) for every parameter the batch gradient covers.
+    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
     out = [("w0", None, grad.w0)]
-    for idx, g in grad.w.items():
-        out.append(("w", idx, g))
-    for idx, g in grad.v.items():
-        fid = next(
-            f.field_id
-            for f in schema.fields
-            if f.offset <= idx < f.offset + f.width
-        )
-        local = idx - schema.fields[fid].offset
-        for comp, gc in enumerate(g):
-            out.append(("v", (fid, local, comp), gc))
-    for pair, g in grad.s.items():
-        out.append(("s", pair, g))
-    for pair, g in grad.m.items():
-        for r in range(g.shape[0]):
-            for c in range(g.shape[1]):
-                out.append(("m", (pair, r, c), g[r, c]))
+    for fld, rows, dw, dv in zip(model.schema.fields, grad.rows, grad.w, grad.V):
+        for local, gw, gv in zip(rows, dw, dv):
+            out.append(("w", fld.offset + local, gw))
+            for comp, gc in enumerate(gv):
+                out.append(("v", (fld.field_id, local, comp), gc))
+    for name, g in grad.tensors.items():
+        for pos in np.ndindex(g.shape):
+            if name == "strengths":
+                if pos[0] <= pos[1]:
+                    out.append(("s", pos, g[pos]))
+            else:
+                pair = tuple(int(i) for i in name.split(","))
+                out.append(("m", (pair, *pos), g[pos]))
     return out
 
 
@@ -270,13 +275,14 @@ def test_gradients_match_finite_differences(variant):
         model = random_model(schema, variant, seed=seed)
         raw = {"a": "1", "b": ["p", "q", "r"][seed % 3], "z": 0.2 + 0.1 * seed}
         row = encode_row(schema, raw)
-        _, trace = forward(model, row)
-        grad = backward(model, row, trace, d_score=1.0)
-        for kind, key, g in touched_params(model, grad):
+        grad = batch_of_one(model, raw)
+        touched = touched_params(model, grad)
+        assert {kind for kind, _, _ in touched} >= {"w0", "w", "v"}
+        for kind, key, g in touched:
             perturb(model, kind, key, h)
-            plus, _ = forward(model, row)
+            plus = forward(model, row)
             perturb(model, kind, key, -2 * h)
-            minus, _ = forward(model, row)
+            minus = forward(model, row)
             perturb(model, kind, key, h)
             fd = (plus - minus) / (2 * h)
             denom = max(abs(fd), abs(g), 1e-8)
@@ -285,33 +291,22 @@ def test_gradients_match_finite_differences(variant):
 
 def test_zero_upstream_gradient_is_empty():
     schema = small_schema()
-    model = random_model(schema, "fm", seed=0)
-    row = encode_row(schema, {"a": "0", "b": "p", "z": 0.5})
-    _, trace = forward(model, row)
-    grad = backward(model, row, trace, d_score=0.0)
-    assert grad.w0 == 0.0 and not grad.w and not grad.v
+    for variant in VARIANTS:
+        model = random_model(schema, variant, seed=0)
+        grad = batch_of_one(model, {"a": "0", "b": "p", "z": 0.5}, d_score=0.0)
+        assert all(g == 0.0 for _, _, g in touched_params(model, grad))
 
 
 def test_linear_weight_gradient_is_entry_value():
     schema = small_schema()
     model = random_model(schema, "ffm", seed=2)
-    row = encode_row(schema, {"a": "1", "b": "r", "z": 0.44})
-    _, trace = forward(model, row)
+    raw = {"a": "1", "b": "r", "z": 0.44}
     d = 0.7
-    grad = backward(model, row, trace, d_score=d)
-    values = {idx: x for idx, x, _ in row.entries}
-    for idx, g in grad.w.items():
-        assert g == pytest.approx(values[idx] * d, rel=1e-12)
-
-
-def test_stale_trace_rejected():
-    schema = small_schema()
-    model = random_model(schema, "fm", seed=0)
-    row1 = encode_row(schema, {"a": "0", "b": "p", "z": 0.5})
-    row2 = encode_row(schema, {"a": "1", "b": "p", "z": 0.5})
-    _, trace = forward(model, row1)
-    with pytest.raises(ConfigError):
-        backward(model, row2, trace, d_score=1.0)
+    grad = batch_of_one(model, raw, d_score=d)
+    values = {idx: x for idx, x, _ in encode_row(schema, raw).entries}
+    for kind, idx, g in touched_params(model, grad):
+        if kind == "w":
+            assert g == pytest.approx(values.get(idx, 0.0) * d, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def test_fwfm_unit_strengths_collapses_to_fm():
     )
     for raw in [{"a": "0", "b": "q", "z": 0.1}, {"a": "1", "b": "r", "z": 0.9}]:
         row = encode_row(schema, raw)
-        assert forward(fw, row)[0] == pytest.approx(forward(fm, row)[0], rel=1e-12)
+        assert forward(fw, row) == pytest.approx(forward(fm, row), rel=1e-12)
 
 
 def test_fmfm_identity_matrices_collapses_to_fm():
@@ -345,21 +340,18 @@ def test_fmfm_identity_matrices_collapses_to_fm():
         V=[v.copy() for v in fm.V],
     )
     row = encode_row(schema, {"a": "1", "b": "p", "z": 0.33})
-    assert forward(fmfm, row)[0] == pytest.approx(forward(fm, row)[0], rel=1e-12)
+    assert forward(fmfm, row) == pytest.approx(forward(fm, row), rel=1e-12)
 
 
 def test_sum_reduction_slot_equals_basis_combination():
     schema = small_schema()
     model = random_model(schema, "fm", seed=4)
     z = 0.41
-    row = encode_row(schema, {"a": "0", "b": "q", "z": z})
-    _, trace = forward(model, row)
+    P, _ = training._field_vectors(model, pack(schema, [{"a": "0", "b": "q", "z": z}], [0.0]))
     z_field = schema.field_named("z")
-    slot = [s for s in trace.slots if s.field_id == z_field.field_id]
-    assert len(slot) == 1
     basis_vals = z_field.kind.basis.eval(z)
     expected = basis_vals @ model.V[z_field.field_id]
-    npt.assert_allclose(slot[0].p, expected, rtol=1e-12, atol=1e-15)
+    npt.assert_allclose(P[z_field.field_id][0], expected, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +470,7 @@ def test_model_serialization_bit_exact(variant):
     for a, b in zip(clone.V, model.V):
         npt.assert_array_equal(a, b)
     row = encode_row(schema, {"a": "1", "b": "q", "z": 0.27})
-    assert forward(clone, row)[0] == forward(model, row)[0]
+    assert forward(clone, row) == forward(model, row)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from splinefm.training import (
     train,
 )
 from splinefm.transforms import AffineTransform, fit_quantile
+
+VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
 
 
 def binary_cat():
@@ -59,7 +62,7 @@ def test_batch_scores_match_per_row_forward():
     schema = mixed_schema()
     rows, labels = random_rows(200, 0)
     data = pack(schema, rows, labels)
-    for variant in ("fm", "ffm", "fwfm", "fmfm"):
+    for variant in VARIANTS:
         inter = make_interaction(variant, schema, 3)
         model, _ = train(
             TrainConfig(epochs=2, seed=1), schema, inter, data
@@ -67,7 +70,7 @@ def test_batch_scores_match_per_row_forward():
         batch = predict_scores(model, data)
         for i in [0, 7, 42, 199]:
             row = encode_row(schema, rows[i], labels[i])
-            assert batch[i] == pytest.approx(forward(model, row)[0], rel=1e-12)
+            assert batch[i] == pytest.approx(forward(model, row), rel=1e-12)
 
 
 def test_constant_feature_converges_to_logit():
@@ -236,14 +239,52 @@ def test_binary_labels_enforced():
         train(TrainConfig(), schema, make_interaction("fm", schema, 2), data)
 
 
-def test_best_epoch_selection_uses_holdout():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_best_epoch_selection_uses_holdout(variant):
     schema = mixed_schema()
     rows, labels = random_rows(400, 11)
     data = pack(schema, rows, labels)
     cfg = TrainConfig(epochs=8, seed=2, holdout_fraction=0.25, select_best=True)
-    model, metrics = train(cfg, schema, make_interaction("ffm", schema, 2), data)
+    model, metrics = train(cfg, schema, make_interaction(variant, schema, 2), data)
     holdout_losses = [r["holdout_loss"] for r in metrics.history]
+    # FM, FwFM and FmFM pick an epoch before the last here, so their
+    # snapshots, strengths and pair matrices included, are restored.
+    if variant != "ffm":
+        assert np.argmin(holdout_losses) < cfg.epochs - 1
     assert metrics.cross_entropy == pytest.approx(min(holdout_losses), rel=1e-9)
+
+
+def _spec_arrays(inter):
+    """The FwFM strengths or the FmFM pair matrices, learned or not."""
+    if isinstance(inter, FwFMScalars):
+        return {"strengths": inter.strengths}
+    return {f"{e},{f}": M for (e, f), M in inter.matrices.items()}
+
+
+@pytest.mark.parametrize("variant", ("fwfm", "fmfm"))
+@pytest.mark.parametrize("learn", (False, True))
+def test_spec_tensors_move_only_when_learned(variant, learn):
+    schema = mixed_schema()
+    rows, labels = random_rows(300, 14)
+    data = pack(schema, rows, labels)
+    inter = dataclasses.replace(make_interaction(variant, schema, 2), learn=learn)
+    before = {name: a.copy() for name, a in _spec_arrays(inter).items()}
+    cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
+    model, _ = train(cfg, schema, inter, data)
+    plain = 1 + model.w.size + sum(v.size for v in model.V)
+    assert (model.num_parameters > plain) == learn
+    for name, a in _spec_arrays(model.interaction).items():
+        if not learn:
+            assert a.tobytes() == before[name].tobytes(), name
+            continue
+        # Only pairs e < f enter a score: the FwFM diagonal and the FmFM
+        # (e, e) matrices have zero gradients.
+        moved = a != before[name]
+        if variant == "fwfm":
+            assert (moved == ~np.eye(len(a), dtype=bool)).all()
+        else:
+            e, f = map(int, name.split(","))
+            assert moved.all() if e < f else not moved.any(), name
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +396,6 @@ def test_pack_fewer_rows_than_basis_support(n):
 # ---------------------------------------------------------------------------
 # The batched backward pass and the sparse optimizer step
 
-VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
-
 
 def wide_schema(vocab=40):
     return build_schema(
@@ -397,13 +436,12 @@ def randomized(model, seed):
 
 
 def _parameters(model):
-    """Every trainable array of the model, by name."""
+    """Every trainable array of the model, by name; the interaction's
+    arrays under the names of its tensors."""
     out = {"w": model.w, **{f"V{f}": v for f, v in enumerate(model.V)}}
     inter = model.interaction
-    if isinstance(inter, FwFMScalars):
-        out["s"] = inter.strengths
-    elif isinstance(inter, FmFMMatrices):
-        out.update({f"M{e},{f}": M for (e, f), M in inter.matrices.items()})
+    if isinstance(inter, (FwFMScalars, FmFMMatrices)):
+        out.update(_spec_arrays(inter))
     return out
 
 
@@ -413,10 +451,10 @@ def _dense(model, g):
     for fld, rows, dw, dv in zip(model.schema.fields, g.rows, g.w, g.V):
         out["w"][rows + fld.offset] = dw
         out[f"V{fld.field_id}"][rows] = dv
-    if g.s is not None:
-        out["s"] = np.triu(g.s, 1)  # pairs e < f read strengths[e, f] only
-    for (e, f), dM in (g.M or {}).items():
-        out[f"M{e},{f}"] = dM
+    out.update(g.tensors)
+    if "strengths" in out:
+        # Pairs e < f read strengths[e, f] only.
+        out["strengths"] = np.triu(g.tensors["strengths"], 1)
     return out
 
 
@@ -456,7 +494,7 @@ def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
 
 def _dense_backward(model, data, P, d_score):
     """Reference: dense zero tables filled entry by entry with np.add.at."""
-    G, ds, dM = training._pair_grads(model, P, d_score)
+    G, d_tensors = model.interaction.grads(P, d_score)
     dw = np.zeros_like(model.w)
     dV = [np.zeros_like(v) for v in model.V]
     for fld in model.schema.fields:
@@ -465,7 +503,7 @@ def _dense_backward(model, data, P, d_score):
         np.add.at(dw, idx + fld.offset, val * d_score[:, None])
         for c in range(idx.shape[1]):
             np.add.at(dV[fid], idx[:, c], val[:, c, None] * G[fid])
-    return float(d_score.sum()), dw, dV, ds, dM
+    return float(d_score.sum()), dw, dV, d_tensors
 
 
 def reference_train(cfg, schema, interaction, data):
@@ -483,11 +521,8 @@ def reference_train(cfg, schema, interaction, data):
             batch = data.subset(order[start : start + cfg.batch_size])
             P, _ = training._field_vectors(model, batch)
             _, d_score = training._loss_and_dscore(cfg.loss, predict_scores(model, batch), batch.y)
-            g0, dw, dV, ds, dM = _dense_backward(model, batch, P, d_score / batch.n)
-            grads = {"w": dw, **{f"V{f}": dv for f, dv in enumerate(dV)}}
-            if ds is not None:
-                grads["s"] = ds
-            grads.update({f"M{e},{f}": M for (e, f), M in (dM or {}).items()})
+            g0, dw, dV, d_tensors = _dense_backward(model, batch, P, d_score / batch.n)
+            grads = {"w": dw, **{f"V{f}": dv for f, dv in enumerate(dV)}, **d_tensors}
             if cfg.l2 > 0.0:
                 g0 += cfg.l2 * model.w0
                 for name in ["w", *(f"V{f}" for f in range(len(dV)))]:
