@@ -13,13 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelParams
-from .schema import (
-    BinnedNumerical,
-    ContinuousNumerical,
-    DatasetSchema,
-    FieldSchema,
-)
+from .model import ModelParams, _continuous_kind
+from .schema import BinnedNumerical, build_schema
 
 __all__ = ["BinnedExport", "make_boundaries", "export_binned"]
 
@@ -38,18 +33,10 @@ class BinnedExport:
 
     def table(self) -> list:
         """Human-readable rows: (low, high, midpoint, linear, embedding...)."""
-        rows = []
-        for j in range(self.num_bins):
-            rows.append(
-                (
-                    float(self.boundaries[j]),
-                    float(self.boundaries[j + 1]),
-                    float(self.midpoints[j]),
-                    float(self.bin_linear[j]),
-                    *self.bin_embeddings[j].tolist(),
-                )
-            )
-        return rows
+        b = self.boundaries
+        return np.column_stack(
+            [b[:-1], b[1:], self.midpoints, self.bin_linear, self.bin_embeddings]
+        ).tolist()
 
 
 def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explicit=None):
@@ -60,10 +47,7 @@ def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explici
     (positive domain required); "explicit" validates user boundaries.
     """
     if mode == "explicit":
-        b = np.asarray(explicit, dtype=float)
-        if b.ndim != 1 or len(b) < 2 or not (np.diff(b) > 0).all():
-            raise ConfigError("explicit boundaries must be strictly increasing")
-        return b
+        return BinnedNumerical(explicit).boundaries
     if num_bins < 1:
         raise ConfigError(f"need at least 1 bin, got {num_bins}")
     if mode == "inverse_cdf":
@@ -80,14 +64,9 @@ def export_binned(
     model: ModelParams, field_name: str, boundaries
 ) -> tuple[ModelParams, BinnedExport]:
     """Re-type one continuous field as binned, materializing per-bin rows."""
-    schema = model.schema
-    fld = schema.field_named(field_name)
-    kind = fld.kind
-    if not isinstance(kind, ContinuousNumerical):
-        raise ConfigError(f"field {field_name!r} is not continuous numerical")
-    boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.ndim != 1 or len(boundaries) < 2 or not (np.diff(boundaries) > 0).all():
-        raise ConfigError("boundaries must be strictly increasing, length >= 2")
+    kind = _continuous_kind(model, field_name)
+    binned = BinnedNumerical(boundaries)
+    boundaries = binned.boundaries
     lo, hi = kind.transform.inverse(0.0), kind.transform.inverse(1.0)
     if boundaries[0] > lo or boundaries[-1] < hi:
         warnings.warn(
@@ -96,42 +75,26 @@ def export_binned(
             stacklevel=2,
         )
 
+    fld = model.schema.field_named(field_name)
     fid = fld.field_id
-    num_bins = len(boundaries) - 1
     midpoints = 0.5 * (boundaries[:-1] + boundaries[1:])
-    k_f = model.interaction.embed_dim(fid)
-    bin_embeddings = np.empty((num_bins, k_f))
-    bin_linear = np.empty(num_bins)
-    w_field = model.w[fld.offset : fld.offset + fld.width]
-    for j, mid in enumerate(midpoints):
-        basis_vals = kind.basis.eval(kind.transform.apply(mid))
-        bin_embeddings[j] = basis_vals @ model.V[fid]
-        bin_linear[j] = basis_vals @ w_field
+    B = kind.basis.eval_many(kind.transform.apply_many(midpoints))
+    # Stacked (1, l) @ (l, k) products, one per bin, give the bits of the
+    # per-midpoint `basis.eval(u) @ V`; a single (N, l) @ (l, k) product
+    # or an einsum sums in another order and changes the last bits.
+    bin_embeddings = (B[:, None, :] @ model.V[fid])[:, 0]
+    bin_linear = (B[:, None, :] @ model.w[fld.offset : fld.offset + fld.width, None])[:, 0, 0]
 
-    new_fields = []
-    offset = 0
-    new_V = []
-    new_w_parts = []
-    for f in schema.fields:
-        if f.field_id == fid:
-            new_kind = BinnedNumerical(boundaries)
-            new_V.append(bin_embeddings.copy())
-            new_w_parts.append(bin_linear.copy())
-        else:
-            new_kind = f.kind
-            new_V.append(model.V[f.field_id].copy())
-            new_w_parts.append(model.w[f.offset : f.offset + f.width].copy())
-        new_fields.append(
-            FieldSchema(field_id=f.field_id, name=f.name, kind=new_kind, offset=offset)
-        )
-        offset += new_kind.width
-    new_schema = DatasetSchema(fields=tuple(new_fields), label_kind=schema.label_kind)
+    fields = model.schema.fields
+    schema = build_schema(
+        [(f.name, binned if f.field_id == fid else f.kind) for f in fields],
+        label_kind=model.schema.label_kind,
+    )
+    w = [model.w[f.offset : f.offset + f.width] for f in fields]
+    w[fid] = bin_linear
+    V = [bin_embeddings.copy() if i == fid else v.copy() for i, v in enumerate(model.V)]
     new_model = ModelParams(
-        schema=new_schema,
-        interaction=model.interaction,
-        w0=model.w0,
-        w=np.concatenate(new_w_parts),
-        V=new_V,
+        schema=schema, interaction=model.interaction, w0=model.w0, w=np.concatenate(w), V=V
     )
     export = BinnedExport(
         field_id=fid,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -27,7 +28,7 @@ from .model import (
     save_model,
     segmentized_curve,
 )
-from .schema import infer_schema
+from .schema import _config_int, infer_schema
 from .synthetic import (
     DEFAULT_CURVES,
     build_synthetic_schema,
@@ -37,19 +38,7 @@ from .synthetic import (
 )
 from .training import TrainConfig, evaluate, pack, train
 
-_TRAIN_KEYS = {
-    "loss",
-    "optimizer",
-    "step_size",
-    "adagrad_eps",
-    "batch_size",
-    "epochs",
-    "l2",
-    "seed",
-    "holdout_fraction",
-    "shuffle",
-    "select_best",
-}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _ALLOWED = {
     "data": {"path", "delimiter", "label"},
     "schema": {"label_kind", "fields"},
@@ -164,6 +153,12 @@ def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(**config.get("train", {}))
 
 
+def _interaction(config: dict, schema):
+    model_cfg = config.get("model", {})
+    dim = _config_int(model_cfg.get("dim", 4), "model.dim")
+    return make_interaction(model_cfg.get("variant", "fm"), schema, dim)
+
+
 # The loss `eval` scores a model with follows from the schema's label kind.
 _LABEL_LOSS = {"binary": "logloss", "real": "squared"}
 
@@ -200,10 +195,7 @@ def cmd_train(args) -> None:
     rows, labels = _read_table(config.get("data", {}))
     schema_cfg = config.get("schema", {})
     schema = infer_schema(rows, schema_cfg)
-    model_cfg = config.get("model", {})
-    interaction = make_interaction(
-        model_cfg.get("variant", "fm"), schema, int(model_cfg.get("dim", 4))
-    )
+    interaction = _interaction(config, schema)
     train_cfg = _check_loss(_train_config(config), schema)
     data = pack(schema, rows, labels)
 
@@ -244,7 +236,7 @@ def cmd_export_bins(args) -> None:
     kind = _continuous_kind(model, field_name)
     boundaries = make_boundaries(
         kind.transform,
-        int(export_cfg.get("bins", 200)),
+        _config_int(export_cfg.get("bins", 200), "export.bins"),
         export_cfg.get("mode", "inverse_cdf"),
         explicit=export_cfg.get("boundaries"),
     )
@@ -266,13 +258,18 @@ def cmd_synth(args) -> None:
     config = _load_config(args.config)
     synth_cfg = config.get("synth", {})
     curves = synth_cfg.get("curves", DEFAULT_CURVES)
-    seed = int(synth_cfg.get("seed", 0))
-    n_train = int(synth_cfg.get("n_train", 25_000))
-    n_test = int(synth_cfg.get("n_test", 75_000))
-    repeats = int(synth_cfg.get("repeats", 15))
-    counts = [int(c) for c in synth_cfg.get("interval_counts", [5, 6, 12, 120])]
-    block_dim = int(synth_cfg.get("block_dim", 4))
-    train_cfg = _train_config(config)
+    seed = _config_int(synth_cfg.get("seed", 0), "synth.seed")
+    n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train")
+    n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test")
+    repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats")
+    counts = synth_cfg.get("interval_counts", [5, 6, 12, 120])
+    counts = [_config_int(c, "synth.interval_counts") for c in counts]
+    if not counts:
+        raise ConfigError("synth.interval_counts must not be empty")
+    block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim")
+    # Curve plot-data comes from one spline model at the smallest interval count.
+    schema = build_synthetic_schema("spline", min(counts))
+    train_cfg = _check_loss(_train_config(config), schema)
     out = _out_dir(config, args.output)
 
     rows_tr, y_tr, seg_tr, z_tr = generate(curves, n_train, seed)
@@ -302,9 +299,6 @@ def cmd_synth(args) -> None:
         ],
     )
 
-    # Curve plot-data from one spline model at the smallest interval count.
-    spline_count = min(counts)
-    schema = build_synthetic_schema("spline", spline_count)
     interaction = make_interaction("ffm", schema, block_dim)
     model, _ = train(train_cfg, schema, interaction, pack(schema, rows_tr, y_tr))
     grid = np.linspace(0.0, 40.0, 161)
@@ -370,10 +364,7 @@ def cmd_sweep(args) -> None:
             raise ConfigError(f"sweep.grid key {key!r} is not a train parameter")
     rows, labels = _read_table(config.get("data", {}))
     schema = infer_schema(rows, config.get("schema", {}))
-    model_cfg = config.get("model", {})
-    interaction = make_interaction(
-        model_cfg.get("variant", "fm"), schema, int(model_cfg.get("dim", 4))
-    )
+    interaction = _interaction(config, schema)
     data = pack(schema, rows, labels)
 
     keys = sorted(grid)

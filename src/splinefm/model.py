@@ -9,6 +9,7 @@ never by materializing block reduction matrices.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -251,7 +252,10 @@ class ModelParams:
 def init_params(
     schema: DatasetSchema, interaction: InteractionSpec, seed: int = 0
 ) -> ModelParams:
-    """Gaussian embeddings with std 1/sqrt(k_f); bias and linear weights 0."""
+    """Gaussian embeddings with std 1/sqrt(k_f); bias and linear weights 0.
+    The model holds its own copy of the interaction's tensors, so training
+    it leaves `interaction` as it was."""
+    interaction = copy.deepcopy(interaction)
     rng = np.random.default_rng(seed)
     V = []
     for f in schema.fields:
@@ -493,7 +497,8 @@ def _array(value, what: str, shape: tuple) -> np.ndarray:
 def model_from_dict(doc: dict) -> ModelParams:
     """Rebuild a model from its document. Every array is checked against
     the schema's widths and the interaction's dims and must be finite; a
-    missing entry, a wrong shape or a non-finite value is a DataError."""
+    missing entry, a wrong shape, a non-finite value or a schema the
+    schema layer rejects is a DataError."""
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
@@ -502,7 +507,7 @@ def model_from_dict(doc: dict) -> ModelParams:
         return _model_from_doc(doc)
     except KeyError as exc:
         raise DataError(f"model document lacks the entry {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"malformed model document: {exc}") from None
 
 

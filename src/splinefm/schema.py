@@ -57,7 +57,10 @@ class BinnedNumerical:
     boundaries: np.ndarray = field(repr=False)  # strictly increasing, length N+1
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
+        try:
+            b = np.array(self.boundaries, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("bin boundaries must be numbers") from None
         if b.ndim != 1 or len(b) < 2 or not (np.diff(b) > 0).all():
             raise ConfigError("bin boundaries must be strictly increasing, length >= 2")
         b.setflags(write=False)
@@ -235,6 +238,14 @@ def _column(rows, name: str) -> list:
         raise _missing_column(name) from None
 
 
+def _config_int(value, key: str) -> int:
+    """`int(value)`, or a ConfigError naming the config `key` it came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def infer_schema(rows, config) -> DatasetSchema:
     """Build a schema from a raw tabular sample and per-field declarations.
 
@@ -275,7 +286,7 @@ def infer_schema(rows, config) -> DatasetSchema:
             if values.size == 0:
                 raise DataError(f"field {name!r} has no valid numerical values")
             if kind == "binned":
-                nbins = int(decl["bins"])
+                nbins = _config_int(decl.get("bins"), f"field {name!r}: bins")
                 mode = decl.get("binning", "quantile")
                 if mode == "uniform":
                     bounds = np.linspace(values.min(), values.max(), nbins + 1)
@@ -290,11 +301,15 @@ def infer_schema(rows, config) -> DatasetSchema:
                 named_kinds.append((name, BinnedNumerical(bounds)))
             else:
                 basis = build_uniform(
-                    int(decl.get("num_functions", 8)), int(decl.get("degree", 3))
+                    _config_int(decl.get("num_functions", 8), f"field {name!r}: num_functions"),
+                    _config_int(decl.get("degree", 3), f"field {name!r}: degree"),
                 )
                 tmode = decl.get("transform", "quantile")
                 if tmode == "quantile":
-                    transform = fit_quantile(values, int(decl.get("resolution", 1000)))
+                    transform = fit_quantile(
+                        values,
+                        _config_int(decl.get("resolution", 1000), f"field {name!r}: resolution"),
+                    )
                 elif tmode == "minmax":
                     transform = AffineTransform(float(values.min()), float(values.max()))
                 else:

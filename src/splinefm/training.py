@@ -10,7 +10,7 @@ reference in `model.forward`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
 
 PROB_CLIP = 1e-7
 
+# The values each type of TrainConfig field accepts.
+_ACCEPTS = {str: str, bool: bool, int: int, float: (int, float)}
+
 
 @dataclass
 class TrainConfig:
@@ -47,6 +50,12 @@ class TrainConfig:
     select_best: bool = True  # keep parameters from the best-holdout epoch
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            # A bool is an int to isinstance, but a number of neither kind here.
+            is_bool = isinstance(value, bool)
+            if not isinstance(value, _ACCEPTS[kind]) or is_bool != (kind is bool):
+                raise ConfigError(f"train.{f.name} must be {kind.__name__}, got {value!r}")
         if self.loss not in ("logloss", "squared"):
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adagrad", "sgd"):

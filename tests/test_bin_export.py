@@ -26,16 +26,12 @@ from splinefm.splines import build_uniform
 from splinefm.transforms import AffineTransform, QuantileTransform
 
 
-def make_model(seed=0, variant="fm", dim=3, num_functions=8):
+def make_model(seed=0, variant="fm", dim=3, num_functions=8, transform=None):
+    transform = transform or AffineTransform(0.0, 10.0)
     schema = build_schema(
         [
             ("a", Categorical({"0": 0, "1": 1}, unknown_slot=False)),
-            (
-                "z",
-                ContinuousNumerical(
-                    AffineTransform(0.0, 10.0), build_uniform(num_functions, 3)
-                ),
-            ),
+            ("z", ContinuousNumerical(transform, build_uniform(num_functions, 3))),
         ]
     )
     model = init_params(schema, make_interaction(variant, schema, dim), seed=seed)
@@ -107,6 +103,27 @@ def test_midpoint_scores_match_original(variant):
             s_orig = forward(model, encode_row(model.schema, raw))
             s_binned = forward(binned, encode_row(binned.schema, raw))
             assert s_binned == pytest.approx(s_orig, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["fm", "ffm", "fwfm", "fmfm"])
+@pytest.mark.parametrize(
+    "transform",
+    [AffineTransform(0.0, 10.0), QuantileTransform(np.array([0.0, 1.0, 2.0, 4.0, 10.0]),
+                                                   np.linspace(0.0, 1.0, 5))],
+)
+def test_export_rows_equal_per_midpoint_oracle_bitwise(variant, transform):
+    model = make_model(seed=9, variant=variant, transform=transform)
+    # Midpoints below 0 or above 10 clamp to the ends of the transform range.
+    boundaries = [-30.0, -10.0, 0.5 * np.pi, 2.0, 5.0, 10.0, 25.0, 60.0]
+    binned, export = export_binned(model, "z", boundaries)
+    kind, fld = model.schema.fields[1].kind, model.schema.fields[1]
+    for j, mid in enumerate(export.midpoints):
+        basis = kind.basis.eval(kind.transform.apply(mid))
+        assert export.bin_embeddings[j].tobytes() == (basis @ model.V[1]).tobytes()
+        linear = basis @ model.w[fld.offset : fld.offset + fld.width]
+        assert float(export.bin_linear[j]).hex() == float(linear).hex()
+    assert binned.V[1].tobytes() == export.bin_embeddings.tobytes()
+    assert binned.w[binned.schema.fields[1].offset :].tobytes() == export.bin_linear.tobytes()
 
 
 def test_scores_constant_within_each_bin():

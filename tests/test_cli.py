@@ -398,3 +398,94 @@ def test_sweep_loss_label_kind_mismatch_is_config_error(tmp_path, capsys, label_
     err = capsys.readouterr().err
     assert "train.loss" in err and f"label_kind {label_kind!r}" in err
     assert not (tmp_path / "out" / "sweep.tsv").exists()
+
+
+def _continuous_x(doc):
+    return doc["schema"]["fields"][1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["schema"].__setitem__("label_kind", "ordinal"),
+        lambda d: _continuous_x(d).__setitem__(
+            "transform", {"kind": "affine", "low": 1.0, "high": 1.0}
+        ),
+        lambda d: _continuous_x(d)["basis"].__setitem__("degree", -1),
+        lambda d: _continuous_x(d)["transform"].__setitem__("kind", "log"),
+        lambda d: d["schema"]["fields"][0].__setitem__("kind", "ordinal"),
+        lambda d: _continuous_x(d).__setitem__("name", "color"),
+        lambda d: d["schema"]["fields"].__setitem__(
+            1, {"name": "x", "kind": "binned", "boundaries": [0.0, 1.0, 1.0]}
+        ),
+    ],
+    ids=["label_kind", "affine_range", "degree", "transform_kind", "field_kind",
+         "duplicate_name", "boundaries"],
+)
+def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, edit):
+    path = _broken_model(tmp_path, trained, "bad_schema.json", edit)
+    _eval_data_error(trained, path, capsys)
+
+
+@pytest.mark.parametrize(
+    "section, entries, key",
+    [
+        ("export", {"bins": "abc"}, "export.bins"),
+        ("export", {"mode": "explicit", "boundaries": ["a", "b"]}, "boundaries"),
+        ("model", {"dim": "abc"}, "model.dim"),
+        ("train", {"epochs": "x"}, "train.epochs"),
+        ("train", {"batch_size": 2.5}, "train.batch_size"),
+        ("field", {"num_functions": "two"}, "num_functions"),
+    ],
+    ids=["bins", "boundaries", "dim", "epochs", "batch_size", "num_functions"],
+)
+def test_config_number_of_wrong_type_is_config_error(
+    trained, tmp_path, capsys, section, entries, key
+):
+    doc = yaml.safe_load(trained["config"].read_text())
+    if section == "export":
+        doc = {"export": {"field": "x", **entries}}
+        verb = ["export-bins", str(trained["out"] / "model.json")]
+    else:
+        (_continuous_x(doc) if section == "field" else doc[section]).update(entries)
+        verb = ["train"]
+    cfg = tmp_path / "wrong_type.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main([*verb, str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_synth_squared_loss_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "synth.yaml"
+    out = tmp_path / "synth"
+    cfg.write_text(
+        yaml.safe_dump(
+            {
+                "synth": {"n_train": 400, "n_test": 400, "repeats": 1, "interval_counts": [5]},
+                "train": {"loss": "squared", "epochs": 1},
+                "output": {"directory": str(out)},
+            }
+        )
+    )
+    assert main(["synth", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "train.loss 'squared'" in err and "label_kind 'binary'" in err
+    assert not (out / "results.tsv").exists()
+
+
+def test_sweep_fwfm_losses_do_not_depend_on_grid_order(tmp_path):
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=150)
+    losses = []
+    for order in ([0.05, 0.2], [0.2, 0.05]):
+        cfg = tmp_path / "config.yaml"
+        doc = write_config(cfg, data, tmp_path / "out", epochs=1)
+        doc["model"]["variant"] = "fwfm"
+        doc["sweep"] = {"grid": {"step_size": order}}
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["sweep", str(cfg)]) == 0
+        with open(tmp_path / "out" / "sweep.tsv", newline="") as fh:
+            losses.append(dict(list(csv.reader(fh, delimiter="\t"))[1:]))
+    assert losses[0] == losses[1]

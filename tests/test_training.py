@@ -217,6 +217,10 @@ def test_config_validation_errors():
         TrainConfig(holdout_fraction=1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
+    for entries in ({"epochs": "x"}, {"batch_size": 2.5}, {"shuffle": 1}, {"step_size": True}):
+        with pytest.raises(ConfigError, match=f"train.{next(iter(entries))}"):
+            TrainConfig(**entries).validate()
+    TrainConfig(step_size=1, l2=0).validate()
 
 
 def test_empty_inputs_rejected():
@@ -285,6 +289,26 @@ def test_spec_tensors_move_only_when_learned(variant, learn):
         else:
             e, f = map(int, name.split(","))
             assert moved.all() if e < f else not moved.any(), name
+
+
+@pytest.mark.parametrize("variant", ("fwfm", "fmfm"))
+def test_train_twice_with_one_spec_leaves_it_unchanged(variant):
+    schema = mixed_schema()
+    rows, labels = random_rows(300, 15)
+    data = pack(schema, rows, labels)
+    inter = make_interaction(variant, schema, 2)
+    before = {name: a.copy() for name, a in _spec_arrays(inter).items()}
+    cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
+    m1, _ = train(cfg, schema, inter, data)
+    m2, _ = train(cfg, schema, inter, data)
+    for name, a in _spec_arrays(inter).items():
+        assert a.tobytes() == before[name].tobytes(), name
+    assert float(m1.w0).hex() == float(m2.w0).hex()
+    p1, p2 = _parameters(m1), _parameters(m2)
+    assert p1.keys() == p2.keys()
+    for name, a in p1.items():
+        assert a.tobytes() == p2[name].tobytes(), name
+        assert not any(a is b for b in _spec_arrays(inter).values()), name
 
 
 # ---------------------------------------------------------------------------
