@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Every run is driven by one strict YAML config document and writes a
-manifest (config snapshot, seed, versions, wall time) next to its
-outputs so it can be re-run exactly. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+manifest (command line, config snapshot, seed, versions, wall time)
+next to its outputs so it can be re-run exactly. Exit codes: 0 success,
+2 config error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -70,10 +71,24 @@ _FIELD_KEYS = {
 }
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that also reads every number with an exponent as a
+    float, as YAML 1.2 does. YAML 1.1 reads one without a decimal point
+    (`1e-8`, `5E2`) or without a sign on the exponent (`1.5e3`) as a
+    string. Plain integers stay integers."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -127,9 +142,9 @@ def _out_dir(config: dict, override=None) -> Path:
     return out
 
 
-def _write_manifest(out: Path, config: dict, started: float, extra=None) -> None:
+def _write_manifest(out: Path, command: list, config: dict, started: float, extra=None) -> None:
     manifest = {
-        "command": sys.argv[1:],
+        "command": command,
         "config": config,
         "splinefm_version": __version__,
         "numpy_version": np.__version__,
@@ -207,7 +222,7 @@ def cmd_train(args) -> None:
     save_model(model, out / "model.json")
     with open(out / "metrics.json", "w") as fh:
         json.dump(_metrics_doc(metrics), fh, indent=2)
-    _write_manifest(out, config, started)
+    _write_manifest(out, args.argv, config, started)
     print(f"model written to {out / 'model.json'}")
 
 
@@ -249,7 +264,7 @@ def cmd_export_bins(args) -> None:
         ["low", "high", "midpoint", "linear"] + [f"e{i}" for i in range(k_f)],
         export.table(),
     )
-    _write_manifest(out, config, started)
+    _write_manifest(out, args.argv, config, started)
     print(f"exported model written to {out / 'model_binned.json'}")
 
 
@@ -308,7 +323,7 @@ def cmd_synth(args) -> None:
         ["segment", "z", "predicted", "truth"],
         [(r["segment"], r["z"], r["predicted"], r["truth"]) for r in curve_rows],
     )
-    _write_manifest(out, config, started, {"seed": seed})
+    _write_manifest(out, args.argv, config, started, {"seed": seed})
     print(f"results written to {out / 'results.tsv'}")
 
 
@@ -380,7 +395,7 @@ def cmd_sweep(args) -> None:
         results.append((*[combo[k] for k in keys], loss))
     out = _out_dir(config, args.output)
     _write_tsv(out / "sweep.tsv", keys + ["loss"], results)
-    _write_manifest(out, config, started)
+    _write_manifest(out, args.argv, config, started)
     print(f"sweep results written to {out / 'sweep.tsv'}")
 
 
@@ -430,7 +445,9 @@ def main(argv=None) -> int:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # the command line the manifest records
     try:
         args.func(args)
     except ConfigError as exc:

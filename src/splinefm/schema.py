@@ -1,5 +1,7 @@
 """Per-field encoding rules, and encoding of raw rows into sparse features,
 one row (`encode_row`) or one field column (`encode_columns`) at a time.
+`encode_columns` evaluates each distinct spline basis once, over the
+transformed values of every continuous field that uses it.
 
 A field is either categorical (one-hot with a reserved unknown slot),
 binned numerical (one-hot over intervals), or continuous numerical
@@ -9,6 +11,7 @@ with a per-field sum reduction).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -239,11 +242,15 @@ def _column(rows, name: str) -> list:
 
 
 def _config_int(value, key: str) -> int:
-    """`int(value)`, or a ConfigError naming the config `key` it came from."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    """`value` as an int: an integer, or a float with an integral value
+    (`1e3` is 1000). A bool, a fraction or a string is a ConfigError
+    naming the config `key` it came from."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if not integral or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def infer_schema(rows, config) -> DatasetSchema:
@@ -364,6 +371,21 @@ def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
     return EncodedRow(entries=tuple(entries), label=float(label))
 
 
+def _left_aligned(basis: SplineBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`basis.eval_batch(u)` with the nonzero entries of each row
+    left-aligned in index order; the zeros after them become padding
+    (index 0, value +0.0). Every step works row by row, so a row's result
+    does not depend on the other points evaluated with it."""
+    first, values = basis.eval_batch(u)
+    order = np.argsort(values == 0.0, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    padding = values == 0.0
+    order += first[:, None]
+    order[padding] = 0
+    values[padding] = 0.0
+    return order, values
+
+
 def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
     """Encode raw rows one field column at a time.
 
@@ -375,10 +397,19 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
     `encode_row`. Invalid values raise the same errors as `encode_row`;
     when several fields hold one, the first field in schema order is
     reported.
+
+    Continuous fields are parsed and transformed field by field, then
+    the basis is evaluated once per distinct basis over the transformed
+    points of every field that uses it; each such field's arrays are its
+    rows of that one evaluation (views of one array per basis).
     """
     rows = list(rows)
     n = len(rows)
     idx, val = [], []
+    # A basis (keyed by its degree and knots, since it holds an array and
+    # cannot be hashed) -> itself and the (field position, u) of each
+    # field that uses it, in schema order.
+    groups = {}
     for f in schema.fields:
         k = f.kind
         column = _column(rows, f.name)
@@ -408,15 +439,13 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
         # Missing: u = 0.5, the quantile median or the minmax range midpoint.
         u = np.full(n, 0.5)
         u[~missing] = k.transform.apply_many(z[~missing])
-        first, values = k.basis.eval_batch(u)
-        # Left-align the nonzero entries of each row, keeping index order;
-        # the zeros after them become padding (index 0, value +0.0).
-        order = np.argsort(values == 0.0, axis=1, kind="stable")
-        values = np.take_along_axis(values, order, axis=1)
-        padding = values == 0.0
-        order += first[:, None]
-        order[padding] = 0
-        values[padding] = 0.0
-        idx.append(order)
-        val.append(values)
+        basis_key = (k.basis.degree, k.basis.knots.tobytes())
+        groups.setdefault(basis_key, (k.basis, []))[1].append((len(idx), u))
+        idx.append(None)
+        val.append(None)
+    for basis, members in groups.values():
+        g_idx, g_val = _left_aligned(basis, np.concatenate([u for _, u in members]))
+        for j, (pos, _) in enumerate(members):
+            idx[pos] = g_idx[j * n : (j + 1) * n]
+            val[pos] = g_val[j * n : (j + 1) * n]
     return idx, val

@@ -3,7 +3,9 @@
 Evaluation uses the local triangular (de Boor) scheme over the degree+1
 functions active at a point, so the cost per point is O(degree^2)
 regardless of the basis size. `eval_batch` runs the same scheme over a
-whole array of points at once.
+whole array of points at once, row by row, so a point's values do not
+depend on the points evaluated with it: `schema.encode_columns` evaluates
+the points of several fields that share a basis in one call.
 """
 from __future__ import annotations
 
@@ -95,21 +97,24 @@ class SplineBasis:
         s = np.searchsorted(t, z, side="right") - 1
         s = np.minimum(np.maximum(s, d), self.num_functions - 1)
 
-        values = np.empty((z.size, d + 1))
-        left = np.empty((z.size, d + 1))
-        right = np.empty((z.size, d + 1))
-        values[:, 0] = 1.0
+        # One contiguous row per function while the recurrence runs: a
+        # column of an (n, d+1) array is strided, which slows large batches.
+        values = np.empty((d + 1, z.size))
+        left = np.empty((d + 1, z.size))
+        right = np.empty((d + 1, z.size))
+        values[0] = 1.0
         for j in range(1, d + 1):
-            left[:, j] = z - t[s + 1 - j]
-            right[:, j] = t[s + j] - z
+            left[j] = z - t[s + 1 - j]
+            right[j] = t[s + j] - z
             saved = np.zeros(z.size)
             for r in range(j):
-                denom = right[:, r + 1] + left[:, j - r]
-                term = values[:, r] / denom
-                values[:, r] = saved + right[:, r + 1] * term
-                saved = left[:, j - r] * term
-            values[:, j] = saved
-        return s - d, values
+                denom = right[r + 1] + left[j - r]
+                term = values[r] / denom
+                values[r] = saved + right[r + 1] * term
+                saved = left[j - r] * term
+            values[j] = saved
+        del left, right  # before the transposed copy, so the peak stays 3 arrays
+        return s - d, np.ascontiguousarray(values.T)
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         """Dense basis matrix of shape (len(z), num_functions)."""

@@ -62,6 +62,7 @@ def test_train_writes_model_metrics_manifest(trained, capsys):
     assert np.isfinite(metrics["cross_entropy"])
     assert len(metrics["history"]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == ["train", str(trained["config"])]
     assert manifest["config"]["train"]["seed"] == 3
     assert "splinefm_version" in manifest and "numpy_version" in manifest
 
@@ -436,8 +437,12 @@ def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, ed
         ("train", {"epochs": "x"}, "train.epochs"),
         ("train", {"batch_size": 2.5}, "train.batch_size"),
         ("field", {"num_functions": "two"}, "num_functions"),
+        ("export", {"bins": 2.5}, "export.bins"),
+        ("model", {"dim": True}, "model.dim"),
+        ("field", {"num_functions": "3"}, "num_functions"),
     ],
-    ids=["bins", "boundaries", "dim", "epochs", "batch_size", "num_functions"],
+    ids=["bins", "boundaries", "dim", "epochs", "batch_size", "num_functions",
+         "fractional_bins", "bool_dim", "string_num_functions"],
 )
 def test_config_number_of_wrong_type_is_config_error(
     trained, tmp_path, capsys, section, entries, key
@@ -455,6 +460,24 @@ def test_config_number_of_wrong_type_is_config_error(
     assert main([*verb, str(cfg), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_config_exponent_without_decimal_point_is_a_number(tmp_path):
+    # YAML 1.1 reads `5e-2`, `1e-8` and `0.5e2` as strings; the config loader
+    # reads them as floats, and an integer setting takes `0.5e2` as 50.
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=150)
+    models = []
+    for step, eps, resolution in (("5e-2", "1e-8", "0.5e2"), ("0.05", "1.0e-8", "50")):
+        doc = write_config(tmp_path / "unused.yaml", data, tmp_path / "out")
+        doc["train"].update(step_size="STEP", adagrad_eps="EPS")
+        _continuous_x(doc)["resolution"] = "RESOLUTION"
+        text = yaml.safe_dump(doc).replace("STEP", step).replace("EPS", eps)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text.replace("RESOLUTION", resolution))
+        assert main(["train", str(cfg)]) == 0
+        models.append((tmp_path / "out" / "model.json").read_bytes())
+    assert models[0] == models[1]
 
 
 def test_synth_squared_loss_is_config_error(tmp_path, capsys):

@@ -17,7 +17,7 @@ from splinefm.schema import (
     build_schema,
     encode_row,
 )
-from splinefm.splines import build_uniform
+from splinefm.splines import SplineBasis, build_uniform
 from splinefm.training import (
     TrainConfig,
     evaluate,
@@ -355,12 +355,16 @@ def schemas_and_rows(draw, closed_values=("x", "y")):
         degree = draw(st.integers(min_value=0, max_value=3))
         return build_uniform(degree + 1 + draw(st.integers(min_value=0, max_value=6)), degree)
 
+    q_basis = basis()
     schema = build_schema(
         [
             ("open", Categorical({"a": 0, "b": 1, "c": 2}, unknown_slot=True)),
             ("closed", Categorical({"x": 0, "y": 1}, unknown_slot=False)),
+            # Shares q's basis and comes before it, after a categorical: the
+            # basis group's rows must land back in schema order.
+            ("r", ContinuousNumerical(AffineTransform(lo, hi), q_basis)),
             ("bin", BinnedNumerical(np.unique(np.asarray(sample, dtype=float)))),
-            ("q", ContinuousNumerical(quantile, basis())),
+            ("q", ContinuousNumerical(quantile, q_basis)),
             ("m", ContinuousNumerical(AffineTransform(lo, hi), basis())),
         ]
     )
@@ -374,6 +378,7 @@ def schemas_and_rows(draw, closed_values=("x", "y")):
         {
             "open": st.sampled_from(["a", "b", "c", "unseen", 3, None]),
             "closed": st.sampled_from(closed_values),
+            "r": number,
             "bin": number,
             "q": number,
             "m": number,
@@ -402,6 +407,36 @@ def test_property_pack_raises_what_encode_row_raises(case):
         assert str(got.value) == str(exc)
     else:
         assert_packed_bitwise(pack(schema, rows, np.zeros(len(rows))), *expected)
+
+
+@pytest.mark.parametrize("n", [0, 30])
+def test_pack_evaluates_each_distinct_basis_once(monkeypatch, n):
+    shared, other = build_uniform(8, 3), build_uniform(5, 2)
+    names = [f"s{i}" for i in range(6)]
+    schema = build_schema(
+        [("c", binary_cat())]
+        + [(name, ContinuousNumerical(AffineTransform(0, 1), shared)) for name in names]
+        + [("o", ContinuousNumerical(AffineTransform(0, 1), other))]
+    )
+    rng = np.random.default_rng(n)
+    points = [0.0, 1.0, 0.2, 0.4, -0.5, 1.5, "", None]  # knots, ends, outside, missing
+    rows = [
+        {"c": str(rng.integers(0, 2)), "o": float(rng.random()),
+         **{name: rng.choice([float(rng.random()), rng.choice(points)]) for name in names}}
+        for _ in range(n)
+    ]
+    calls = []
+    eval_batch = SplineBasis.eval_batch
+
+    def counted(self, z):
+        calls.append(self.num_functions)
+        return eval_batch(self, z)
+
+    monkeypatch.setattr(SplineBasis, "eval_batch", counted)
+    data = pack(schema, rows, np.zeros(n))
+    assert sorted(calls) == [5, 8]
+    assert [a.shape for a in data.idx] == [(n, 1)] + [(n, 4)] * 6 + [(n, 3)]
+    assert_packed_bitwise(data, *oracle_pack(schema, rows))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
