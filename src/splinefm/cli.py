@@ -29,7 +29,7 @@ from .model import (
     save_model,
     segmentized_curve,
 )
-from .schema import _config_int, infer_schema
+from .schema import FIELD_KEYS, _config_int, infer_schema
 from .synthetic import (
     DEFAULT_CURVES,
     build_synthetic_schema,
@@ -46,28 +46,9 @@ _ALLOWED = {
     "model": {"variant", "dim"},
     "train": _TRAIN_KEYS,
     "export": {"field", "mode", "bins", "boundaries"},
-    "synth": {
-        "curves",
-        "n_train",
-        "n_test",
-        "repeats",
-        "seed",
-        "interval_counts",
-        "block_dim",
-    },
+    "synth": {"curves", "n_train", "n_test", "repeats", "seed", "interval_counts", "block_dim"},
     "sweep": {"grid"},
     "output": {"directory"},
-}
-_FIELD_KEYS = {
-    "name",
-    "kind",
-    "bins",
-    "binning",
-    "num_functions",
-    "degree",
-    "transform",
-    "resolution",
-    "unknown_slot",
 }
 
 
@@ -89,8 +70,8 @@ def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=_ConfigLoader)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {_reason(exc)}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -103,25 +84,36 @@ def _load_config(path) -> dict:
         for key in body:
             if key not in _ALLOWED[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-    for decl in doc.get("schema", {}).get("fields", []):
+    decls = doc.get("schema", {}).get("fields", [])
+    if not isinstance(decls, list) or not all(isinstance(d, dict) for d in decls):
+        raise ConfigError("schema.fields must be a list of mappings")
+    for decl in decls:
         for key in decl:
-            if key not in _FIELD_KEYS:
+            if key not in FIELD_KEYS:
                 raise ConfigError(f"unknown key {key!r} in field declaration")
     return doc
 
 
+def _reason(exc: Exception) -> str:
+    """What went wrong reading a file, without repeating its name."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _read_table(data_cfg: dict):
     path = data_cfg.get("path")
-    if path is None:
-        raise ConfigError("data.path is required")
     delimiter = data_cfg.get("delimiter", ",")
     label_col = data_cfg.get("label", "label")
+    if not isinstance(path, str):
+        raise ConfigError(f"data.path must name a file, got {path!r}")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"data.delimiter must be one character, got {delimiter!r}")
+    if not isinstance(label_col, str):
+        raise ConfigError(f"data.label must be a column name, got {label_col!r}")
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            rows = list(reader)
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}") from None
+            rows = list(csv.DictReader(fh, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read data file {path}: {_reason(exc)}") from None
     if not rows:
         raise DataError(f"data file {path} has no rows")
     if label_col not in rows[0]:
@@ -137,8 +129,13 @@ def _read_table(data_cfg: dict):
 
 def _out_dir(config: dict, override=None) -> Path:
     directory = override or config.get("output", {}).get("directory", ".")
+    if not isinstance(directory, str):
+        raise ConfigError(f"output.directory must be a path, got {directory!r}")
     out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output.directory {out}: {_reason(exc)}") from None
     return out
 
 
@@ -154,7 +151,8 @@ def _write_manifest(out: Path, command: list, config: dict, started: float, extr
     if extra:
         manifest.update(extra)
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        # str() for what YAML reads beyond JSON's types, such as a date.
+        json.dump(manifest, fh, indent=2, default=str)
 
 
 def _write_tsv(path: Path, header, rows, delimiter="\t") -> None:
@@ -164,13 +162,9 @@ def _write_tsv(path: Path, header, rows, delimiter="\t") -> None:
         writer.writerows(rows)
 
 
-def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(**config.get("train", {}))
-
-
 def _interaction(config: dict, schema):
     model_cfg = config.get("model", {})
-    dim = _config_int(model_cfg.get("dim", 4), "model.dim")
+    dim = _config_int(model_cfg.get("dim", 4), "model.dim", 0)
     return make_interaction(model_cfg.get("variant", "fm"), schema, dim)
 
 
@@ -178,11 +172,12 @@ def _interaction(config: dict, schema):
 _LABEL_LOSS = {"binary": "logloss", "real": "squared"}
 
 
-def _check_loss(cfg: TrainConfig, schema) -> TrainConfig:
-    """`cfg`, validated, unless its loss is not the one `eval` scores
-    `schema` with."""
-    cfg.validate()
+def _train_config(train_cfg: dict, schema) -> TrainConfig:
+    """The validated TrainConfig of a `train` section. `loss` defaults to
+    the loss `eval` scores `schema` with, and may not be another."""
     loss = _LABEL_LOSS[schema.label_kind]
+    cfg = TrainConfig(**{"loss": loss, **train_cfg})
+    cfg.validate()
     if cfg.loss != loss:
         raise ConfigError(
             f"train.loss {cfg.loss!r} does not match schema.label_kind "
@@ -208,10 +203,9 @@ def cmd_train(args) -> None:
     started = time.time()
     config = _load_config(args.config)
     rows, labels = _read_table(config.get("data", {}))
-    schema_cfg = config.get("schema", {})
-    schema = infer_schema(rows, schema_cfg)
+    schema = infer_schema(rows, config.get("schema", {}))
     interaction = _interaction(config, schema)
-    train_cfg = _check_loss(_train_config(config), schema)
+    train_cfg = _train_config(config.get("train", {}), schema)
     data = pack(schema, rows, labels)
 
     def progress(record):
@@ -227,9 +221,10 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    # The config supplies only how to read DATA: its delimiter and label column.
     config = _load_config(args.config) if args.config else {}
     model = load_model(args.model)
-    rows, labels = _read_table(config.get("data", {"path": args.data}))
+    rows, labels = _read_table({**config.get("data", {}), "path": args.data})
     data = pack(model.schema, rows, labels)
     metrics = evaluate(model, data, _LABEL_LOSS[model.schema.label_kind])
     doc = _metrics_doc(metrics)
@@ -273,7 +268,7 @@ def cmd_synth(args) -> None:
     config = _load_config(args.config)
     synth_cfg = config.get("synth", {})
     curves = synth_cfg.get("curves", DEFAULT_CURVES)
-    seed = _config_int(synth_cfg.get("seed", 0), "synth.seed")
+    seed = _config_int(synth_cfg.get("seed", 0), "synth.seed", 0)
     n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train")
     n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test")
     repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats")
@@ -284,23 +279,18 @@ def cmd_synth(args) -> None:
     block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim")
     # Curve plot-data comes from one spline model at the smallest interval count.
     schema = build_synthetic_schema("spline", min(counts))
-    train_cfg = _check_loss(_train_config(config), schema)
+    train_cfg = _train_config(config.get("train", {}), schema)
     out = _out_dir(config, args.output)
 
     rows_tr, y_tr, seg_tr, z_tr = generate(curves, n_train, seed)
     rows_te, y_te, _, _ = generate(curves, n_test, seed + 1)
-    _write_tsv(
-        out / "train.csv",
-        ["c0", "c1", "c2", "z", "label"],
-        [(r["c0"], r["c1"], r["c2"], r["z"], int(y)) for r, y in zip(rows_tr, y_tr)],
-        delimiter=",",
-    )
-    _write_tsv(
-        out / "test.csv",
-        ["c0", "c1", "c2", "z", "label"],
-        [(r["c0"], r["c1"], r["c2"], r["z"], int(y)) for r, y in zip(rows_te, y_te)],
-        delimiter=",",
-    )
+    for name, rows, labels in (("train.csv", rows_tr, y_tr), ("test.csv", rows_te, y_te)):
+        _write_tsv(
+            out / name,
+            ["c0", "c1", "c2", "z", "label"],
+            [(r["c0"], r["c1"], r["c2"], r["z"], int(y)) for r, y in zip(rows, labels)],
+            delimiter=",",
+        )
 
     records = run_comparison(
         curves, counts, repeats, seed, n_train, n_test, train_cfg, block_dim
@@ -372,11 +362,13 @@ def cmd_sweep(args) -> None:
     started = time.time()
     config = _load_config(args.config)
     grid = config.get("sweep", {}).get("grid")
-    if not grid:
-        raise ConfigError("sweep.grid is required")
-    for key in grid:
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("sweep.grid is required: a mapping of train keys to lists")
+    for key, values in grid.items():
         if key not in _TRAIN_KEYS:
             raise ConfigError(f"sweep.grid key {key!r} is not a train parameter")
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep.grid.{key} must be a list, got {values!r}")
     rows, labels = _read_table(config.get("data", {}))
     schema = infer_schema(rows, config.get("schema", {}))
     interaction = _interaction(config, schema)
@@ -388,7 +380,7 @@ def cmd_sweep(args) -> None:
         combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
     results = []
     base = config.get("train", {})
-    configs = [_check_loss(TrainConfig(**{**base, **combo}), schema) for combo in combos]
+    configs = [_train_config({**base, **combo}, schema) for combo in combos]
     for combo, cfg in zip(combos, configs):
         _, metrics = train(cfg, schema, interaction, data)
         loss = metrics.cross_entropy if cfg.loss == "logloss" else metrics.rmse
@@ -408,42 +400,24 @@ def main(argv=None) -> int:
         description="Factorization machines with B-spline encoded numerical fields",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("train", help="train a model from a config document")
-    p.add_argument("config")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a model file on a dataset")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--config", default=None)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("export-bins", help="materialize a binned model")
-    p.add_argument("model")
-    p.add_argument("config")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_export_bins)
-
-    p = sub.add_parser("synth", help="run the synthetic bins-vs-splines comparison")
-    p.add_argument("config")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("curves", help="emit a segmentized curve for one field")
-    p.add_argument("model")
-    p.add_argument("field")
-    p.add_argument("--segment", default="")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_curves)
-
-    p = sub.add_parser("sweep", help="grid-sweep training hyperparameters")
-    p.add_argument("config")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_sweep)
+    # Each verb: its function, help, positional arguments and own options;
+    # every verb also takes --output.
+    for verb, func, help_text, positionals, options in (
+        ("train", cmd_train, "train a model from a config document", ["config"], {}),
+        ("eval", cmd_eval, "evaluate a model file on a dataset", ["model", "data"],
+         {"--config": {"default": None}}),
+        ("export-bins", cmd_export_bins, "materialize a binned model", ["model", "config"], {}),
+        ("synth", cmd_synth, "run the synthetic bins-vs-splines comparison", ["config"], {}),
+        ("curves", cmd_curves, "emit a segmentized curve for one field", ["model", "field"],
+         {"--segment": {"default": ""}, "--grid": {"required": True}}),
+        ("sweep", cmd_sweep, "grid-sweep training hyperparameters", ["config"], {}),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        for name in positionals:
+            p.add_argument(name)
+        for flag, kwargs in {**options, "--output": {"default": None}}.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)

@@ -370,7 +370,12 @@ def _lstsq_minnorm(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(design / norms, target, rcond=None)
     return coef / norms
 
-def fit_span(model: ModelParams, segment: dict, field_name: str, grid_factor: int = 10):
+
+# The span fits sample each field's u range at this many points per basis function.
+SPAN_GRID_FACTOR = 10
+
+
+def fit_span(model: ModelParams, segment: dict, field_name: str):
     """Least-squares fit of a segmentized curve onto the field's basis.
 
     Returns (alpha, beta, max_residual). The basis sums to one, so the
@@ -380,7 +385,7 @@ def fit_span(model: ModelParams, segment: dict, field_name: str, grid_factor: in
     """
     kind = _continuous_kind(model, field_name)
     ell = kind.basis.num_functions
-    u_grid = np.linspace(0.0, 1.0, grid_factor * ell)
+    u_grid = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell)
     raw_grid = [kind.transform.inverse(u) for u in u_grid]
     curve = segmentized_curve(model, segment, field_name, raw_grid)
     # Evaluate the basis at the points the encoder actually sees.
@@ -391,13 +396,7 @@ def fit_span(model: ModelParams, segment: dict, field_name: str, grid_factor: in
     return coef[:ell], float(coef[ell]), max_residual
 
 
-def fit_pairwise_span(
-    model: ModelParams,
-    segment: dict,
-    field_e: str,
-    field_f: str,
-    grid_factor: int = 10,
-):
+def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: str):
     """Fit a two-field segmentized surface onto the tensor-product basis.
 
     Returns (alpha, beta, max_residual) where alpha has shape
@@ -412,8 +411,8 @@ def fit_pairwise_span(
     kind_f = _continuous_kind(model, field_f)
     ell = kind_e.basis.num_functions
     kappa = kind_f.basis.num_functions
-    u_e = np.linspace(0.0, 1.0, grid_factor * ell)
-    u_f = np.linspace(0.0, 1.0, grid_factor * kappa)
+    u_e = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell)
+    u_f = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * kappa)
     raw_e = [kind_e.transform.inverse(u) for u in u_e]
     raw_f = [kind_f.transform.inverse(u) for u in u_f]
 
@@ -507,7 +506,7 @@ def model_from_dict(doc: dict) -> ModelParams:
         return _model_from_doc(doc)
     except KeyError as exc:
         raise DataError(f"model document lacks the entry {exc}") from None
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"malformed model document: {exc}") from None
 
 

@@ -44,6 +44,12 @@ class Categorical:
     vocabulary: dict  # value -> dense index from 0
     unknown_slot: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.unknown_slot, bool):
+            raise ConfigError(f"unknown_slot must be true or false, got {self.unknown_slot!r}")
+        if sorted(self.vocabulary.values()) != list(range(len(self.vocabulary))):
+            raise ConfigError("a vocabulary must give its values the indices 0..n-1")
+
     @property
     def width(self) -> int:
         return len(self.vocabulary) + (1 if self.unknown_slot else 0)
@@ -117,8 +123,8 @@ class DatasetSchema:
 
     def __post_init__(self):
         names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
-            raise ConfigError("field names must be unique")
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ConfigError("field names must be unique strings")
         if self.label_kind not in ("binary", "real"):
             raise ConfigError(f"label_kind must be binary or real, got {self.label_kind!r}")
 
@@ -160,23 +166,17 @@ class DatasetSchema:
         kinds = []
         for fdoc in doc["fields"]:
             if fdoc["kind"] == "categorical":
-                kinds.append(
-                    (fdoc["name"], Categorical(dict(fdoc["vocabulary"]), fdoc["unknown_slot"]))
-                )
+                kind = Categorical(dict(fdoc["vocabulary"]), fdoc["unknown_slot"])
             elif fdoc["kind"] == "binned":
-                kinds.append((fdoc["name"], BinnedNumerical(np.asarray(fdoc["boundaries"]))))
+                kind = BinnedNumerical(np.asarray(fdoc["boundaries"]))
             elif fdoc["kind"] == "continuous":
-                kinds.append(
-                    (
-                        fdoc["name"],
-                        ContinuousNumerical(
-                            transform=transform_from_dict(fdoc["transform"]),
-                            basis=SplineBasis.from_dict(fdoc["basis"]),
-                        ),
-                    )
+                kind = ContinuousNumerical(
+                    transform=transform_from_dict(fdoc["transform"]),
+                    basis=SplineBasis.from_dict(fdoc["basis"]),
                 )
             else:
                 raise ConfigError(f"unknown field kind {fdoc['kind']!r}")
+            kinds.append((fdoc["name"], kind))
         return build_schema(kinds, label_kind=doc["label_kind"])
 
 
@@ -190,7 +190,6 @@ class EncodedRow:
     """
 
     entries: tuple  # of (index, value, field_id)
-    label: float
 
 
 def build_schema(named_kinds, label_kind: str = "binary") -> DatasetSchema:
@@ -241,23 +240,32 @@ def _column(rows, name: str) -> list:
         raise _missing_column(name) from None
 
 
-def _config_int(value, key: str) -> int:
+def _config_int(value, key: str, minimum=None) -> int:
     """`value` as an int: an integer, or a float with an integral value
-    (`1e3` is 1000). A bool, a fraction or a string is a ConfigError
-    naming the config `key` it came from."""
+    (`1e3` is 1000). A bool, a fraction, a string or a value below
+    `minimum` is a ConfigError naming the config `key` it came from."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
     if not integral or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
-def infer_schema(rows, config) -> DatasetSchema:
-    """Build a schema from a raw tabular sample and per-field declarations.
+# The keys a field declaration may hold; `infer_schema` documents them.
+FIELD_KEYS = frozenset(
+    {"name", "kind", "bins", "binning", "num_functions", "degree", "transform", "resolution",
+     "unknown_slot"}
+)
 
-    `rows` is a sequence of dicts (header name -> raw value). `config` is
-    a list of per-field declarations, each a dict with keys:
+
+def infer_schema(rows, config: dict) -> DatasetSchema:
+    """Build a schema from a raw tabular sample and a config's `schema`
+    section: `label_kind` ("binary" or "real"; default "binary") and
+    `fields`, a list of per-field declarations, each a dict with keys
+    (`FIELD_KEYS`):
 
       name: column name (required)
       kind: "categorical" | "binned" | "continuous" (required)
@@ -274,10 +282,10 @@ def infer_schema(rows, config) -> DatasetSchema:
         raise DataError("cannot infer a schema from an empty sample")
     header = set(rows[0].keys())
     named_kinds = []
-    for decl in config.get("fields", config) if isinstance(config, dict) else config:
+    for decl in config.get("fields", []):
         name = decl.get("name")
-        if name is None:
-            raise ConfigError("field declaration is missing 'name'")
+        if not isinstance(name, str):
+            raise ConfigError(f"field declaration needs a 'name' string, got {name!r}")
         if name not in header:
             raise ConfigError(f"declared field {name!r} not found in the sample header")
         kind = decl.get("kind")
@@ -324,11 +332,10 @@ def infer_schema(rows, config) -> DatasetSchema:
                 named_kinds.append((name, ContinuousNumerical(transform, basis)))
         else:
             raise ConfigError(f"field {name!r}: unknown kind {kind!r}")
-    label_kind = config.get("label_kind", "binary") if isinstance(config, dict) else "binary"
-    return build_schema(named_kinds, label_kind=label_kind)
+    return build_schema(named_kinds, label_kind=config.get("label_kind", "binary"))
 
 
-def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
+def encode_row(schema: DatasetSchema, raw: dict) -> EncodedRow:
     """Encode one raw row (dict of field name -> raw value).
 
     A missing binned value falls in the bin holding the midpoint of the
@@ -368,7 +375,7 @@ def encode_row(schema: DatasetSchema, raw: dict, label=0.0) -> EncodedRow:
             for i, v in enumerate(values):
                 if v != 0.0:
                     entries.append((f.offset + first + i, float(v), f.field_id))
-    return EncodedRow(entries=tuple(entries), label=float(label))
+    return EncodedRow(entries=tuple(entries))
 
 
 def _left_aligned(basis: SplineBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,9 +413,8 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
     rows = list(rows)
     n = len(rows)
     idx, val = [], []
-    # A basis (keyed by its degree and knots, since it holds an array and
-    # cannot be hashed) -> itself and the (field position, u) of each
-    # field that uses it, in schema order.
+    # A basis -> the (field position, u) of each field that uses it, in
+    # schema order.
     groups = {}
     for f in schema.fields:
         k = f.kind
@@ -439,11 +445,10 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
         # Missing: u = 0.5, the quantile median or the minmax range midpoint.
         u = np.full(n, 0.5)
         u[~missing] = k.transform.apply_many(z[~missing])
-        basis_key = (k.basis.degree, k.basis.knots.tobytes())
-        groups.setdefault(basis_key, (k.basis, []))[1].append((len(idx), u))
+        groups.setdefault(k.basis, []).append((len(idx), u))
         idx.append(None)
         val.append(None)
-    for basis, members in groups.values():
+    for basis, members in groups.items():
         g_idx, g_val = _left_aligned(basis, np.concatenate([u for _, u in members]))
         for j, (pos, _) in enumerate(members):
             idx[pos] = g_idx[j * n : (j + 1) * n]

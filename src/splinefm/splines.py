@@ -23,14 +23,30 @@ __all__ = ["SplineBasis", "build_uniform"]
 class SplineBasis:
     """Immutable basis of `num_functions` B-splines of the given degree.
 
-    The knot vector is clamped (end knots repeated degree+1 times) with
-    uniformly spaced interior break-points, so the basis interpolates at
-    0 and 1 and forms a partition of unity on the whole interval.
+    The knot vector follows from those two: it is clamped (end knots
+    repeated degree+1 times) with uniformly spaced interior break-points,
+    so the basis interpolates at 0 and 1 and forms a partition of unity on
+    the whole interval. Two bases compare and hash equal when their degree
+    and size are equal.
     """
 
     degree: int
     num_functions: int
-    knots: np.ndarray = field(repr=False)
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.degree
+        if d < 0:
+            raise ConfigError(f"degree must be non-negative, got {d}")
+        if self.num_functions < d + 1:
+            raise ConfigError(
+                f"need at least degree+1 = {d + 1} basis functions, "
+                f"got {self.num_functions}"
+            )
+        breaks = np.linspace(0.0, 1.0, self.num_functions - d + 1)
+        knots = np.concatenate([np.zeros(d), breaks, np.ones(d)])
+        knots.setflags(write=False)
+        object.__setattr__(self, "knots", knots)
 
     @property
     def num_intervals(self) -> int:
@@ -138,14 +154,4 @@ def build_uniform(num_functions: int, degree: int = 3) -> SplineBasis:
     `num_functions` must be at least degree+1; the basis then has
     num_functions - degree sub-intervals.
     """
-    if degree < 0:
-        raise ConfigError(f"degree must be non-negative, got {degree}")
-    if num_functions < degree + 1:
-        raise ConfigError(
-            f"need at least degree+1 = {degree + 1} basis functions, "
-            f"got {num_functions}"
-        )
-    breaks = np.linspace(0.0, 1.0, num_functions - degree + 1)
-    knots = np.concatenate([np.zeros(degree), breaks, np.ones(degree)])
-    knots.setflags(write=False)
-    return SplineBasis(degree=degree, num_functions=num_functions, knots=knots)
+    return SplineBasis(degree=degree, num_functions=num_functions)

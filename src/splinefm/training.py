@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, init_params
-from .schema import DatasetSchema, encode_columns
+from .schema import DatasetSchema, _config_int, encode_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
 __all__ = [
@@ -31,8 +31,11 @@ __all__ = [
 
 PROB_CLIP = 1e-7
 
-# The values each type of TrainConfig field accepts.
-_ACCEPTS = {str: str, bool: bool, int: int, float: (int, float)}
+# The values each type of TrainConfig field accepts; int fields go
+# through `schema._config_int`, as every integer setting does.
+_ACCEPTS = {str: str, bool: bool, float: (int, float)}
+# The least value of each int field.
+_INT_MINIMUM = {"batch_size": 1, "epochs": 1, "seed": 0}
 
 
 @dataclass
@@ -51,24 +54,24 @@ class TrainConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
+            value, kind, key = getattr(self, f.name), type(f.default), f"train.{f.name}"
+            if kind is int:
+                setattr(self, f.name, _config_int(value, key, _INT_MINIMUM[f.name]))
+                continue
             # A bool is an int to isinstance, but a number of neither kind here.
             is_bool = isinstance(value, bool)
             if not isinstance(value, _ACCEPTS[kind]) or is_bool != (kind is bool):
-                raise ConfigError(f"train.{f.name} must be {kind.__name__}, got {value!r}")
+                raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
         if self.loss not in ("logloss", "squared"):
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adagrad", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.step_size <= 0:
+        # Written so that NaN fails each check.
+        if not self.step_size > 0:
             raise ConfigError("step_size must be > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in [0, 1)")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ConfigError("l2 must be >= 0")
 
 
@@ -84,7 +87,6 @@ class Metrics:
 class PackedData:
     """Per-field index/value arrays for a whole dataset."""
 
-    schema: DatasetSchema
     idx: list  # per field: (n, c_f) field-local indices
     val: list  # per field: (n, c_f) entry values
     y: np.ndarray  # (n,) labels
@@ -95,7 +97,6 @@ class PackedData:
 
     def subset(self, rows) -> "PackedData":
         return PackedData(
-            schema=self.schema,
             idx=[a[rows] for a in self.idx],
             val=[a[rows] for a in self.val],
             y=self.y[rows],
@@ -109,7 +110,7 @@ def pack(schema: DatasetSchema, rows, labels) -> PackedData:
     if len(rows) != labels.size:
         raise DataError(f"{len(rows)} rows but {labels.size} labels")
     idx, val = encode_columns(schema, rows)
-    return PackedData(schema=schema, idx=idx, val=val, y=labels)
+    return PackedData(idx=idx, val=val, y=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class QuantileTransform:
     reference_points: np.ndarray = field(repr=False)
     levels: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        shape = np.shape(self.reference_points)
+        if len(shape) != 1 or shape[0] < 2 or np.shape(self.levels) != shape:
+            raise ConfigError("quantile transform needs >= 2 reference points, one level each")
+
     @property
     def resolution(self) -> int:
         return len(self.reference_points) - 1
@@ -129,13 +134,11 @@ def transform_from_dict(doc: dict) -> Transform:
     raise ConfigError(f"unknown transform kind {kind!r}")
 
 
-def fit_quantile(
-    values, resolution: int = DEFAULT_RESOLUTION, sample_cap: int = FIT_SAMPLE_CAP
-) -> QuantileTransform:
+def fit_quantile(values, resolution: int = DEFAULT_RESOLUTION) -> QuantileTransform:
     """Fit an empirical quantile transform to observed field values.
 
     Quantiles are taken at levels j/resolution for j = 0..resolution on a
-    uniformly sub-sampled slice of at most `sample_cap` values; duplicate
+    uniformly sub-sampled slice of at most `FIT_SAMPLE_CAP` values; duplicate
     quantiles are merged (keeping the first level) so the reference
     points stay strictly increasing.
     """
@@ -146,9 +149,9 @@ def fit_quantile(
         raise DataError("cannot fit a quantile transform to an empty sample")
     if not np.isfinite(values).all():
         raise DataError("quantile transform sample contains non-finite values")
-    if values.size > sample_cap:
-        stride = values.size / sample_cap
-        values = values[(np.arange(sample_cap) * stride).astype(np.intp)]
+    if values.size > FIT_SAMPLE_CAP:
+        stride = values.size / FIT_SAMPLE_CAP
+        values = values[(np.arange(FIT_SAMPLE_CAP) * stride).astype(np.intp)]
     if values.min() == values.max():
         raise DataError(
             "quantile transform needs at least 2 distinct values; "

@@ -341,7 +341,7 @@ def test_acceptance_5_brute_force_equivalence(capsys):
                 for loc in chosen:
                     entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
             assert len(entries) <= 6
-            score = forward(model, EncodedRow(entries=tuple(entries), label=0.0))
+            score = forward(model, EncodedRow(entries=tuple(entries)))
             expected = _brute_force(model, entries)
             worst = max(worst, abs(score - expected) / max(abs(expected), 1e-12))
     # Sum-reduced field: pre-sum its entries and apply the same oracle.

@@ -1,9 +1,19 @@
+import contextlib
+import copy
 import csv
+import functools
 import json
+import math
+import operator
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinefm.cli import main
 
@@ -419,9 +429,14 @@ def _continuous_x(doc):
         lambda d: d["schema"]["fields"].__setitem__(
             1, {"name": "x", "kind": "binned", "boundaries": [0.0, 1.0, 1.0]}
         ),
+        lambda d: _continuous_x(d)["transform"]["levels"].pop(),
+        lambda d: d["schema"]["fields"][0]["vocabulary"].__setitem__("red", 5),
+        lambda d: _continuous_x(d).__setitem__("transform", None),
+        lambda d: d["schema"]["fields"][0].__setitem__("name", None),
     ],
     ids=["label_kind", "affine_range", "degree", "transform_kind", "field_kind",
-         "duplicate_name", "boundaries"],
+         "duplicate_name", "boundaries", "quantile_levels", "vocabulary_index",
+         "null_transform", "null_name"],
 )
 def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, edit):
     path = _broken_model(tmp_path, trained, "bad_schema.json", edit)
@@ -512,3 +527,279 @@ def test_sweep_fwfm_losses_do_not_depend_on_grid_order(tmp_path):
         with open(tmp_path / "out" / "sweep.tsv", newline="") as fh:
             losses.append(dict(list(csv.reader(fh, delimiter="\t"))[1:]))
     assert losses[0] == losses[1]
+
+
+def test_eval_config_supplies_only_how_to_read_data(trained, tmp_path, capsys):
+    # The config's data section names the training file; eval must score DATA
+    # and take only the delimiter and label column from the config.
+    doc = yaml.safe_load(trained["config"].read_text())
+    doc["data"].update(delimiter=";", label="clicked")
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    test = tmp_path / "test.csv"
+    test.write_text("color;x;clicked\nred;1.5;1\nblue;7.0;0\n")
+    capsys.readouterr()
+    assert main(["eval", str(trained["out"] / "model.json"), str(test), "--config", str(cfg)]) == 0
+    with_config = json.loads(capsys.readouterr().out)
+    assert with_config["sample_count"] == 2
+    plain = tmp_path / "plain.csv"
+    plain.write_text("color,x,label\nred,1.5,1\nblue,7.0,0\n")
+    assert main(["eval", str(trained["out"] / "model.json"), str(plain)]) == 0
+    assert json.loads(capsys.readouterr().out) == with_config
+
+
+@pytest.mark.parametrize("what", ["config", "data"])
+@pytest.mark.parametrize("fault", ["directory", "not_utf8"])
+def test_unreadable_input_file_exits_with_its_code(trained, tmp_path, capsys, what, fault):
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"color,x,label\n\xff\xfe,1.0,1\n")
+    if what == "config":
+        argv, code = ["train", str(bad)], 2
+    else:
+        argv, code = ["eval", str(trained["out"] / "model.json"), str(bad)], 3
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert f"cannot read {what} file {bad}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d["data"].__setitem__("delimiter", ";;"), "data.delimiter"),
+        (lambda d: d.__setitem__("sweep", {"grid": {"step_size": 0.1}}), "sweep.grid.step_size"),
+        (lambda d: d["output"].__setitem__("directory", "FILE"), "output.directory"),
+        (lambda d: d["train"].__setitem__("seed", -1), "train.seed"),
+        (lambda d: d["model"].__setitem__("dim", -2), "model.dim"),
+        (lambda d: d["train"].__setitem__("l2", float("nan")), "l2"),
+        (lambda d: d.__setitem__("synth", {"seed": -1, "interval_counts": [4]}), "synth.seed"),
+        (lambda d: _continuous_x(d).__setitem__("name", ["x"]), "'name'"),
+        # An int path would open that file descriptor.
+        (lambda d: d["data"].__setitem__("path", 987), "data.path"),
+        (lambda d: d["schema"]["fields"][0].__setitem__("unknown_slot", "no"), "unknown_slot"),
+        (lambda d: d["data"].__setitem__("label", ["label"]), "data.label"),
+        (lambda d: d["output"].__setitem__("directory", 5), "output.directory"),
+    ],
+    ids=["delimiter", "sweep_grid", "output_file", "train_seed", "model_dim", "nan_l2",
+         "synth_seed", "field_name", "int_path", "unknown_slot", "list_label", "int_directory"],
+)
+def test_config_value_that_fails_later_is_config_error(trained, tmp_path, capsys, edit, key):
+    doc = yaml.safe_load(trained["config"].read_text())
+    edit(doc)
+    if doc["output"]["directory"] == "FILE":
+        (tmp_path / "file").write_text("")
+        doc["output"]["directory"] = str(tmp_path / "file")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    verb = "sweep" if "sweep" in doc else "synth" if "synth" in doc else "train"
+    capsys.readouterr()
+    assert main([verb, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def _train_bytes(tmp_path, doc, name):
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["train", str(cfg), "--output", str(tmp_path / name)]) == 0
+    return [(tmp_path / name / f).read_bytes() for f in ("model.json", "metrics.json")]
+
+
+def test_train_integer_settings_take_integral_floats(trained, tmp_path):
+    doc = yaml.safe_load(trained["config"].read_text())
+    as_ints = _train_bytes(tmp_path, doc, "ints")
+    doc["train"].update(epochs=2.0, batch_size=64.0, seed=3.0)
+    assert _train_bytes(tmp_path, doc, "floats") == as_ints
+
+
+def test_train_manifest_holds_a_date_the_config_does_not_use(trained, tmp_path):
+    # YAML reads 2001-01-01 as a date, which JSON has no type for.
+    cfg = tmp_path / "dated.yaml"
+    cfg.write_text(trained["config"].read_text() + "export: {mode: 2001-01-01}\n")
+    assert main(["train", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["export"] == {"mode": "2001-01-01"}
+
+
+def test_train_loss_defaults_to_the_label_kind_loss(trained, tmp_path):
+    doc = yaml.safe_load(trained["config"].read_text())
+    doc["schema"]["label_kind"] = "real"
+    derived = _train_bytes(tmp_path, doc, "derived")
+    doc["train"]["loss"] = "squared"
+    assert _train_bytes(tmp_path, doc, "explicit") == derived
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary: malformed configs, data and model files must
+# end in a documented exit code, never in an exception.
+
+# Numbers stay small: an integer setting has no upper bound, so a value such
+# as `epochs: 1e12` would run for ever rather than fail.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-20, 20) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "x", "color", "nan", "1e-8", "quantile", "explicit", "squared"]),
+    st.text(max_size=4),
+    st.dates(),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "kind", "a"]), st.integers(0, 3), max_size=2),
+)
+_CELLS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "abc", "1e400", "0", "1", "2", "0.5", "red"]),
+    st.text(max_size=3),
+)
+_EXIT_CODES = {0, 2, 3, 4}
+_FUZZ = settings(max_examples=40, deadline=None)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value nested in a document of dicts and lists."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc` with one to three values replaced, deleted or added."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JUNK)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=4))] = draw(_JUNK)
+        else:
+            parent.append(draw(_JUNK))
+    return doc
+
+
+@st.composite
+def _csv_bytes(draw):
+    """The base dataset with a few cells, row lengths or bytes broken."""
+    rows = [["color", "x", "label"]] + [
+        [["red", "green", "blue"][i % 3], str(i * 0.37), str(i % 2)] for i in range(30)
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(row)))
+        if j == len(row):
+            row.append(draw(_CELLS))
+        elif draw(st.booleans()):
+            del row[j]
+        else:
+            row[j] = draw(_CELLS)
+    text = "\n".join(",".join(r) for r in rows).encode()
+    return draw(st.one_of(st.just(text), st.binary(max_size=40), st.just(text[:-7] + b"\xff")))
+
+
+def _config_text(doc):
+    return _mutated(doc).map(yaml.safe_dump) | st.text(max_size=20)
+
+
+def _model_text(doc):
+    """The model document, mutated, cut short or not an object."""
+    text = _mutated(doc).map(lambda d: json.dumps(d, default=str))
+    return text | text.map(lambda t: t[: len(t) // 2]) | st.just("[]")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A config and data file that train, and the model document they give."""
+    d = tmp_path_factory.mktemp("fuzz")
+    write_dataset(d / "data.csv", n=40)
+    doc = write_config(d / "config.yaml", d / "data.csv", d / "run", epochs=1)
+    assert main(["train", str(d / "config.yaml")]) == 0
+    return {"config": doc, "model": json.loads((d / "run" / "model.json").read_text())}
+
+
+@contextlib.contextmanager
+def _in_directory(files: dict):
+    """A fresh working directory holding `files` (name -> text or bytes), so
+    that every relative path a run reads or writes stays inside it."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            Path(tmp, name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(old)
+
+
+def _exit_code(argv) -> int:
+    """The exit code of the `splinefm` process `argv` describes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_train(fuzz_base, data):
+    doc = copy.deepcopy(fuzz_base["config"])
+    doc["data"]["path"] = "data.csv"
+    files = {"config.yaml": data.draw(_config_text(doc)), "data.csv": data.draw(_csv_bytes())}
+    with _in_directory(files):
+        assert _exit_code(["train", "config.yaml", "--output", "out"]) in _EXIT_CODES
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_eval(fuzz_base, data):
+    files = {"model.json": data.draw(_model_text(fuzz_base["model"])),
+             "data.csv": data.draw(_csv_bytes())}
+    argv = ["eval", "model.json", "data.csv"]
+    if data.draw(st.booleans()):
+        files["config.yaml"] = data.draw(_config_text(fuzz_base["config"]))
+        argv += ["--config", "config.yaml"]
+    with _in_directory(files):
+        assert _exit_code(argv) in _EXIT_CODES
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_export_bins(fuzz_base, data):
+    export = data.draw(st.sampled_from([
+        {"export": {"field": "x", "bins": 8, "mode": "inverse_cdf"}},
+        {"export": {"field": "x", "mode": "explicit", "boundaries": [0.0, 2.5, 5.0, 10.0]}},
+    ]))
+    model = fuzz_base["model"]
+    files = {"model.json": data.draw(st.just(json.dumps(model)) | _model_text(model)),
+             "export.yaml": data.draw(_config_text(export))}
+    argv = ["export-bins", "model.json", "export.yaml", "--output", "out"]
+    with _in_directory(files):
+        assert _exit_code(argv) in _EXIT_CODES
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_curves(fuzz_base, data):
+    model = fuzz_base["model"]
+    files = {"model.json": data.draw(st.just(json.dumps(model)) | _model_text(model))}
+    field = data.draw(st.sampled_from(["x", "color", "nope", ""]))
+    segment = data.draw(st.sampled_from(["color=red", "", "color", "x=1,color=", "color=red,a=1"])
+                        | st.text(max_size=6))
+    grid = data.draw(st.sampled_from(["0:10:5", "0:10:0", "1:0:3", "a:b:c", "0:10:-1", "nan:inf:3",
+                                      "0:10", "-1e308:1e308:3"]) | st.text(max_size=6))
+    argv = ["curves", "model.json", field, "--segment", segment, "--grid", grid]
+    with _in_directory(files):
+        assert _exit_code(argv) in _EXIT_CODES

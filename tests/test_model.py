@@ -140,7 +140,7 @@ def test_forward_matches_brute_force_identity_reductions(variant):
             )
             for loc in locals_:
                 entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
-        row = EncodedRow(entries=tuple(entries), label=0.0)
+        row = EncodedRow(entries=tuple(entries))
         score = forward(model, row)
         expected = brute_force_score(model, entries)
         assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -37,7 +37,7 @@ def test_total_features_width_arithmetic():
 
 def test_unknown_slot_convention():
     rows = [{"color": c} for c in ["red", "blue", "green", "teal", "pink"]]
-    schema = infer_schema(rows, [{"name": "color", "kind": "categorical"}])
+    schema = infer_schema(rows, {"fields": [{"name": "color", "kind": "categorical"}]})
     field = schema.fields[0]
     assert len(field.kind.vocabulary) == 5
     assert field.width == 6
@@ -49,16 +49,16 @@ def test_quantile_binning_matches_sort_oracle():
     rng = np.random.default_rng(0)
     values = rng.lognormal(size=5_000)  # skewed sample
     rows = [{"x": v} for v in values]
-    schema = infer_schema(rows, [{"name": "x", "kind": "binned", "bins": 12}])
+    schema = infer_schema(rows, {"fields": [{"name": "x", "kind": "binned", "bins": 12}]})
     expected = np.quantile(np.sort(values), np.linspace(0, 1, 13))
     npt.assert_allclose(schema.fields[0].kind.boundaries, expected, rtol=1e-12)
 
 
 def test_infer_schema_errors():
     with pytest.raises(ConfigError):
-        infer_schema([{"a": 1}], [{"name": "missing", "kind": "binned", "bins": 3}])
+        infer_schema([{"a": 1}], {"fields": [{"name": "missing", "kind": "binned", "bins": 3}]})
     with pytest.raises(DataError):
-        infer_schema([], [{"name": "a", "kind": "categorical"}])
+        infer_schema([], {"fields": [{"name": "a", "kind": "categorical"}]})
 
 
 def test_binned_interval_membership():
@@ -142,10 +142,12 @@ def test_schema_serialization_round_trip():
     ]
     schema = infer_schema(
         rows,
-        [
-            {"name": "color", "kind": "categorical"},
-            {"name": "x", "kind": "continuous", "num_functions": 6, "resolution": 3},
-        ],
+        {
+            "fields": [
+                {"name": "color", "kind": "categorical"},
+                {"name": "x", "kind": "continuous", "num_functions": 6, "resolution": 3},
+            ]
+        },
     )
     import json
 

@@ -69,7 +69,7 @@ def test_batch_scores_match_per_row_forward():
         )
         batch = predict_scores(model, data)
         for i in [0, 7, 42, 199]:
-            row = encode_row(schema, rows[i], labels[i])
+            row = encode_row(schema, rows[i])
             assert batch[i] == pytest.approx(forward(model, row), rel=1e-12)
 
 
