@@ -11,7 +11,6 @@ from .model import (
     ModelParams,
     fit_pairwise_span,
     fit_span,
-    forward,
     init_params,
     load_model,
     make_interaction,
@@ -23,7 +22,6 @@ from .schema import (
     Categorical,
     ContinuousNumerical,
     DatasetSchema,
-    EncodedRow,
     FieldSchema,
     build_schema,
     encode_columns,

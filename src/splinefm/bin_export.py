@@ -79,9 +79,9 @@ def export_binned(
     fid = fld.field_id
     midpoints = 0.5 * (boundaries[:-1] + boundaries[1:])
     B = kind.basis.eval_many(kind.transform.apply_many(midpoints))
-    # Stacked (1, l) @ (l, k) products, one per bin, give the bits of the
-    # per-midpoint `basis.eval(u) @ V`; a single (N, l) @ (l, k) product
-    # or an einsum sums in another order and changes the last bits.
+    # Stacked (1, l) @ (l, k) products, one per bin, give the bits of a
+    # per-midpoint dense (l,) @ (l, k) product; a single (N, l) @ (l, k)
+    # product or an einsum sums in another order and changes the last bits.
     bin_embeddings = (B[:, None, :] @ model.V[fid])[:, 0]
     bin_linear = (B[:, None, :] @ model.w[fld.offset : fld.offset + fld.width, None])[:, 0, 0]
 

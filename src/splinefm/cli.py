@@ -29,7 +29,7 @@ from .model import (
     save_model,
     segmentized_curve,
 )
-from .schema import FIELD_KEYS, _config_int, infer_schema
+from .schema import FIELD_KEYS, MAX_BINS, MAX_FUNCTIONS, _config_int, infer_schema
 from .synthetic import (
     DEFAULT_CURVES,
     build_synthetic_schema,
@@ -50,6 +50,14 @@ _ALLOWED = {
     "sweep": {"grid"},
     "output": {"directory"},
 }
+
+
+# Upper bounds of the integer settings that size what this module builds;
+# see also `schema.MAX_BINS` and `training._INT_RANGE`.
+MAX_DIM = 1_024
+MAX_SYNTH_ROWS = 1_000_000
+MAX_REPEATS = 1_000
+MAX_GRID_POINTS = 100_000
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -164,7 +172,7 @@ def _write_tsv(path: Path, header, rows, delimiter="\t") -> None:
 
 def _interaction(config: dict, schema):
     model_cfg = config.get("model", {})
-    dim = _config_int(model_cfg.get("dim", 4), "model.dim", 0)
+    dim = _config_int(model_cfg.get("dim", 4), "model.dim", 0, MAX_DIM)
     return make_interaction(model_cfg.get("variant", "fm"), schema, dim)
 
 
@@ -246,7 +254,7 @@ def cmd_export_bins(args) -> None:
     kind = _continuous_kind(model, field_name)
     boundaries = make_boundaries(
         kind.transform,
-        _config_int(export_cfg.get("bins", 200), "export.bins"),
+        _config_int(export_cfg.get("bins", 200), "export.bins", maximum=MAX_BINS),
         export_cfg.get("mode", "inverse_cdf"),
         explicit=export_cfg.get("boundaries"),
     )
@@ -269,14 +277,15 @@ def cmd_synth(args) -> None:
     synth_cfg = config.get("synth", {})
     curves = synth_cfg.get("curves", DEFAULT_CURVES)
     seed = _config_int(synth_cfg.get("seed", 0), "synth.seed", 0)
-    n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train")
-    n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test")
-    repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats")
+    n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train",
+                          maximum=MAX_SYNTH_ROWS)
+    n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test", maximum=MAX_SYNTH_ROWS)
+    repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats", maximum=MAX_REPEATS)
     counts = synth_cfg.get("interval_counts", [5, 6, 12, 120])
-    counts = [_config_int(c, "synth.interval_counts") for c in counts]
+    counts = [_config_int(c, "synth.interval_counts", maximum=MAX_FUNCTIONS) for c in counts]
     if not counts:
         raise ConfigError("synth.interval_counts must not be empty")
-    block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim")
+    block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim", maximum=MAX_DIM)
     # Curve plot-data comes from one spline model at the smallest interval count.
     schema = build_synthetic_schema("spline", min(counts))
     train_cfg = _train_config(config.get("train", {}), schema)
@@ -331,9 +340,10 @@ def _parse_segment(spec: str) -> dict:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; expected low:high:count") from None
+    return np.linspace(lo, hi, _config_int(count, "--grid count", 0, MAX_GRID_POINTS))
 
 
 def cmd_curves(args) -> None:
@@ -394,6 +404,19 @@ def cmd_sweep(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _join_values(argv: list) -> list:
+    """`argv` with `--grid` and `--segment` each joined to the argument
+    after it (`--grid=-5:5:11`), so that argparse reads a value that
+    starts with "-" as a value and not as an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--grid", "--segment"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="splinefm",
@@ -420,7 +443,7 @@ def main(argv=None) -> int:
         p.set_defaults(func=func)
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(argv))
     args.argv = argv  # the command line the manifest records
     try:
         args.func(args)

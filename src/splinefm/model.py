@@ -3,9 +3,9 @@
 Covers FM, FFM, FwFM, and the general field-matrixed variant through a
 single interaction specification. Continuous (basis-encoded) fields are
 collapsed to one vector per field by a sum reduction before pairwise
-interactions; one-hot fields pass through unchanged. Reductions are
-applied by accumulating per-field sums while scanning the row's entries,
-never by materializing block reduction matrices.
+interactions; one-hot fields pass through unchanged. Rows are scored in
+batches of packed per-field arrays (`predict_scores`), where a reduction
+is a sum over a field's entries, never a block reduction matrix.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .schema import ContinuousNumerical, DatasetSchema, EncodedRow, encode_row
+from .schema import ContinuousNumerical, DatasetSchema, encode_row
 
 __all__ = [
     "FMIdentity",
@@ -25,8 +25,9 @@ __all__ = [
     "FwFMScalars",
     "FmFMMatrices",
     "ModelParams",
+    "PackedData",
     "init_params",
-    "forward",
+    "predict_scores",
     "segmentized_curve",
     "fit_span",
     "fit_pairwise_span",
@@ -41,11 +42,11 @@ __all__ = [
 
 class _Interaction:
     """Every variant scores a pair of reduced field vectors as <P_e, M_ef P_f>
-    and differs only in M_ef. `pair_score` scores one pair of one row. The
-    batched kernels take one (n, k_f) array P[f] per field and run over the
-    pairs e < f in order: `scores(P, total)` adds each pair's scores to
-    `total` (n,) and returns it; `grads(P, d_score)` returns the per-field
-    G[f] = d_score * d score / d P[f] and the gradients of `tensors()`.
+    and differs only in M_ef. The batched kernels take one (n, k_f) array
+    P[f] per field and run over the pairs e < f in order: `scores(P,
+    total)` adds each pair's scores to `total` (n,) and returns it;
+    `grads(P, d_score)` returns the per-field G[f] = d_score * d score /
+    d P[f] and the gradients of `tensors()`.
     """
 
     def tensors(self) -> dict:
@@ -69,9 +70,6 @@ class FMIdentity(_Interaction):
 
     def embed_dim(self, field_id: int) -> int:
         return self.dim
-
-    def pair_score(self, e, f, a, b) -> float:
-        return float(a @ b)
 
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
@@ -105,12 +103,9 @@ class FFMFieldConcat(_Interaction):
         return self.num_fields * self.block_dim
 
     def _block(self, vec, fid):
-        """Block `fid` of the last axis: of one vector, or of every row."""
+        """Block `fid` of the last axis of every row."""
         k = self.block_dim
         return vec[..., fid * k : (fid + 1) * k]
-
-    def pair_score(self, e, f, a, b) -> float:
-        return float(self._block(a, f) @ self._block(b, e))
 
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
@@ -138,9 +133,6 @@ class FwFMScalars(_Interaction):
 
     def embed_dim(self, field_id: int) -> int:
         return self.dim
-
-    def pair_score(self, e, f, a, b) -> float:
-        return float(self.strengths[e, f] * (a @ b))
 
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
@@ -195,9 +187,6 @@ class FmFMMatrices(_Interaction):
 
     def matrix(self, e, f) -> np.ndarray:
         return self.matrices[(e, f)] if e <= f else self.matrices[(f, e)].T
-
-    def pair_score(self, e, f, a, b) -> float:
-        return float(a @ self.matrix(e, f) @ b)
 
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
@@ -288,72 +277,66 @@ def make_interaction(variant: str, schema: DatasetSchema, dim: int) -> Interacti
 
 
 # ---------------------------------------------------------------------------
-# Per-row reference scorer
+# Scoring
 
 
 @dataclass
-class _Slot:
-    field_id: int
-    p: np.ndarray  # reduced embedding vector
-    y: float  # reduced linear term
+class PackedData:
+    """Per-field index/value arrays for a whole dataset."""
+
+    idx: list  # per field: (n, c_f) field-local indices
+    val: list  # per field: (n, c_f) entry values
+    y: np.ndarray  # (n,) labels
+
+    @property
+    def n(self) -> int:
+        return self.y.size
+
+    def subset(self, rows) -> "PackedData":
+        return PackedData(
+            idx=[a[rows] for a in self.idx],
+            val=[a[rows] for a in self.val],
+            y=self.y[rows],
+        )
 
 
-def _build_slots(model: ModelParams, row: EncodedRow) -> list:
+def _field_vectors(model: ModelParams, data: PackedData):
+    """Reduced per-field vectors P_f (n, k_f) and the linear term (n,)."""
     schema = model.schema
-    total = schema.total_features
-    slots = []
-    current = None  # open sum slot (field_id)
-    for idx, value, fid in row.entries:
-        if not 0 <= idx < total:
-            raise ConfigError(f"feature index {idx} out of range for this model")
-        fld = schema.fields[fid]
-        if not fld.offset <= idx < fld.offset + fld.width:
-            raise ConfigError(f"feature index {idx} does not belong to field {fid}")
-        contrib_p = value * model.V[fid][idx - fld.offset]
-        contrib_y = value * model.w[idx]
-        if fld.reduction == "sum":
-            if current is not None and current.field_id == fid:
-                current.p = current.p + contrib_p
-                current.y += contrib_y
-            else:
-                current = _Slot(fid, contrib_p.copy(), contrib_y)
-                slots.append(current)
-        else:
-            slots.append(_Slot(fid, contrib_p, contrib_y))
-            current = None
-    return slots
+    P = []
+    linear = np.full(data.n, model.w0)
+    for f in schema.fields:
+        fid = f.field_id
+        idx, val = data.idx[fid], data.val[fid]
+        P.append(np.einsum("nc,nck->nk", val, model.V[fid][idx]))
+        linear += np.einsum("nc,nc->n", val, model.w[idx + f.offset])
+    return P, linear
 
 
-def forward(model: ModelParams, row: EncodedRow) -> float:
-    """Score one encoded row, slot by slot: the reference for the batched
-    `training.predict_scores`. Each entry of an identity-reduced field is
-    its own slot, so a row with several entries in one field also scores
-    the pairs within that field, through M_ee."""
-    slots = _build_slots(model, row)
-    inter = model.interaction
-    score = model.w0
-    for s in slots:
-        score += s.y
-    for i in range(len(slots)):
-        si = slots[i]
-        for j in range(i + 1, len(slots)):
-            sj = slots[j]
-            score += inter.pair_score(si.field_id, sj.field_id, si.p, sj.p)
-    return score
+def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
+    """Raw (pre-link) scores for every packed row."""
+    P, linear = _field_vectors(model, data)
+    return model.interaction.scores(P, linear)
 
 
 # ---------------------------------------------------------------------------
 # Segmentized curves and spanning-property fits
 
 
+def _score_rows(model: ModelParams, rows: list) -> np.ndarray:
+    """Raw scores of raw rows, encoded one by one with `encode_row` (the
+    traced benchmark counts its calls per point) and scored in one batch."""
+    if not rows:
+        return np.empty(0)
+    encoded = [encode_row(model.schema, raw) for raw in rows]
+    idx = [np.concatenate(column) for column in zip(*(i for i, _ in encoded))]
+    val = [np.concatenate(column) for column in zip(*(v for _, v in encoded))]
+    return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(len(rows))))
+
+
 def segmentized_curve(model: ModelParams, segment: dict, field_name: str, grid):
     """Raw model scores as a function of one field, the rest held fixed."""
-    scores = np.empty(len(grid))
-    for i, z in enumerate(grid):
-        raw = dict(segment)
-        raw[field_name] = z
-        scores[i] = forward(model, encode_row(model.schema, raw))
-    return scores
+    return _score_rows(model, [{**segment, field_name: z} for z in grid])
 
 
 def _continuous_kind(model: ModelParams, field_name: str) -> ContinuousNumerical:
@@ -416,12 +399,10 @@ def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: 
     raw_e = [kind_e.transform.inverse(u) for u in u_e]
     raw_f = [kind_f.transform.inverse(u) for u in u_f]
 
-    surface = np.empty((len(raw_e), len(raw_f)))
-    for i, ze in enumerate(raw_e):
-        raw = dict(segment)
-        raw[field_e] = ze
-        surface[i] = segmentized_curve(model, raw, field_f, raw_f)
-    target = surface.ravel()
+    # The surface, flattened row by row over (e, f).
+    target = _score_rows(
+        model, [{**segment, field_e: ze, field_f: zf} for ze in raw_e for zf in raw_f]
+    )
 
     B = kind_e.basis.eval_many(kind_e.transform.apply_many(raw_e))
     C = kind_f.basis.eval_many(kind_f.transform.apply_many(raw_f))

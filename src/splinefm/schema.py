@@ -1,7 +1,8 @@
 """Per-field encoding rules, and encoding of raw rows into sparse features,
-one row (`encode_row`) or one field column (`encode_columns`) at a time.
-`encode_columns` evaluates each distinct spline basis once, over the
-transformed values of every continuous field that uses it.
+one row (`encode_row`) or one field column (`encode_columns`) at a time;
+both give per-field index/value arrays of one layout. `encode_columns`
+evaluates each distinct spline basis once, over the transformed values of
+every continuous field that uses it.
 
 A field is either categorical (one-hot with a reserved unknown slot),
 binned numerical (one-hot over intervals), or continuous numerical
@@ -32,7 +33,6 @@ __all__ = [
     "ContinuousNumerical",
     "FieldSchema",
     "DatasetSchema",
-    "EncodedRow",
     "infer_schema",
     "encode_row",
     "encode_columns",
@@ -120,6 +120,9 @@ class FieldSchema:
 class DatasetSchema:
     fields: tuple  # ordered FieldSchema tuple
     label_kind: str  # "binary" | "real"
+    # A basis -> the ids of the continuous fields that use it, in schema
+    # order: the evaluations `encode_columns` makes.
+    basis_groups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [f.name for f in self.fields]
@@ -127,14 +130,15 @@ class DatasetSchema:
             raise ConfigError("field names must be unique strings")
         if self.label_kind not in ("binary", "real"):
             raise ConfigError(f"label_kind must be binary or real, got {self.label_kind!r}")
+        groups = {}
+        for f in self.fields:
+            if isinstance(f.kind, ContinuousNumerical):
+                groups.setdefault(f.kind.basis, []).append(f.field_id)
+        object.__setattr__(self, "basis_groups", groups)
 
     @property
     def total_features(self) -> int:
         return sum(f.width for f in self.fields)
-
-    @property
-    def num_fields(self) -> int:
-        return len(self.fields)
 
     def field_named(self, name: str) -> FieldSchema:
         for f in self.fields:
@@ -178,18 +182,6 @@ class DatasetSchema:
                 raise ConfigError(f"unknown field kind {fdoc['kind']!r}")
             kinds.append((fdoc["name"], kind))
         return build_schema(kinds, label_kind=doc["label_kind"])
-
-
-@dataclass(frozen=True)
-class EncodedRow:
-    """Sparse feature vector with field provenance.
-
-    Entries are (global_feature_index, value, field_id) with strictly
-    increasing indices; one-hot fields contribute exactly one entry,
-    continuous fields at most degree+1.
-    """
-
-    entries: tuple  # of (index, value, field_id)
 
 
 def build_schema(named_kinds, label_kind: str = "binary") -> DatasetSchema:
@@ -240,10 +232,11 @@ def _column(rows, name: str) -> list:
         raise _missing_column(name) from None
 
 
-def _config_int(value, key: str, minimum=None) -> int:
+def _config_int(value, key: str, minimum=None, maximum=None) -> int:
     """`value` as an int: an integer, or a float with an integral value
-    (`1e3` is 1000). A bool, a fraction, a string or a value below
-    `minimum` is a ConfigError naming the config `key` it came from."""
+    (`1e3` is 1000). A bool, a fraction, a string, or a value below
+    `minimum` or above `maximum` is a ConfigError naming the config `key`
+    it came from."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
@@ -251,7 +244,16 @@ def _config_int(value, key: str, minimum=None) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {value!r}")
     return int(value)
+
+
+# Upper bounds of the integer settings that size an allocation or a loop,
+# so that a value such as `1e300` fails before anything is built.
+MAX_BINS = 1_000_000
+MAX_FUNCTIONS = 10_000
+MAX_RESOLUTION = 1_000_000
 
 
 # The keys a field declaration may hold; `infer_schema` documents them.
@@ -301,7 +303,7 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
             if values.size == 0:
                 raise DataError(f"field {name!r} has no valid numerical values")
             if kind == "binned":
-                nbins = _config_int(decl.get("bins"), f"field {name!r}: bins")
+                nbins = _config_int(decl.get("bins"), f"field {name!r}: bins", maximum=MAX_BINS)
                 mode = decl.get("binning", "quantile")
                 if mode == "uniform":
                     bounds = np.linspace(values.min(), values.max(), nbins + 1)
@@ -316,14 +318,16 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
                 named_kinds.append((name, BinnedNumerical(bounds)))
             else:
                 basis = build_uniform(
-                    _config_int(decl.get("num_functions", 8), f"field {name!r}: num_functions"),
+                    _config_int(decl.get("num_functions", 8), f"field {name!r}: num_functions",
+                                maximum=MAX_FUNCTIONS),
                     _config_int(decl.get("degree", 3), f"field {name!r}: degree"),
                 )
                 tmode = decl.get("transform", "quantile")
                 if tmode == "quantile":
                     transform = fit_quantile(
                         values,
-                        _config_int(decl.get("resolution", 1000), f"field {name!r}: resolution"),
+                        _config_int(decl.get("resolution", 1000), f"field {name!r}: resolution",
+                                    maximum=MAX_RESOLUTION),
                     )
                 elif tmode == "minmax":
                     transform = AffineTransform(float(values.min()), float(values.max()))
@@ -335,15 +339,16 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
     return build_schema(named_kinds, label_kind=config.get("label_kind", "binary"))
 
 
-def encode_row(schema: DatasetSchema, raw: dict) -> EncodedRow:
+def encode_row(schema: DatasetSchema, raw: dict) -> tuple[list, list]:
     """Encode one raw row (dict of field name -> raw value).
 
-    A missing binned value falls in the bin holding the midpoint of the
-    boundary range. A missing continuous value is encoded at u = 0.5:
-    the median under the quantile transform, the range midpoint under
-    `minmax`.
+    Returns per-field (1, c_f) arrays `idx` and `val`, laid out as
+    `encode_columns` lays out one row. A missing binned value falls in
+    the bin holding the midpoint of the boundary range. A missing
+    continuous value is encoded at u = 0.5: the median under the quantile
+    transform, the range midpoint under `minmax`.
     """
-    entries = []
+    idx, val = [], []
     for f in schema.fields:
         k = f.kind
         try:
@@ -352,30 +357,31 @@ def encode_row(schema: DatasetSchema, raw: dict) -> EncodedRow:
             raise _missing_column(f.name) from None
         if isinstance(k, Categorical):
             key = str(value)
-            idx = k.vocabulary.get(key)
-            if idx is None:
+            local = k.vocabulary.get(key)
+            if local is None:
                 if not k.unknown_slot:
                     raise DataError(
                         f"field {f.name!r}: unseen value {key!r} and no unknown slot"
                     )
-                idx = k.unknown_index
-            entries.append((f.offset + idx, 1.0, f.field_id))
+                local = k.unknown_index
         elif isinstance(k, BinnedNumerical):
             z = _parse_number(value, f.name)
             if math.isnan(z):
                 z = 0.5 * (k.boundaries[0] + k.boundaries[-1])
-            entries.append((f.offset + k.bin_of(z), 1.0, f.field_id))
+            local = k.bin_of(z)
         else:
             z = _parse_number(value, f.name)
-            if math.isnan(z):
-                u = 0.5  # missing: quantile median, or minmax range midpoint
-            else:
-                u = k.transform.apply(z)
-            first, values = k.basis.eval_sparse(u)
-            for i, v in enumerate(values):
-                if v != 0.0:
-                    entries.append((f.offset + first + i, float(v), f.field_id))
-    return EncodedRow(entries=tuple(entries))
+            # Missing: the quantile median, or the minmax range midpoint.
+            first, values = k.basis.eval_sparse(0.5 if math.isnan(z) else k.transform.apply(z))
+            # The nonzero entries in index order, then padding (index 0, value +0.0).
+            kept = [(first + j, x) for j, x in enumerate(values.tolist()) if x != 0.0]
+            kept += [(0, 0.0)] * (len(values) - len(kept))
+            idx.append(np.array([[j for j, _ in kept]], dtype=np.intp))
+            val.append(np.array([[x for _, x in kept]]))
+            continue
+        idx.append(np.array([[local]], dtype=np.intp))
+        val.append(np.array([[1.0]]))
+    return idx, val
 
 
 def _left_aligned(basis: SplineBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +404,7 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
 
     Returns per-field (n, c_f) arrays `idx` (field-local indices) and
     `val`, with c_f = degree+1 for continuous fields and 1 otherwise.
-    Row r holds the entries `encode_row` gives for rows[r], bit for bit:
+    Row r holds the arrays `encode_row` gives for rows[r], bit for bit:
     the nonzero entries of each field left-aligned in index order, and
     index 0 with value 0.0 after them. Missing values are encoded as in
     `encode_row`. Invalid values raise the same errors as `encode_row`;
@@ -406,16 +412,14 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
     reported.
 
     Continuous fields are parsed and transformed field by field, then
-    the basis is evaluated once per distinct basis over the transformed
-    points of every field that uses it; each such field's arrays are its
-    rows of that one evaluation (views of one array per basis).
+    the basis is evaluated once per group of `schema.basis_groups`, over
+    the transformed points of every field in it; each such field's
+    arrays are its rows of that one evaluation (views of one array per
+    basis).
     """
     rows = list(rows)
     n = len(rows)
-    idx, val = [], []
-    # A basis -> the (field position, u) of each field that uses it, in
-    # schema order.
-    groups = {}
+    idx, val, u = [], [], {}
     for f in schema.fields:
         k = f.kind
         column = _column(rows, f.name)
@@ -430,27 +434,26 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
                         f"field {f.name!r}: unseen value {key!r} and no unknown slot"
                     )
                 codes[unseen] = k.unknown_index
-            idx.append(codes[:, None])
-            val.append(np.ones((n, 1)))
-            continue
-        z = _parse_column(column, f.name)
-        missing = np.isnan(z)
-        if isinstance(k, BinnedNumerical):
+        elif isinstance(k, BinnedNumerical):
+            z = _parse_column(column, f.name)
             b = k.boundaries
-            z[missing] = 0.5 * (b[0] + b[-1])
-            bins = np.searchsorted(b, z, side="right") - 1
-            idx.append(np.clip(bins, 0, k.width - 1)[:, None])
-            val.append(np.ones((n, 1)))
+            z[np.isnan(z)] = 0.5 * (b[0] + b[-1])
+            codes = np.clip(np.searchsorted(b, z, side="right") - 1, 0, k.width - 1)
+        else:
+            z = _parse_column(column, f.name)
+            missing = np.isnan(z)
+            # Missing: u = 0.5, the quantile median or the minmax range midpoint.
+            u[f.field_id] = np.full(n, 0.5)
+            u[f.field_id][~missing] = k.transform.apply_many(z[~missing])
+            idx.append(None)  # set below, from the field's basis group
+            val.append(None)
             continue
-        # Missing: u = 0.5, the quantile median or the minmax range midpoint.
-        u = np.full(n, 0.5)
-        u[~missing] = k.transform.apply_many(z[~missing])
-        groups.setdefault(k.basis, []).append((len(idx), u))
-        idx.append(None)
-        val.append(None)
-    for basis, members in groups.items():
-        g_idx, g_val = _left_aligned(basis, np.concatenate([u for _, u in members]))
-        for j, (pos, _) in enumerate(members):
-            idx[pos] = g_idx[j * n : (j + 1) * n]
-            val[pos] = g_val[j * n : (j + 1) * n]
+        idx.append(codes[:, None])
+        val.append(np.ones((n, 1)))
+    for basis, fids in schema.basis_groups.items():
+        points = u[fids[0]] if len(fids) == 1 else np.concatenate([u[fid] for fid in fids])
+        g_idx, g_val = _left_aligned(basis, points)
+        for j, fid in enumerate(fids):
+            idx[fid] = g_idx[j * n : (j + 1) * n]
+            val[fid] = g_val[j * n : (j + 1) * n]
     return idx, val

@@ -52,13 +52,6 @@ class SplineBasis:
     def num_intervals(self) -> int:
         return self.num_functions - self.degree
 
-    def eval(self, z: float) -> np.ndarray:
-        """Evaluate all basis functions at `z`, returned as a dense vector."""
-        first, values = self.eval_sparse(z)
-        out = np.zeros(self.num_functions)
-        out[first : first + self.degree + 1] = values
-        return out
-
     def eval_sparse(self, z: float) -> tuple[int, np.ndarray]:
         """Evaluate the degree+1 functions active at `z`.
 

@@ -2,10 +2,10 @@
 
 Rows are packed into per-field index/value arrays once, after which
 forward and backward passes are vectorized over the batch dimension.
-This relies on schema-encoded rows contributing exactly one reduced
-slot per field (one-hot fields have a single entry; continuous fields
-are sum-reduced), so it computes the same scores as the per-row
-reference in `model.forward`.
+Scores come from `model.predict_scores`, the one scorer. It and the
+backward pass rely on schema-encoded rows contributing exactly one
+reduced slot per field (one-hot fields have a single entry; continuous
+fields are sum-reduced).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .model import ModelParams, init_params
+from .model import ModelParams, PackedData, _field_vectors, init_params, predict_scores
 from .schema import DatasetSchema, _config_int, encode_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
@@ -34,8 +34,8 @@ PROB_CLIP = 1e-7
 # The values each type of TrainConfig field accepts; int fields go
 # through `schema._config_int`, as every integer setting does.
 _ACCEPTS = {str: str, bool: bool, float: (int, float)}
-# The least value of each int field.
-_INT_MINIMUM = {"batch_size": 1, "epochs": 1, "seed": 0}
+# The least and the greatest value of each int field (`epochs` sizes a loop).
+_INT_RANGE = {"batch_size": (1, None), "epochs": (1, 100_000), "seed": (0, None)}
 
 
 @dataclass
@@ -56,7 +56,7 @@ class TrainConfig:
         for f in fields(self):
             value, kind, key = getattr(self, f.name), type(f.default), f"train.{f.name}"
             if kind is int:
-                setattr(self, f.name, _config_int(value, key, _INT_MINIMUM[f.name]))
+                setattr(self, f.name, _config_int(value, key, *_INT_RANGE[f.name]))
                 continue
             # A bool is an int to isinstance, but a number of neither kind here.
             is_bool = isinstance(value, bool)
@@ -83,26 +83,6 @@ class Metrics:
     history: list = field(default_factory=list)
 
 
-@dataclass
-class PackedData:
-    """Per-field index/value arrays for a whole dataset."""
-
-    idx: list  # per field: (n, c_f) field-local indices
-    val: list  # per field: (n, c_f) entry values
-    y: np.ndarray  # (n,) labels
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-    def subset(self, rows) -> "PackedData":
-        return PackedData(
-            idx=[a[rows] for a in self.idx],
-            val=[a[rows] for a in self.val],
-            y=self.y[rows],
-        )
-
-
 def pack(schema: DatasetSchema, rows, labels) -> PackedData:
     """Encode raw rows (dicts) into fixed-width per-field arrays."""
     rows = list(rows)
@@ -114,26 +94,7 @@ def pack(schema: DatasetSchema, rows, labels) -> PackedData:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forward / backward
-
-
-def _field_vectors(model: ModelParams, data: PackedData):
-    """Reduced per-field vectors P_f (n, k_f) and the linear term (n,)."""
-    schema = model.schema
-    P = []
-    linear = np.full(data.n, model.w0)
-    for f in schema.fields:
-        fid = f.field_id
-        idx, val = data.idx[fid], data.val[fid]
-        P.append(np.einsum("nc,nck->nk", val, model.V[fid][idx]))
-        linear += np.einsum("nc,nc->n", val, model.w[idx + f.offset])
-    return P, linear
-
-
-def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
-    """Raw (pre-link) scores for every packed row."""
-    P, linear = _field_vectors(model, data)
-    return model.interaction.scores(P, linear)
+# Vectorized backward
 
 
 @dataclass

@@ -4,6 +4,7 @@ Each test checks one shipped guarantee at its stated tolerance and
 runtime budget and prints a single pass/fail line so the whole
 contract can be audited from the test log at a glance.
 """
+import copy
 import csv
 import math
 import os
@@ -20,17 +21,17 @@ from splinefm.model import (
     FFMFieldConcat,
     FMIdentity,
     FwFMScalars,
+    PackedData,
     fit_pairwise_span,
     fit_span,
-    forward,
     init_params,
     make_interaction,
+    predict_scores,
 )
 from splinefm.schema import (
     BinnedNumerical,
     Categorical,
     ContinuousNumerical,
-    EncodedRow,
     build_schema,
     encode_row,
     infer_schema,
@@ -67,6 +68,11 @@ def mixed_schema(num_functions=6):
             ),
         ]
     )
+
+
+def scores(model, rows):
+    """Raw scores of raw rows under the shipped scorer, `predict_scores`."""
+    return predict_scores(model, pack(model.schema, rows, np.zeros(len(rows))))
 
 
 def random_model(schema, variant, seed, dim=3):
@@ -182,8 +188,8 @@ def test_acceptance_3_bspline_correctness(capsys):
             _, values = basis.eval_sparse(z)
             worst_pu = max(worst_pu, abs(values.sum() - 1.0))
             max_nonzeros = max(max_nonzeros, int(np.count_nonzero(values)))
-        for z in np.linspace(0.0, 1.0, 1001):
-            dense = basis.eval(z)
+        grid = np.linspace(0.0, 1.0, 1001)
+        for z, dense in zip(grid, basis.eval_many(grid)):
             oracle = np.array(
                 [naive_cox_de_boor(basis.knots, 3, i, z) for i in range(ell)]
             )
@@ -240,7 +246,7 @@ def _touched(model, grad):
 def test_acceptance_4_gradient_check(capsys):
     # The training backward pass (`_batch_backward`) on each row as a batch
     # of one with d_score = 1, against central differences of the row's
-    # score under the per-row reference scorer.
+    # score under the shipped scorer.
     start = time.time()
     h = 1e-5
     worst = 0.0
@@ -254,16 +260,15 @@ def test_acceptance_4_gradient_check(capsys):
             "b": ["p", "q", "r"][rng.integers(0, 3)],
             "z": float(rng.random()),
         }
-        row = encode_row(schema, raw)
         data = pack(schema, [raw], [0.0])
         P, _ = training._field_vectors(model, data)
         grad = training._batch_backward(model, data, P, np.ones(1))
         for kind, key, g in _touched(model, grad):
             kinds.add(kind)
             _perturb(model, kind, key, h)
-            plus = forward(model, row)
+            plus = predict_scores(model, data)[0]
             _perturb(model, kind, key, -2 * h)
-            minus = forward(model, row)
+            minus = predict_scores(model, data)[0]
             _perturb(model, kind, key, h)
             fd = (plus - minus) / (2 * h)
             # Floor keeps roundoff noise in near-zero gradients from
@@ -320,6 +325,8 @@ def _brute_force(model, entries):
 
 
 def test_acceptance_5_brute_force_equivalence(capsys):
+    # `predict_scores` against the raw double loop, on rows the schema can
+    # encode: one entry per one-hot field, here with a random value.
     worst = 0.0
     rng = np.random.default_rng(4)
     schema = build_schema(
@@ -329,35 +336,33 @@ def test_acceptance_5_brute_force_equivalence(capsys):
             ("c", BinnedNumerical(np.array([0.0, 1.0]))),
         ]
     )
+    n = 10
     for i, variant in enumerate(VARIANTS):
         model = random_model(schema, variant, seed=5000 + i)
-        for _ in range(10):
-            entries = []
-            for f in schema.fields:
-                chosen = sorted(
-                    rng.choice(f.width, size=rng.integers(1, min(f.width, 2) + 1),
-                               replace=False)
-                )
-                for loc in chosen:
-                    entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
-            assert len(entries) <= 6
-            score = forward(model, EncodedRow(entries=tuple(entries)))
+        local = [rng.integers(0, f.width, size=(n, 1)) for f in schema.fields]
+        value = [rng.normal(size=(n, 1)) for _ in schema.fields]
+        got = predict_scores(model, PackedData(idx=local, val=value, y=np.zeros(n)))
+        for r in range(n):
+            entries = [(f.offset + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]),
+                        f.field_id) for f in schema.fields]
             expected = _brute_force(model, entries)
-            worst = max(worst, abs(score - expected) / max(abs(expected), 1e-12))
+            worst = max(worst, abs(got[r] - expected) / max(abs(expected), 1e-12))
     # Sum-reduced field: pre-sum its entries and apply the same oracle.
     schema_z = mixed_schema()
     z_field = schema_z.field_named("z")
+    raw = {"a": "1", "b": "q", "z": 0.37}
+    idx, val = encode_row(schema_z, raw)
+    row = [(f.offset + int(i), float(x), f.field_id)
+           for f, f_idx, f_val in zip(schema_z.fields, idx, val)
+           for i, x in zip(f_idx[0], f_val[0]) if x != 0.0]
     for i, variant in enumerate(VARIANTS):
         model = random_model(schema_z, variant, seed=5100 + i)
-        row = encode_row(schema_z, {"a": "1", "b": "q", "z": 0.37})
-        score = forward(model, row)
-        import copy as _copy
-
-        proxy = _copy.deepcopy(model)
+        score = scores(model, [raw])[0]
+        proxy = copy.deepcopy(model)
         summed_p = np.zeros(model.interaction.embed_dim(z_field.field_id))
         summed_w = 0.0
         reduced = []
-        for idx, x, fid in row.entries:
+        for idx, x, fid in row:
             if fid == z_field.field_id:
                 summed_p = summed_p + x * model.V[fid][idx - z_field.offset]
                 summed_w += x * model.w[idx]
@@ -370,7 +375,7 @@ def test_acceptance_5_brute_force_equivalence(capsys):
         expected = _brute_force(proxy, reduced)
         worst = max(worst, abs(score - expected) / max(abs(expected), 1e-12))
     ok = worst < 1e-12
-    report(capsys, 5, "forward equals the raw double-loop oracle", ok,
+    report(capsys, 5, "predict_scores equals the raw double-loop oracle", ok,
            f"max relative gap {worst:.2e}")
 
 
@@ -387,25 +392,16 @@ def test_acceptance_6_export_fidelity(capsys):
     )
     model = random_model(schema, "ffm", seed=6000, dim=3)
     transform = schema.fields[1].kind.transform
-    grid = np.linspace(0.0, 10.0, 2001)[:-1]
+    grid = [{"a": "1", "z": float(z)} for z in np.linspace(0.0, 10.0, 2001)[:-1]]
     worst_mid = 0.0
     grid_errors = []
     for num_bins in (10, 200, 1000):
         boundaries = make_boundaries(transform, num_bins, "inverse_cdf")
         binned, export = export_binned(model, "z", boundaries)
-        for mid in export.midpoints:
-            raw = {"a": "0", "z": float(mid)}
-            s0 = forward(model, encode_row(model.schema, raw))
-            s1 = forward(binned, encode_row(binned.schema, raw))
-            worst_mid = max(worst_mid, abs(s1 - s0) / max(abs(s0), 1e-12))
-        diffs = [
-            abs(
-                forward(model, encode_row(model.schema, {"a": "1", "z": float(z)}))
-                - forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))
-            )
-            for z in grid
-        ]
-        grid_errors.append(float(np.mean(diffs)))
+        mids = [{"a": "0", "z": float(mid)} for mid in export.midpoints]
+        s0, s1 = scores(model, mids), scores(binned, mids)
+        worst_mid = max(worst_mid, float(np.max(np.abs(s1 - s0) / np.maximum(np.abs(s0), 1e-12))))
+        grid_errors.append(float(np.mean(np.abs(scores(model, grid) - scores(binned, grid)))))
     monotone = grid_errors[0] > grid_errors[1] > grid_errors[2]
     ok = worst_mid < 1e-12 and monotone
     report(capsys, 6, "binning export reproduces midpoint scores", ok,

@@ -7,12 +7,12 @@ import pytest
 from splinefm.bin_export import export_binned, make_boundaries
 from splinefm.errors import ConfigError
 from splinefm.model import (
-    forward,
     init_params,
     load_model,
     make_interaction,
     model_from_dict,
     model_to_dict,
+    predict_scores,
     save_model,
 )
 from splinefm.schema import (
@@ -20,10 +20,15 @@ from splinefm.schema import (
     Categorical,
     ContinuousNumerical,
     build_schema,
-    encode_row,
 )
 from splinefm.splines import build_uniform
+from splinefm.training import pack
 from splinefm.transforms import AffineTransform, QuantileTransform
+
+
+def scores(model, rows):
+    """Raw scores of raw rows under the model's own schema."""
+    return predict_scores(model, pack(model.schema, rows, np.zeros(len(rows))))
 
 
 def make_model(seed=0, variant="fm", dim=3, num_functions=8, transform=None):
@@ -97,12 +102,8 @@ def test_midpoint_scores_match_original(variant):
     model = make_model(seed=1, variant=variant)
     boundaries = make_boundaries(AffineTransform(0.0, 10.0), 12, "inverse_cdf")
     binned, export = export_binned(model, "z", boundaries)
-    for j, mid in enumerate(export.midpoints):
-        for a in ("0", "1"):
-            raw = {"a": a, "z": float(mid)}
-            s_orig = forward(model, encode_row(model.schema, raw))
-            s_binned = forward(binned, encode_row(binned.schema, raw))
-            assert s_binned == pytest.approx(s_orig, abs=1e-12)
+    rows = [{"a": a, "z": float(mid)} for mid in export.midpoints for a in ("0", "1")]
+    npt.assert_allclose(scores(binned, rows), scores(model, rows), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["fm", "ffm", "fwfm", "fmfm"])
@@ -118,7 +119,7 @@ def test_export_rows_equal_per_midpoint_oracle_bitwise(variant, transform):
     binned, export = export_binned(model, "z", boundaries)
     kind, fld = model.schema.fields[1].kind, model.schema.fields[1]
     for j, mid in enumerate(export.midpoints):
-        basis = kind.basis.eval(kind.transform.apply(mid))
+        basis = kind.basis.eval_many([kind.transform.apply(mid)])[0]
         assert export.bin_embeddings[j].tobytes() == (basis @ model.V[1]).tobytes()
         linear = basis @ model.w[fld.offset : fld.offset + fld.width]
         assert float(export.bin_linear[j]).hex() == float(linear).hex()
@@ -132,28 +133,18 @@ def test_scores_constant_within_each_bin():
     binned, _ = export_binned(model, "z", boundaries)
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         probes = np.linspace(lo, hi - 1e-9, 7)
-        scores = [
-            forward(binned, encode_row(binned.schema, {"a": "1", "z": float(z)}))
-            for z in probes
-        ]
-        npt.assert_allclose(scores, scores[0], atol=1e-12)
+        in_bin = scores(binned, [{"a": "1", "z": float(z)} for z in probes])
+        npt.assert_allclose(in_bin, in_bin[0], atol=1e-12)
 
 
 def test_discrepancy_shrinks_with_bin_count():
     model = make_model(seed=3, num_functions=10)
-    grid = np.linspace(0.0, 10.0, 2001)[:-1]
+    rows = [{"a": "0", "z": float(z)} for z in np.linspace(0.0, 10.0, 2001)[:-1]]
     errors = []
     for num_bins in (10, 100, 1000):
         boundaries = make_boundaries(AffineTransform(0.0, 10.0), num_bins, "inverse_cdf")
         binned, _ = export_binned(model, "z", boundaries)
-        diffs = [
-            abs(
-                forward(model, encode_row(model.schema, {"a": "0", "z": float(z)}))
-                - forward(binned, encode_row(binned.schema, {"a": "0", "z": float(z)}))
-            )
-            for z in grid
-        ]
-        errors.append(np.mean(diffs))
+        errors.append(np.mean(np.abs(scores(model, rows) - scores(binned, rows))))
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -203,11 +194,10 @@ def test_exported_model_serialization_round_trip(tmp_path):
     path = tmp_path / "binned.json"
     save_model(binned, path)
     clone = load_model(path)
-    raw = {"a": "1", "z": 6.3}
-    s1 = forward(binned, encode_row(binned.schema, raw))
-    s2 = forward(clone, encode_row(clone.schema, raw))
-    assert s1 == s2
+    rows = [{"a": "1", "z": 6.3}]
+    s1 = scores(binned, rows)
+    assert scores(clone, rows).tobytes() == s1.tobytes()
     # The JSON document itself round-trips through model_from_dict too.
     doc = json.loads(json.dumps(model_to_dict(binned)))
     clone2 = model_from_dict(doc)
-    assert forward(clone2, encode_row(clone2.schema, raw)) == s1
+    assert scores(clone2, rows).tobytes() == s1.tobytes()

@@ -103,6 +103,21 @@ def test_eval_prints_metrics(trained, tmp_path, capsys):
     assert np.isfinite(doc["cross_entropy"])
 
 
+def test_bias_only_model_trains_and_evaluates(tmp_path, capsys):
+    # No fields: the row count comes from the data, not from a field array.
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=50)
+    cfg = tmp_path / "config.yaml"
+    doc = write_config(cfg, data, tmp_path / "run")
+    doc["schema"]["fields"] = []
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["train", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "run" / "model.json"), str(data)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["sample_count"] == 50 and math.isfinite(metrics["cross_entropy"])
+
+
 def test_export_bins_verb(trained, tmp_path):
     export_cfg = tmp_path / "export.yaml"
     with open(export_cfg, "w") as fh:
@@ -140,6 +155,30 @@ def test_curves_verb(trained, tmp_path):
     assert len(rows) == 22
     scores = [float(r[1]) for r in rows[1:]]
     assert all(np.isfinite(scores))
+
+
+def test_curves_empty_grid_prints_no_rows(trained, capsys):
+    capsys.readouterr()
+    model = str(trained["out"] / "model.json")
+    assert main(["curves", model, "x", "--segment", "color=red", "--grid", "0:10:0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_curves_grid_and_segment_values_may_start_with_a_dash(tmp_path, capsys):
+    # A negative grid bound, and a segment whose first field is named "-color".
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    data.write_text(data.read_text().replace("color", "-color", 1))
+    cfg = tmp_path / "config.yaml"
+    doc = write_config(cfg, data, tmp_path / "run")
+    doc["schema"]["fields"][0]["name"] = "-color"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["train", str(cfg)]) == 0
+    capsys.readouterr()
+    model = str(tmp_path / "run" / "model.json")
+    assert main(["curves", model, "x", "--segment", "-color=red", "--grid", "-5:5:11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(line.split("\t")[0]) for line in lines] == np.linspace(-5, 5, 11).tolist()
 
 
 def test_sweep_verb(tmp_path):
@@ -601,6 +640,72 @@ def test_config_value_that_fails_later_is_config_error(trained, tmp_path, capsys
     assert "config error" in err and key in err
 
 
+def _reject(*args, **kwargs):
+    raise AssertionError("an out-of-range setting reached the code it sizes")
+
+
+@pytest.mark.parametrize(
+    "verb, edit, key, sized",
+    [
+        ("train", lambda d: d["train"].__setitem__("epochs", 1e300), "train.epochs", "cli.train"),
+        ("train", lambda d: d["model"].__setitem__("dim", 1e300), "model.dim",
+         "cli.make_interaction"),
+        ("train", lambda d: _continuous_x(d).__setitem__("num_functions", 1e300),
+         "num_functions", "schema.build_uniform"),
+        ("train", lambda d: _continuous_x(d).__setitem__("resolution", 1e300), "resolution",
+         "schema.fit_quantile"),
+        ("train", lambda d: _continuous_x(d).update(kind="binned", bins=1e300), "bins",
+         "schema.BinnedNumerical"),
+        ("export-bins", lambda d: d.__setitem__("export", {"field": "x", "bins": 1e300}),
+         "export.bins", "cli.make_boundaries"),
+        ("synth", lambda d: d["synth"].__setitem__("n_train", 1e300), "synth.n_train",
+         "cli.generate"),
+        ("synth", lambda d: d["synth"].__setitem__("n_test", 1e300), "synth.n_test",
+         "cli.generate"),
+        ("synth", lambda d: d["synth"].__setitem__("repeats", 1e300), "synth.repeats",
+         "cli.run_comparison"),
+        ("synth", lambda d: d["synth"].__setitem__("interval_counts", [5, 1e300]),
+         "synth.interval_counts", "cli.run_comparison"),
+        ("synth", lambda d: d["synth"].__setitem__("block_dim", 1e300), "synth.block_dim",
+         "cli.run_comparison"),
+    ],
+    ids=["epochs", "dim", "num_functions", "resolution", "field_bins", "export_bins",
+         "n_train", "n_test", "repeats", "interval_counts", "block_dim"],
+)
+def test_integer_setting_above_its_limit_is_config_error(
+    trained, tmp_path, capsys, monkeypatch, verb, edit, key, sized
+):
+    # What the setting sizes fails the test instead of running.
+    from splinefm import cli, schema
+
+    module, name = sized.split(".")
+    monkeypatch.setattr({"cli": cli, "schema": schema}[module], name, _reject)
+    doc = yaml.safe_load(trained["config"].read_text())
+    doc["synth"] = {"n_train": 100, "n_test": 100, "repeats": 1, "interval_counts": [5]}
+    edit(doc)
+    cfg = tmp_path / "limit.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    argv = [verb, str(cfg)]
+    if verb == "export-bins":
+        argv.insert(1, str(trained["out"] / "model.json"))
+    capsys.readouterr()
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "must be <=" in err
+
+
+def test_curves_grid_count_above_its_limit_is_config_error(trained, capsys, monkeypatch):
+    from splinefm import cli
+
+    monkeypatch.setattr(cli, "segmentized_curve", _reject)
+    capsys.readouterr()
+    model = str(trained["out"] / "model.json")
+    grid = "0:1:1000000000000"
+    assert main(["curves", model, "x", "--segment", "color=red", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--grid count must be <=" in err
+
+
 def _train_bytes(tmp_path, doc, name):
     cfg = tmp_path / f"{name}.yaml"
     cfg.write_text(yaml.safe_dump(doc))
@@ -636,8 +741,8 @@ def test_train_loss_defaults_to_the_label_kind_loss(trained, tmp_path):
 # Fuzzing the input boundary: malformed configs, data and model files must
 # end in a documented exit code, never in an exception.
 
-# Numbers stay small: an integer setting has no upper bound, so a value such
-# as `epochs: 1e12` would run for ever rather than fail.
+# Numbers stay small: an integer setting's upper bound sits far above what
+# a test can run, so a value such as `epochs: 50000` would still take long.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),

@@ -14,14 +14,15 @@ from splinefm.model import (
     FmFMMatrices,
     FwFMScalars,
     ModelParams,
+    PackedData,
     fit_pairwise_span,
     fit_span,
-    forward,
     init_params,
     load_model,
     make_interaction,
     model_from_dict,
     model_to_dict,
+    predict_scores,
     save_model,
     segmentized_curve,
 )
@@ -29,7 +30,6 @@ from splinefm.schema import (
     BinnedNumerical,
     Categorical,
     ContinuousNumerical,
-    EncodedRow,
     build_schema,
     encode_row,
 )
@@ -54,6 +54,23 @@ def small_schema():
     )
 
 
+def score(model, raw):
+    """The raw score of one raw row."""
+    return predict_scores(model, pack(model.schema, [raw], [0.0]))[0]
+
+
+def entries(schema, raw):
+    """(global index, value, field id) of every nonzero entry `encode_row`
+    gives for `raw`, in field order."""
+    idx, val = encode_row(schema, raw)
+    return [
+        (f.offset + int(i), float(v), f.field_id)
+        for f, f_idx, f_val in zip(schema.fields, idx, val)
+        for i, v in zip(f_idx[0], f_val[0])
+        if v != 0.0
+    ]
+
+
 def random_model(schema, variant, seed, dim=3):
     rng = np.random.default_rng(seed)
     inter = make_interaction(variant, schema, dim)
@@ -74,7 +91,7 @@ def random_model(schema, variant, seed, dim=3):
 
 
 def explicit_pair_matrix(inter, e, f):
-    """Materialize M_{e,f} explicitly, independently of pair_score."""
+    """Materialize M_{e,f} explicitly, independently of the batched kernels."""
     if isinstance(inter, FMIdentity):
         return np.eye(inter.dim)
     if isinstance(inter, FwFMScalars):
@@ -128,22 +145,20 @@ def identity_schema():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_matches_brute_force_identity_reductions(variant):
+    # The batched forward pass over rows of one entry per field, each with
+    # an arbitrary value.
     schema = identity_schema()
     rng = np.random.default_rng(7)
     model = random_model(schema, variant, seed=11)
-    # Arbitrary multi-entry rows, including several entries per field.
-    for trial in range(20):
-        entries = []
-        for f in schema.fields:
-            locals_ = sorted(
-                rng.choice(f.width, size=rng.integers(1, f.width + 1), replace=False)
-            )
-            for loc in locals_:
-                entries.append((f.offset + int(loc), float(rng.normal()), f.field_id))
-        row = EncodedRow(entries=tuple(entries))
-        score = forward(model, row)
-        expected = brute_force_score(model, entries)
-        assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    n = 20
+    local = [rng.integers(0, f.width, size=(n, 1)) for f in schema.fields]
+    value = [rng.normal(size=(n, 1)) for _ in schema.fields]
+    scores = predict_scores(model, PackedData(idx=local, val=value, y=np.zeros(n)))
+    for r in range(n):
+        row = [(f.offset + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]),
+                f.field_id) for f in schema.fields]
+        expected = brute_force_score(model, row)
+        assert scores[r] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -151,15 +166,14 @@ def test_forward_matches_brute_force_with_sum_reduction(variant):
     schema = small_schema()
     model = random_model(schema, variant, seed=3)
     raw = {"a": "1", "b": "q", "z": 0.37}
-    row = encode_row(schema, raw)
-    score = forward(model, row)
+    got = score(model, raw)
     # Pre-sum the continuous field's entries into one synthetic feature,
     # then apply the same raw double-loop oracle.
     z_field = schema.field_named("z")
     summed_p = np.zeros(model.interaction.embed_dim(z_field.field_id))
     summed_w = 0.0
     reduced = []
-    for idx, x, fid in row.entries:
+    for idx, x, fid in entries(schema, raw):
         if fid == z_field.field_id:
             summed_p = summed_p + x * model.V[fid][idx - z_field.offset]
             summed_w += x * model.w[idx]
@@ -172,7 +186,7 @@ def test_forward_matches_brute_force_with_sum_reduction(variant):
     reduced.append((slot_idx, 1.0, z_field.field_id))
     reduced.sort()
     expected = brute_force_score(proxy, reduced)
-    assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_zero_parameters_score_is_bias():
@@ -181,8 +195,7 @@ def test_zero_parameters_score_is_bias():
     for v in model.V:
         v[:] = 0.0
     model.w0 = 1.75
-    score = forward(model, encode_row(schema, {"a": "0", "b": "p", "z": 0.6}))
-    assert score == 1.75
+    assert score(model, {"a": "0", "b": "p", "z": 0.6}) == 1.75
 
 
 def test_hand_computed_three_feature_fm():
@@ -199,23 +212,21 @@ def test_hand_computed_three_feature_fm():
     model.V[0][:] = [[1, 0], [0, 1]]
     model.V[1][:] = [[2, 1], [1, 2]]
     model.V[2][:] = [[1, 1], [3, 0]]
-    row = encode_row(schema, {"a": "1", "b": "0", "c": "1"})
-    score = forward(model, row)
+    got = score(model, {"a": "1", "b": "0", "c": "1"})
     # By hand: w0 + w_a1 + w_b0 + w_c1 + <(0,1),(2,1)> + <(0,1),(3,0)> + <(2,1),(3,0)>
-    assert score == pytest.approx(1 + 2 + 3 + 6 + 1 + 0 + 6, abs=1e-12)
+    assert got == pytest.approx(1 + 2 + 3 + 6 + 1 + 0 + 6, abs=1e-12)
 
 
 def test_ffm_against_textbook_block_oracle():
     schema = build_schema([("a", binary_cat()), ("b", binary_cat())])
     inter = FFMFieldConcat(num_fields=2, block_dim=2)
     model = init_params(schema, inter, seed=5)
-    row = encode_row(schema, {"a": "1", "b": "0"})
-    score = forward(model, row)
+    got = score(model, {"a": "1", "b": "0"})
     va = model.V[0][1]
     vb = model.V[1][0]
     # Feature of field 0 exposes its field-1 block; vice versa.
     expected = model.w0 + model.w[1] + model.w[2] + va[2:4] @ vb[0:2]
-    assert score == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +285,14 @@ def test_gradients_match_finite_differences(variant):
     for seed in range(5):
         model = random_model(schema, variant, seed=seed)
         raw = {"a": "1", "b": ["p", "q", "r"][seed % 3], "z": 0.2 + 0.1 * seed}
-        row = encode_row(schema, raw)
         grad = batch_of_one(model, raw)
         touched = touched_params(model, grad)
         assert {kind for kind, _, _ in touched} >= {"w0", "w", "v"}
         for kind, key, g in touched:
             perturb(model, kind, key, h)
-            plus = forward(model, row)
+            plus = score(model, raw)
             perturb(model, kind, key, -2 * h)
-            minus = forward(model, row)
+            minus = score(model, raw)
             perturb(model, kind, key, h)
             fd = (plus - minus) / (2 * h)
             denom = max(abs(fd), abs(g), 1e-8)
@@ -303,7 +313,7 @@ def test_linear_weight_gradient_is_entry_value():
     raw = {"a": "1", "b": "r", "z": 0.44}
     d = 0.7
     grad = batch_of_one(model, raw, d_score=d)
-    values = {idx: x for idx, x, _ in encode_row(schema, raw).entries}
+    values = {idx: x for idx, x, _ in entries(schema, raw)}
     for kind, idx, g in touched_params(model, grad):
         if kind == "w":
             assert g == pytest.approx(values.get(idx, 0.0) * d, rel=1e-12)
@@ -324,8 +334,7 @@ def test_fwfm_unit_strengths_collapses_to_fm():
         V=[v.copy() for v in fm.V],
     )
     for raw in [{"a": "0", "b": "q", "z": 0.1}, {"a": "1", "b": "r", "z": 0.9}]:
-        row = encode_row(schema, raw)
-        assert forward(fw, row) == pytest.approx(forward(fm, row), rel=1e-12)
+        assert score(fw, raw) == pytest.approx(score(fm, raw), rel=1e-12)
 
 
 def test_fmfm_identity_matrices_collapses_to_fm():
@@ -339,8 +348,8 @@ def test_fmfm_identity_matrices_collapses_to_fm():
         w=fm.w.copy(),
         V=[v.copy() for v in fm.V],
     )
-    row = encode_row(schema, {"a": "1", "b": "p", "z": 0.33})
-    assert forward(fmfm, row) == pytest.approx(forward(fm, row), rel=1e-12)
+    raw = {"a": "1", "b": "p", "z": 0.33}
+    assert score(fmfm, raw) == pytest.approx(score(fm, raw), rel=1e-12)
 
 
 def test_sum_reduction_slot_equals_basis_combination():
@@ -349,7 +358,7 @@ def test_sum_reduction_slot_equals_basis_combination():
     z = 0.41
     P, _ = training._field_vectors(model, pack(schema, [{"a": "0", "b": "q", "z": z}], [0.0]))
     z_field = schema.field_named("z")
-    basis_vals = z_field.kind.basis.eval(z)
+    basis_vals = z_field.kind.basis.eval_many([z])[0]
     expected = basis_vals @ model.V[z_field.field_id]
     npt.assert_allclose(P[z_field.field_id][0], expected, rtol=1e-12, atol=1e-15)
 
@@ -380,6 +389,27 @@ def test_binned_field_curve_is_step_function():
     model = random_model(schema, "fm", seed=6)
     curve = segmentized_curve(model, {"a": "1"}, "x", np.linspace(0, 3, 61))
     assert len(np.unique(np.round(curve, 12))) <= 3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_curve_equals_batch_scores_of_its_rows(variant):
+    schema = build_schema(
+        [
+            ("a", Categorical({"x": 0, "y": 1}, unknown_slot=True)),
+            ("b", BinnedNumerical(np.array([0.0, 1.0, 2.0]))),
+            ("w", ContinuousNumerical(AffineTransform(-1, 1), build_uniform(5, 2))),
+            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
+        ]
+    )
+    model = random_model(schema, variant, seed=31)
+    # An unseen category and two missing values hold the other fields fixed.
+    segment = {"a": "never-seen", "b": "", "w": "nan"}
+    grid = np.linspace(-0.25, 1.25, 41)
+    rows = [{**segment, "z": z} for z in grid]
+    expected = predict_scores(model, pack(schema, rows, np.zeros(len(rows))))
+    curve = segmentized_curve(model, segment, "z", grid)
+    npt.assert_allclose(curve, expected, rtol=0, atol=1e-12)
+    assert segmentized_curve(model, segment, "z", []).shape == (0,)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -469,8 +499,8 @@ def test_model_serialization_bit_exact(variant):
     npt.assert_array_equal(clone.w, model.w)
     for a, b in zip(clone.V, model.V):
         npt.assert_array_equal(a, b)
-    row = encode_row(schema, {"a": "1", "b": "q", "z": 0.27})
-    assert forward(clone, row) == forward(model, row)
+    raw = {"a": "1", "b": "q", "z": 0.27}
+    assert score(clone, raw) == score(model, raw)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -54,7 +54,7 @@ def test_build_uniform_minimal_is_bernstein():
     basis = build_uniform(4, 3)
     assert basis.num_intervals == 1
     # Bernstein cubic at 0.5: (1/8, 3/8, 3/8, 1/8)
-    npt.assert_allclose(basis.eval(0.5), [0.125, 0.375, 0.375, 0.125], atol=1e-15)
+    npt.assert_allclose(basis.eval_many([0.5])[0], [0.125, 0.375, 0.375, 0.125], atol=1e-15)
 
 
 def test_build_uniform_rejects_too_few_functions():
@@ -66,22 +66,23 @@ def test_endpoint_interpolation():
     basis = build_uniform(8, 3)
     expected0 = np.zeros(8)
     expected0[0] = 1.0
-    npt.assert_array_equal(basis.eval(0.0), expected0)
+    npt.assert_array_equal(basis.eval_many([0.0])[0], expected0)
     expected1 = np.zeros(8)
     expected1[-1] = 1.0
-    npt.assert_array_equal(basis.eval(1.0), expected1)
+    npt.assert_array_equal(basis.eval_many([1.0])[0], expected1)
 
 
 def test_eval_matches_naive_recursion_oracle():
     basis = build_uniform(8, 3)
-    for z in np.linspace(0.0, 1.0, 1001):
-        npt.assert_allclose(basis.eval(z), oracle_eval(basis, z), atol=1e-12)
+    grid = np.linspace(0.0, 1.0, 1001)
+    for z, row in zip(grid, basis.eval_many(grid)):
+        npt.assert_allclose(row, oracle_eval(basis, z), atol=1e-12)
 
 
 def test_eval_at_030_frozen_values():
     # Frozen from the naive recursion oracle for build_uniform(8, 3).
     basis = build_uniform(8, 3)
-    values = basis.eval(0.3)
+    values = basis.eval_many([0.3])[0]
     npt.assert_allclose(oracle_eval(basis, 0.3), values, atol=1e-15)
     npt.assert_allclose(
         values,
@@ -101,8 +102,8 @@ def test_eval_sparse_endpoint():
 
 def test_eval_sparse_reconstruction_bit_identical():
     basis = build_uniform(8, 3)
-    for z in np.linspace(0.0, 1.0, 10_000):
-        dense = basis.eval(z)
+    grid = np.linspace(0.0, 1.0, 10_000)
+    for z, dense in zip(grid, basis.eval_many(grid)):
         first, values = basis.eval_sparse(z)
         scattered = np.zeros(8)
         scattered[first : first + 4] = values
@@ -129,10 +130,10 @@ def test_cubic_continuity_on_fine_grid():
 
 def test_out_of_range_clamps():
     basis = build_uniform(8, 3)
-    npt.assert_array_equal(basis.eval(-0.5), basis.eval(0.0))
-    npt.assert_array_equal(basis.eval(1.5), basis.eval(1.0))
+    npt.assert_array_equal(basis.eval_many([-0.5, 1.5]), basis.eval_many([0.0, 1.0]))
+    assert basis.eval_sparse(-0.5)[0] == 0 and basis.eval_sparse(1.5)[0] == 4
     with pytest.raises(ConfigError):
-        basis.eval(float("nan"))
+        basis.eval_sparse(float("nan"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,7 +143,7 @@ def test_out_of_range_clamps():
 )
 def test_property_partition_and_nonnegativity(z, ell):
     basis = build_uniform(ell, 3)
-    values = basis.eval(z)
+    values = basis.eval_many([z])[0]
     assert (values >= 0.0).all()
     assert abs(values.sum() - 1.0) < 1e-12
 
@@ -204,4 +205,7 @@ def test_eval_many_rows_equal_dense_eval():
     grid = np.concatenate([np.linspace(-0.1, 1.1, 257), np.unique(basis.knots)])
     dense = basis.eval_many(grid)
     for z, row in zip(grid, dense):
-        npt.assert_array_equal(bits(row), bits(basis.eval(z)))
+        first, values = basis.eval_sparse(z)
+        scattered = np.zeros(basis.num_functions)
+        scattered[first : first + basis.degree + 1] = values
+        npt.assert_array_equal(bits(row), bits(scattered))

@@ -136,7 +136,7 @@ def test_emit_curves_identity_for_perfect_spline_model():
     basis = fld.kind.basis
     for rec in records:
         u = rec["z"] / 40.0
-        expected = 1.0 / (1.0 + math.exp(-float(basis.eval(u) @ coef)))
+        expected = 1.0 / (1.0 + math.exp(-float(basis.eval_many([u])[0] @ coef)))
         assert rec["predicted"] == pytest.approx(expected, rel=1e-12)
     assert len(records) == 8 * len(grid)
     assert "truth" not in records[0]

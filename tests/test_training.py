@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from splinefm import training
 from splinefm.errors import ConfigError, DataError
-from splinefm.model import FmFMMatrices, FwFMScalars, forward, init_params, make_interaction
+from splinefm.model import FmFMMatrices, FwFMScalars, init_params, make_interaction
 from splinefm.schema import (
     BinnedNumerical,
     Categorical,
@@ -59,6 +59,7 @@ def random_rows(n, seed):
 
 
 def test_batch_scores_match_per_row_forward():
+    # A row scores the same in a batch of 200 as in a batch of its own.
     schema = mixed_schema()
     rows, labels = random_rows(200, 0)
     data = pack(schema, rows, labels)
@@ -69,8 +70,8 @@ def test_batch_scores_match_per_row_forward():
         )
         batch = predict_scores(model, data)
         for i in [0, 7, 42, 199]:
-            row = encode_row(schema, rows[i])
-            assert batch[i] == pytest.approx(forward(model, row), rel=1e-12)
+            alone = predict_scores(model, pack(schema, [rows[i]], labels[i : i + 1]))
+            assert batch[i] == pytest.approx(alone[0], rel=1e-12)
 
 
 def test_constant_feature_converges_to_logit():
@@ -315,29 +316,16 @@ def test_train_twice_with_one_spec_leaves_it_unchanged(variant):
 # Column-wise packing against the per-row encoder
 
 
-def oracle_pack(schema, rows):
-    """Pack `encode_row` entries row by row: nonzero entries left-aligned
-    in index order, padding index 0 with value 0.0."""
-    widths = [f.kind.basis.degree + 1 if f.reduction == "sum" else 1 for f in schema.fields]
-    idx = [np.zeros((len(rows), c), dtype=np.intp) for c in widths]
-    val = [np.zeros((len(rows), c)) for c in widths]
+def assert_rows_bitwise(schema, rows, data):
+    """Row r of every packed array is, bit for bit, the (1, c_f) array
+    `encode_row` gives for rows[r]."""
+    assert len(data.idx) == len(data.val) == len(schema.fields)
+    assert all(a.shape[0] == len(rows) for a in data.idx + data.val)
     for r, raw in enumerate(rows):
-        cursor = [0] * len(widths)
-        for gi, v, fid in encode_row(schema, raw).entries:
-            idx[fid][r, cursor[fid]] = gi - schema.fields[fid].offset
-            val[fid][r, cursor[fid]] = v
-            cursor[fid] += 1
-    return idx, val
-
-
-def assert_packed_bitwise(data, idx, val):
-    assert len(data.idx) == len(idx) and len(data.val) == len(val)
-    for got, want in zip(data.idx, idx):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        npt.assert_array_equal(got, want)
-    for got, want in zip(data.val, val):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for packed, alone in zip((data.idx, data.val), encode_row(schema, raw)):
+            for got, want in zip(packed, alone, strict=True):
+                assert got.dtype == want.dtype and got[r : r + 1].shape == want.shape
+                assert got[r : r + 1].tobytes() == want.tobytes()
 
 
 @st.composite
@@ -391,8 +379,7 @@ def schemas_and_rows(draw, closed_values=("x", "y")):
 @given(case=schemas_and_rows())
 def test_property_pack_equals_per_row_oracle_bitwise(case):
     schema, rows = case
-    idx, val = oracle_pack(schema, rows)
-    assert_packed_bitwise(pack(schema, rows, np.zeros(len(rows))), idx, val)
+    assert_rows_bitwise(schema, rows, pack(schema, rows, np.zeros(len(rows))))
 
 
 @settings(max_examples=50, deadline=None)
@@ -400,13 +387,14 @@ def test_property_pack_equals_per_row_oracle_bitwise(case):
 def test_property_pack_raises_what_encode_row_raises(case):
     schema, rows = case
     try:
-        expected = oracle_pack(schema, rows)
+        for raw in rows:
+            encode_row(schema, raw)
     except DataError as exc:
         with pytest.raises(DataError) as got:
             pack(schema, rows, np.zeros(len(rows)))
         assert str(got.value) == str(exc)
     else:
-        assert_packed_bitwise(pack(schema, rows, np.zeros(len(rows))), *expected)
+        assert_rows_bitwise(schema, rows, pack(schema, rows, np.zeros(len(rows))))
 
 
 @pytest.mark.parametrize("n", [0, 30])
@@ -433,10 +421,12 @@ def test_pack_evaluates_each_distinct_basis_once(monkeypatch, n):
         return eval_batch(self, z)
 
     monkeypatch.setattr(SplineBasis, "eval_batch", counted)
+    # The groups are planned when the schema is built, not per call.
+    assert schema.basis_groups == {shared: [1, 2, 3, 4, 5, 6], other: [7]}
     data = pack(schema, rows, np.zeros(n))
     assert sorted(calls) == [5, 8]
     assert [a.shape for a in data.idx] == [(n, 1)] + [(n, 4)] * 6 + [(n, 3)]
-    assert_packed_bitwise(data, *oracle_pack(schema, rows))
+    assert_rows_bitwise(schema, rows, data)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -448,7 +438,7 @@ def test_pack_fewer_rows_than_basis_support(n):
     data = pack(schema, rows, labels)
     assert data.n == n
     assert [a.shape for a in data.idx] == [(n, 1), (n, 1), (n, 4)]
-    assert_packed_bitwise(data, *oracle_pack(schema, rows))
+    assert_rows_bitwise(schema, rows, data)
 
 
 
