@@ -343,6 +343,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; expected low:high:count") from None
+    if not np.isfinite(hi - lo):  # also when lo or hi is not finite
+        raise ConfigError(f"grid spec {spec!r}: low, high and high - low must be finite")
     return np.linspace(lo, hi, _config_int(count, "--grid count", 0, MAX_GRID_POINTS))
 
 

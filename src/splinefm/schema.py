@@ -203,7 +203,8 @@ def _parse_number(raw, field_name: str) -> float:
     except (TypeError, ValueError):
         raise DataError(f"field {field_name!r}: cannot parse {raw!r} as a number") from None
     if math.isinf(z):
-        raise DataError(f"field {field_name!r}: value {raw!r} is not finite")
+        shown = repr(raw) if isinstance(raw, str) else z  # a plain "inf" for a number
+        raise DataError(f"field {field_name!r}: value {shown} is not finite")
     return z
 
 

@@ -108,18 +108,26 @@ class _BatchGrads:
     tensors: dict  # dense gradients of the interaction's tensors, by name
 
 
+def _touched_rows(idx, width: int):
+    """`np.unique(idx, return_inverse=True)`, inverse in idx's shape, from a
+    count over the field's `width` rows instead of a sort."""
+    uniq = np.flatnonzero(np.bincount(idx.ravel(), minlength=width))
+    where = np.empty(width, dtype=np.intp)
+    where[uniq] = np.arange(uniq.size)
+    return uniq, where[idx]
+
+
 def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _BatchGrads:
     G, d_tensors = model.interaction.grads(P, d_score)
     rows, dw, dV = [], [], []
     for fld in model.schema.fields:
         fid = fld.field_id
         idx, val = data.idx[fid], data.val[fid]
-        uniq, inv = np.unique(idx, return_inverse=True)
-        inv = inv.reshape(idx.shape)
-        # Segment sums with np.bincount, which adds its weights in input
-        # order: the (n, c) block in C order for w, and column by column
-        # for V (G already carries the d_score factor), so every sum is
-        # the same in bits as accumulating the entries one by one.
+        uniq, inv = _touched_rows(idx, fld.width)
+        # Touched rows come from a count, not a sort. In the segment sums,
+        # np.bincount adds its weights in input order: the (n, c) block in C
+        # order for w, column by column for V (G already carries d_score), so
+        # every sum is the same in bits as accumulating entries one by one.
         dw.append(
             np.bincount(inv.ravel(), (val * d_score[:, None]).ravel(), minlength=uniq.size)
         )
@@ -267,10 +275,11 @@ def train(
     best_snap = None
     metrics = Metrics(sample_count=data.n)
     for epoch in range(config.epochs):
-        order = order_rng.permutation(data.n) if config.shuffle else np.arange(data.n)
+        # One gather per epoch; each batch is then a slice of it.
+        shuffled = data.subset(order_rng.permutation(data.n)) if config.shuffle else data
         epoch_loss = 0.0
         for start in range(0, data.n, config.batch_size):
-            batch = data.subset(order[start : start + config.batch_size])
+            batch = shuffled.subset(slice(start, start + config.batch_size))
             P, linear = _field_vectors(model, batch)
             scores = model.interaction.scores(P, linear)
             loss, d_score = _loss_and_dscore(config.loss, scores, batch.y)

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,13 +104,15 @@ def test_eval_prints_metrics(trained, tmp_path, capsys):
     assert np.isfinite(doc["cross_entropy"])
 
 
-def test_bias_only_model_trains_and_evaluates(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["fm", "ffm", "fwfm", "fmfm"])
+def test_bias_only_model_trains_and_evaluates(tmp_path, capsys, variant):
     # No fields: the row count comes from the data, not from a field array.
     data = tmp_path / "data.csv"
     write_dataset(data, n=50)
     cfg = tmp_path / "config.yaml"
     doc = write_config(cfg, data, tmp_path / "run")
     doc["schema"]["fields"] = []
+    doc["model"]["variant"] = variant
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["train", str(cfg)]) == 0
     capsys.readouterr()
@@ -692,6 +695,21 @@ def test_integer_setting_above_its_limit_is_config_error(
     assert main(argv + ["--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "must be <=" in err
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1e308:3", "0:inf:3", "nan:1:3", "-inf:inf:0"])
+def test_curves_grid_not_finite_is_config_error(trained, capsys, grid):
+    # high - low overflows in the first spec. A warning would raise here.
+    model = str(trained["out"] / "model.json")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["curves", model, "x", "--segment", "color=red", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"config error: grid spec {grid!r}: low, high and high - low must be finite"
+    )
 
 
 def test_curves_grid_count_above_its_limit_is_config_error(trained, capsys, monkeypatch):

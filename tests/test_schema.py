@@ -153,6 +153,19 @@ def test_unparseable_number_names_field():
         encode_row(schema, {"depth": "not-a-number"})
 
 
+@pytest.mark.parametrize(
+    "raw, shown", [(np.float64("inf"), "inf"), (-np.inf, "-inf"), ("inf", "'inf'")]
+)
+def test_infinite_number_message_shows_a_plain_float(raw, shown):
+    # A number reads as a float, a string as its quoted text.
+    schema = build_schema(
+        [("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(4, 3)))]
+    )
+    with pytest.raises(DataError) as exc:
+        encode_row(schema, {"z": raw})
+    assert str(exc.value) == f"field 'z': value {shown} is not finite"
+
+
 def test_schema_serialization_round_trip():
     rows = [
         {"color": c, "x": x}

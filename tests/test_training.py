@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from splinefm import training
 from splinefm.errors import ConfigError, DataError
-from splinefm.model import FmFMMatrices, FwFMScalars, init_params, make_interaction
+from splinefm.model import (
+    FFMFieldConcat,
+    FmFMMatrices,
+    FwFMScalars,
+    init_params,
+    make_interaction,
+)
 from splinefm.schema import (
     BinnedNumerical,
     Categorical,
@@ -605,3 +612,110 @@ def test_sparse_step_bit_identical_to_dense_reference(variant, optimizer, l2):
         assert _parameters(model)[name].tobytes() == a.tobytes(), name
     untouched = np.setdiff1d(np.arange(501), np.concatenate(data.idx[0]))
     assert untouched.size > 400
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the touched-row map by a sort and the FFM gradient by a pair loop
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and values, and zeros of equal signs."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _unique_rows(idx):
+    uniq, inv = np.unique(idx, return_inverse=True)
+    return uniq, inv.reshape(idx.shape)
+
+
+def _ffm_pair_loop_grads(inter, P, d_score):
+    """FFM field gradients summed into zeros pair by pair, e < f."""
+    k = inter.block_dim
+    G = [np.zeros_like(p) for p in P]
+    for e, f in itertools.combinations(range(len(P)), 2):
+        G[e][:, f * k : (f + 1) * k] += d_score[:, None] * P[f][:, e * k : (e + 1) * k]
+        G[f][:, e * k : (e + 1) * k] += d_score[:, None] * P[e][:, f * k : (f + 1) * k]
+    return G
+
+
+def _oracle_backward(model, data, P, d_score):
+    """The batched backward with np.unique for the touched rows and, for
+    FFM, the pair loop for the field gradients."""
+    inter = model.interaction
+    if isinstance(inter, FFMFieldConcat):
+        G, d_tensors = _ffm_pair_loop_grads(inter, P, d_score), {}
+    else:
+        G, d_tensors = inter.grads(P, d_score)
+    rows, dw, dV = [], [], []
+    for fld in model.schema.fields:
+        idx, val = data.idx[fld.field_id], data.val[fld.field_id]
+        uniq, inv = _unique_rows(idx)
+        dw.append(np.bincount(inv.ravel(), (val * d_score[:, None]).ravel(), minlength=uniq.size))
+        k = G[fld.field_id].shape[1]
+        keys = np.ascontiguousarray(inv.T)[:, :, None] * k + np.arange(k)
+        weights = np.ascontiguousarray(val.T)[:, :, None] * G[fld.field_id]
+        dV.append(np.bincount(keys.ravel(), weights.ravel(), minlength=uniq.size * k)
+                  .reshape(uniq.size, k))
+        rows.append(uniq)
+    return float(d_score.sum()), rows, dw, dV, d_tensors
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_touched_rows_equal_np_unique(data):
+    width = data.draw(st.integers(1, 50))
+    n, c = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 5))
+    # Zero is the padding row: draw it often.
+    entry = st.just(0) | st.integers(0, width - 1)
+    idx = np.array(data.draw(st.lists(entry, min_size=n * c, max_size=n * c)),
+                   dtype=np.int64).reshape(n, c)
+    uniq, inv = training._touched_rows(idx, width)
+    want_uniq, want_inv = _unique_rows(idx)
+    assert_same_bits(uniq, want_uniq)
+    assert_same_bits(inv, want_inv)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_ffm_grads_equal_pair_loop_bitwise(m, n):
+    rng = np.random.default_rng([m, n])
+    k = 3
+    inter = FFMFieldConcat(num_fields=m, block_dim=k)
+    P = [rng.normal(size=(n, m * k)) * (rng.random((n, m * k)) < 0.7) for _ in range(m)]
+    d_score = rng.normal(size=n) * (rng.random(n) < 0.7)
+    # A negative d_score times a zero entry is -0.0, which the loop's sum
+    # from zeros turns into 0.0.
+    d_score[0] = -1.0
+    for p in P:
+        p[0, 0] = 0.0
+    G, tensors = inter.grads(P, d_score)
+    want = _ffm_pair_loop_grads(inter, P, d_score)
+    assert tensors == {} and len(G) == len(want) == m
+    for g, w in zip(G, want):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_backward_equals_unique_and_pair_loop_oracle_bitwise(variant):
+    schema = wide_schema()
+    rows, labels = wide_rows(64, 5, ids=["0", "3", "7", "unseen"])
+    data = pack(schema, rows, labels)
+    model = randomized(init_params(schema, make_interaction(variant, schema, 3), seed=2), 4)
+    for batch in (data, data.subset(slice(0, 7)), data.subset(slice(7, 8))):
+        P, _ = training._field_vectors(model, batch)
+        _, d_score = training._loss_and_dscore("logloss", predict_scores(model, batch), batch.y)
+        d_score[::3] = 0.0
+        g = training._batch_backward(model, batch, P, d_score / batch.n)
+        w0, want_rows, want_w, want_V, want_tensors = _oracle_backward(
+            model, batch, P, d_score / batch.n
+        )
+        assert g.w0 == w0
+        for got, want in ((g.rows, want_rows), (g.w, want_w), (g.V, want_V)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
+        assert g.tensors.keys() == want_tensors.keys()
+        for name, t in want_tensors.items():
+            assert_same_bits(g.tensors[name], t)
