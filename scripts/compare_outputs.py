@@ -1,9 +1,8 @@
 """Check that two splinefm source trees give the same outputs.
 
-Usage: python3 scripts/compare_outputs.py BASE_SRC HEAD_SRC [--seeds 1 7]
-           [--workloads spline_ctr big_vocab paper_synth] [--work DIR]
+Usage: python3 scripts/compare_outputs.py BASE_SRC HEAD_SRC [--work DIR]
 
-For each benchmark workload and seed, the inputs come from
+For each benchmark workload and each seed in `SEEDS`, the inputs come from
 `perfbench/workloads.write_inputs`, written once and read by both sides.
 Each side then runs `train`, `eval`, `export-bins` and one `curves` call
 per segment through its own `splinefm.cli.main`, in a fresh interpreter
@@ -28,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 CURVE_TOLERANCE = 1e-12
+SEEDS = (1, 7)
 EXACT = ["model.json", "metrics.json", "eval.json", "export/model_binned.json", "export/bins.tsv"]
 
 
@@ -94,17 +94,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="source directory holding the base splinefm package")
     parser.add_argument("head", help="source directory holding the changed splinefm package")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--workloads", nargs="+", default=None)
     parser.add_argument("--work", default=None, help="directory for inputs and outputs "
                         "(default: a temporary directory, removed afterwards)")
     args = parser.parse_args(argv)
-    names = args.workloads or sorted(WORKLOADS)
     with contextlib.ExitStack() as stack:
         work = Path(args.work or stack.enter_context(tempfile.TemporaryDirectory()))
         failed = False
-        for name in names:
-            for seed in args.seeds:
+        for name in sorted(WORKLOADS):
+            for seed in SEEDS:
                 case = work / f"{name}-{seed}"
                 write_case(name, seed, case / "inputs")
                 for side, src in (("base", args.base), ("head", args.head)):
