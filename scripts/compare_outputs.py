@@ -10,7 +10,10 @@ that imports `splinefm` from its source directory. `model.json`,
 `metrics.json`, the printed `eval` metrics, `model_binned.json` and
 `bins.tsv` must be equal byte for byte, and every curve value within
 `CURVE_TOLERANCE`. Prints one line per workload and seed; exits 1 when
-any output differs.
+any output differs. For a model file that differs, the line also names
+the top-level entries that differ and the largest absolute gap over
+`w0`, `w`, `V` and the interaction's arrays, which tells a change of the
+file format from a change of the numbers.
 """
 from __future__ import annotations
 
@@ -23,12 +26,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 CURVE_TOLERANCE = 1e-12
 SEEDS = (1, 7)
 EXACT = ["model.json", "metrics.json", "eval.json", "export/model_binned.json", "export/bins.tsv"]
+MODELS = {"model.json", "export/model_binned.json"}
 
 
 def write_case(workload: str, seed: int, inputs: Path) -> None:
@@ -72,9 +78,38 @@ def _curve(path: Path) -> list:
     return [lines[0]] + [[float(x) for x in line.split("\t")] for line in lines[1:]]
 
 
+def _model_arrays(doc: dict) -> dict:
+    """`w0`, `w`, each `V` table and each interaction array of a model
+    document, by name."""
+    inter = doc.get("interaction", {})
+    arrays = {"w0": doc.get("w0"), "w": doc.get("w"), "strengths": inter.get("strengths")}
+    arrays.update({f"V{i}": v for i, v in enumerate(doc.get("V", []))})
+    arrays.update({f"matrix {key}": m for key, m in inter.get("matrices", {}).items()})
+    return {name: np.asarray(a, dtype=float) for name, a in arrays.items() if a is not None}
+
+
+def model_gaps(base: Path, head: Path) -> str:
+    """The top-level entries in which two model files differ, and the
+    largest absolute gap between their arrays of one name and shape."""
+    a, b = json.loads(base.read_text()), json.loads(head.read_text())
+    entries = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    arrays_a, arrays_b = _model_arrays(a), _model_arrays(b)
+    gaps = [
+        float(np.max(np.abs(x - y), initial=0.0))
+        for name, x in arrays_a.items()
+        if name in arrays_b and (y := arrays_b[name]).shape == x.shape
+    ]
+    gap = max(gaps, default=0.0)
+    return f"entries {', '.join(entries) or 'none'} differ, largest gap {gap:.3g}"
+
+
 def compare(base: Path, head: Path) -> list:
     """What differs between the outputs of two sides, one line each."""
-    diffs = [name for name in EXACT if (base / name).read_bytes() != (head / name).read_bytes()]
+    diffs = [
+        f"{name} ({model_gaps(base / name, head / name)})" if name in MODELS else name
+        for name in EXACT
+        if (base / name).read_bytes() != (head / name).read_bytes()
+    ]
     base_curves = sorted(p.name for p in base.glob("curve*.tsv"))
     if base_curves != sorted(p.name for p in head.glob("curve*.tsv")):
         return diffs + ["the curve files"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -194,15 +195,6 @@ def _train_config(train_cfg: dict, schema) -> TrainConfig:
     return cfg
 
 
-def _metrics_doc(metrics) -> dict:
-    return {
-        "cross_entropy": metrics.cross_entropy,
-        "rmse": metrics.rmse,
-        "sample_count": metrics.sample_count,
-        "history": metrics.history,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 
@@ -223,7 +215,7 @@ def cmd_train(args) -> None:
     out = _out_dir(config, args.output)
     save_model(model, out / "model.json")
     with open(out / "metrics.json", "w") as fh:
-        json.dump(_metrics_doc(metrics), fh, indent=2)
+        json.dump(dataclasses.asdict(metrics), fh, indent=2)
     _write_manifest(out, args.argv, config, started)
     print(f"model written to {out / 'model.json'}")
 
@@ -235,7 +227,7 @@ def cmd_eval(args) -> None:
     rows, labels = _read_table({**config.get("data", {}), "path": args.data})
     data = pack(model.schema, rows, labels)
     metrics = evaluate(model, data, _LABEL_LOSS[model.schema.label_kind])
-    doc = _metrics_doc(metrics)
+    doc = dataclasses.asdict(metrics)
     print(json.dumps(doc, indent=2))
     if args.output:
         out = _out_dir({}, args.output)
@@ -387,16 +379,14 @@ def cmd_sweep(args) -> None:
     data = pack(schema, rows, labels)
 
     keys = sorted(grid)
-    combos = [{}]
-    for key in keys:
-        combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
+    combos = list(itertools.product(*(grid[key] for key in keys)))
     results = []
     base = config.get("train", {})
-    configs = [_train_config({**base, **combo}, schema) for combo in combos]
+    configs = [_train_config({**base, **dict(zip(keys, combo))}, schema) for combo in combos]
     for combo, cfg in zip(combos, configs):
         _, metrics = train(cfg, schema, interaction, data)
         loss = metrics.cross_entropy if cfg.loss == "logloss" else metrics.rmse
-        results.append((*[combo[k] for k in keys], loss))
+        results.append((*combo, loss))
     out = _out_dir(config, args.output)
     _write_tsv(out / "sweep.tsv", keys + ["loss"], results)
     _write_manifest(out, args.argv, config, started)

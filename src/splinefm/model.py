@@ -122,16 +122,16 @@ class FFMFieldConcat(_Interaction):
         return list(G.reshape(m, n, m * k)), {}
 
     def to_doc(self) -> dict:
-        return {"variant": "ffm", "num_fields": self.num_fields, "block_dim": self.block_dim}
+        return {"variant": "ffm", "block_dim": self.block_dim}
 
 
 @dataclass(frozen=True)
 class FwFMScalars(_Interaction):
-    """FwFM: implicit pair matrix s[e, f] * I with a learned symmetric s."""
+    """FwFM: implicit pair matrix s[e, f] * I with a learned symmetric s.
+    Only the pairs e < f are scored; the diagonal of s is never read."""
 
     strengths: np.ndarray = field(repr=False)  # (m, m) symmetric
     dim: int = 4
-    learn: bool = True
 
     def embed_dim(self, field_id: int) -> int:
         return self.dim
@@ -143,77 +143,64 @@ class FwFMScalars(_Interaction):
 
     def grads(self, P, d_score):
         G = [np.zeros_like(p) for p in P]
-        ds = np.zeros_like(self.strengths) if self.learn else None
+        ds = np.zeros_like(self.strengths)
         for e, f in _pairs(len(P)):
             s_ef = self.strengths[e, f]
             G[e] += (s_ef * d_score)[:, None] * P[f]
             G[f] += (s_ef * d_score)[:, None] * P[e]
-            if self.learn:
-                g = float(d_score @ np.einsum("nk,nk->n", P[e], P[f]))
-                ds[e, f] += g
-                ds[f, e] += g
-        return G, {"strengths": ds} if self.learn else {}
+            g = float(d_score @ np.einsum("nk,nk->n", P[e], P[f]))
+            ds[e, f] += g
+            ds[f, e] += g
+        return G, {"strengths": ds}
 
     def tensors(self) -> dict:
-        return {"strengths": self.strengths} if self.learn else {}
+        return {"strengths": self.strengths}
 
     def tensor_parameters(self) -> int:
-        # s[e, f] and s[f, e] are one parameter, stored twice.
+        # One per pair e < f: s[f, e] repeats s[e, f], and no score reads s[e, e].
         m = len(self.strengths)
-        return m * (m + 1) // 2 if self.learn else 0
+        return m * (m - 1) // 2
 
     def to_doc(self) -> dict:
-        return {
-            "variant": "fwfm",
-            "dim": self.dim,
-            "learn": self.learn,
-            "strengths": self.strengths.tolist(),
-        }
+        return {"variant": "fwfm", "dim": self.dim, "strengths": self.strengths.tolist()}
 
 
 @dataclass(frozen=True)
 class FmFMMatrices(_Interaction):
-    """General variant: an explicit matrix per unordered field pair.
+    """General variant: an explicit matrix per pair of distinct fields.
 
-    `matrices[(e, f)]` with e <= f has shape (k_e, k_f); the reversed
-    orientation uses its transpose. Per-field dims may differ. The learned
-    tensors are named "e,f", as in the model document.
+    `matrices[(e, f)]` with e < f has shape (k_e, k_f). Per-field dims may
+    differ. The learned tensors are named "e,f", as in the model document.
     """
 
     dims: tuple  # per-field embedding dims
-    matrices: dict = field(repr=False)  # (e, f) with e <= f -> ndarray
-    learn: bool = True
+    matrices: dict = field(repr=False)  # (e, f) with e < f -> ndarray
 
     def embed_dim(self, field_id: int) -> int:
         return self.dims[field_id]
 
-    def matrix(self, e, f) -> np.ndarray:
-        return self.matrices[(e, f)] if e <= f else self.matrices[(f, e)].T
-
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
-            total += np.einsum("nk,kl,nl->n", P[e], self.matrix(e, f), P[f])
+            total += np.einsum("nk,kl,nl->n", P[e], self.matrices[(e, f)], P[f])
         return total
 
     def grads(self, P, d_score):
         G = [np.zeros_like(p) for p in P]
         dM = {name: np.zeros_like(M) for name, M in self.tensors().items()}
         for e, f in _pairs(len(P)):
-            M = self.matrix(e, f)
+            M = self.matrices[(e, f)]
             G[e] += d_score[:, None] * (P[f] @ M.T)
             G[f] += d_score[:, None] * (P[e] @ M)
-            if self.learn:
-                dM[f"{e},{f}"] += P[e].T @ (d_score[:, None] * P[f])
+            dM[f"{e},{f}"] += P[e].T @ (d_score[:, None] * P[f])
         return G, dM
 
     def tensors(self) -> dict:
-        return {f"{e},{f}": M for (e, f), M in self.matrices.items()} if self.learn else {}
+        return {f"{e},{f}": M for (e, f), M in self.matrices.items()}
 
     def to_doc(self) -> dict:
         return {
             "variant": "fmfm",
             "dims": list(self.dims),
-            "learn": self.learn,
             "matrices": {f"{e},{f}": M.tolist() for (e, f), M in sorted(self.matrices.items())},
         }
 
@@ -273,7 +260,7 @@ def make_interaction(variant: str, schema: DatasetSchema, dim: int) -> Interacti
         return FwFMScalars(strengths=np.ones((m, m)), dim=dim)
     if variant == "fmfm":
         dims = tuple(dim for _ in range(m))
-        matrices = {(e, f): np.eye(dim) for e in range(m) for f in range(e, m)}
+        matrices = {pair: np.eye(dim) for pair in _pairs(m)}
         return FmFMMatrices(dims=dims, matrices=matrices)
     raise ConfigError(f"unknown model variant {variant!r}")
 
@@ -443,7 +430,7 @@ def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: 
 # ---------------------------------------------------------------------------
 # Serialization
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def model_to_dict(model: ModelParams) -> dict:
@@ -479,12 +466,17 @@ def _array(value, what: str, shape: tuple) -> np.ndarray:
 def model_from_dict(doc: dict) -> ModelParams:
     """Rebuild a model from its document. Every array is checked against
     the schema's widths and the interaction's dims and must be finite; a
-    missing entry, a wrong shape, a non-finite value or a schema the
-    schema layer rejects is a DataError."""
+    missing or unknown entry, a wrong shape, a non-finite value, a dim that
+    is not a non-negative integer or a schema the schema layer rejects is a
+    DataError. Only `MODEL_FORMAT_VERSION` is read."""
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise DataError(
+            f"format version {version!r} is not supported; this splinefm reads version "
+            f"{MODEL_FORMAT_VERSION}"
+        )
     try:
         return _model_from_doc(doc)
     except KeyError as exc:
@@ -493,34 +485,42 @@ def model_from_dict(doc: dict) -> ModelParams:
         raise DataError(f"malformed model document: {exc}") from None
 
 
+def _count(value, key: str) -> int:
+    """`value` of the interaction entry `key`, which must be an int >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DataError(f"interaction {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _model_from_doc(doc: dict) -> ModelParams:
     schema = DatasetSchema.from_dict(doc["schema"])
     m = len(schema.fields)
     idoc = doc["interaction"]
     variant = idoc["variant"]
     if variant == "fm":
-        inter = FMIdentity(dim=idoc["dim"])
+        inter = FMIdentity(dim=_count(idoc["dim"], "dim"))
     elif variant == "ffm":
-        if idoc["num_fields"] != m:
-            raise DataError(f"FFM num_fields is {idoc['num_fields']}, the schema has {m} fields")
-        inter = FFMFieldConcat(num_fields=m, block_dim=idoc["block_dim"])
+        inter = FFMFieldConcat(num_fields=m, block_dim=_count(idoc["block_dim"], "block_dim"))
     elif variant == "fwfm":
         strengths = _array(idoc["strengths"], "interaction strengths", (m, m))
-        inter = FwFMScalars(strengths=strengths, dim=idoc["dim"], learn=idoc["learn"])
+        inter = FwFMScalars(strengths=strengths, dim=_count(idoc["dim"], "dim"))
     elif variant == "fmfm":
-        dims = tuple(idoc["dims"])
+        dims = tuple(_count(d, "dims") for d in idoc["dims"])
         if len(dims) != m:
             raise DataError(f"FmFM has {len(dims)} dims, the schema has {m} fields")
-        keys = {f"{e},{f}": (e, f) for e in range(m) for f in range(e, m)}
+        keys = {f"{e},{f}": (e, f) for e, f in _pairs(m)}
         if set(idoc["matrices"]) != set(keys):
-            raise DataError("FmFM pair matrices do not cover exactly the pairs e <= f")
+            raise DataError("FmFM pair matrices do not cover exactly the pairs e < f")
         matrices = {
             (e, f): _array(idoc["matrices"][key], f"pair matrix {key}", (dims[e], dims[f]))
             for key, (e, f) in keys.items()
         }
-        inter = FmFMMatrices(dims=dims, matrices=matrices, learn=idoc["learn"])
+        inter = FmFMMatrices(dims=dims, matrices=matrices)
     else:
         raise DataError(f"unknown model variant {variant!r}")
+    unknown = set(idoc) - set(inter.to_doc())
+    if unknown:
+        raise DataError(f"interaction has unknown entries {', '.join(sorted(unknown))}")
     w0 = float(doc["w0"])
     if not np.isfinite(w0):
         raise DataError("w0 is not finite")

@@ -374,30 +374,12 @@ def encode_row(schema: DatasetSchema, raw: dict) -> tuple[list, list]:
             z = _parse_number(value, f.name)
             # Missing: the quantile median, or the minmax range midpoint.
             first, values = k.basis.eval_sparse(0.5 if math.isnan(z) else k.transform.apply(z))
-            # The nonzero entries in index order, then padding (index 0, value +0.0).
-            kept = [(first + j, x) for j, x in enumerate(values.tolist()) if x != 0.0]
-            kept += [(0, 0.0)] * (len(values) - len(kept))
-            idx.append(np.array([[j for j, _ in kept]], dtype=np.intp))
-            val.append(np.array([[x for _, x in kept]]))
+            idx.append(first + np.arange(values.size)[None, :])
+            val.append(values[None, :])
             continue
         idx.append(np.array([[local]], dtype=np.intp))
         val.append(np.array([[1.0]]))
     return idx, val
-
-
-def _left_aligned(basis: SplineBasis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`basis.eval_batch(u)` with the nonzero entries of each row
-    left-aligned in index order; the zeros after them become padding
-    (index 0, value +0.0). Every step works row by row, so a row's result
-    does not depend on the other points evaluated with it."""
-    first, values = basis.eval_batch(u)
-    order = np.argsort(values == 0.0, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    padding = values == 0.0
-    order += first[:, None]
-    order[padding] = 0
-    values[padding] = 0.0
-    return order, values
 
 
 def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
@@ -405,12 +387,12 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
 
     Returns per-field (n, c_f) arrays `idx` (field-local indices) and
     `val`, with c_f = degree+1 for continuous fields and 1 otherwise.
-    Row r holds the arrays `encode_row` gives for rows[r], bit for bit:
-    the nonzero entries of each field left-aligned in index order, and
-    index 0 with value 0.0 after them. Missing values are encoded as in
-    `encode_row`. Invalid values raise the same errors as `encode_row`;
-    when several fields hold one, the first field in schema order is
-    reported.
+    Row r holds the arrays `encode_row` gives for rows[r], bit for bit: a
+    continuous field's degree+1 active functions at their own indices
+    (`first + arange(degree+1)`; at a knot some of the values are 0.0).
+    Missing values are encoded as in `encode_row`. Invalid values raise
+    the same errors as `encode_row`; when several fields hold one, the
+    first field in schema order is reported.
 
     Continuous fields are parsed and transformed field by field, then
     the basis is evaluated once per group of `schema.basis_groups`, over
@@ -453,7 +435,8 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
         val.append(np.ones((n, 1)))
     for basis, fids in schema.basis_groups.items():
         points = u[fids[0]] if len(fids) == 1 else np.concatenate([u[fid] for fid in fids])
-        g_idx, g_val = _left_aligned(basis, points)
+        first, g_val = basis.eval_batch(points)
+        g_idx = first[:, None] + np.arange(basis.degree + 1)
         for j, fid in enumerate(fids):
             idx[fid] = g_idx[j * n : (j + 1) * n]
             val[fid] = g_val[j * n : (j + 1) * n]

@@ -52,6 +52,12 @@ class QuantileTransform:
         shape = np.shape(self.reference_points)
         if len(shape) != 1 or shape[0] < 2 or np.shape(self.levels) != shape:
             raise ConfigError("quantile transform needs >= 2 reference points, one level each")
+        # Written so that NaN fails each check.
+        points, levels = np.asarray(self.reference_points), np.asarray(self.levels)
+        if not (np.isfinite(points).all() and (np.diff(points) > 0).all()):
+            raise ConfigError("quantile reference points must be finite and strictly increasing")
+        if not ((np.diff(levels) > 0).all() and levels[0] == 0.0 and levels[-1] == 1.0):
+            raise ConfigError("quantile levels must increase strictly from 0 to 1")
 
     @property
     def resolution(self) -> int:

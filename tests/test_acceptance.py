@@ -297,7 +297,7 @@ def _explicit_pair_matrix(inter, e, f):
         P_f = np.zeros((k, m * k))
         P_f[:, f * k : (f + 1) * k] = np.eye(k)
         return P_f.T @ P_e
-    return inter.matrices[(e, f)] if e <= f else inter.matrices[(f, e)].T
+    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
 
 
 def _brute_force(model, entries):

@@ -11,12 +11,14 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinefm.cli import main
+from splinefm.model import load_model
 
 
 def write_dataset(path, n=300, seed=0):
@@ -133,6 +135,42 @@ def test_export_bins_verb(trained, tmp_path):
         rows = list(csv.reader(fh, delimiter="\t"))
     assert rows[0][:4] == ["low", "high", "midpoint", "linear"]
     assert len(rows) == 1 + 16
+
+
+def _export_geometric(model_path, tmp_path):
+    export_cfg = tmp_path / "geometric.yaml"
+    with open(export_cfg, "w") as fh:
+        yaml.safe_dump({"export": {"field": "x", "bins": 8, "mode": "geometric"}}, fh)
+    out = tmp_path / "geometric"
+    return main(["export-bins", str(model_path), str(export_cfg), "--output", str(out)]), out
+
+
+def test_export_bins_geometric_ladder(trained, tmp_path):
+    model = trained["out"] / "model.json"
+    code, out = _export_geometric(model, tmp_path)
+    assert code == 0
+    with open(out / "bins.tsv", newline="") as fh:
+        table = np.array([row[:2] for row in list(csv.reader(fh, delimiter="\t"))[1:]], float)
+    bounds = np.append(table[:, 0], table[-1, 1])
+    transform = load_model(model).schema.field_named("x").kind.transform
+    assert len(bounds) == 9 and transform.inverse(0.0) > 0.0
+    npt.assert_allclose(bounds[[0, -1]], [transform.inverse(0.0), transform.inverse(1.0)],
+                        rtol=1e-12)
+    ratios = bounds[1:] / bounds[:-1]
+    npt.assert_allclose(ratios, ratios[0], rtol=1e-12)
+    assert ratios[0] > 1.0
+
+
+def test_export_bins_geometric_needs_a_positive_domain(trained, tmp_path, capsys):
+    # The quantile transform's first reference point is inverse(0).
+    def zero_low(doc):
+        doc["schema"]["fields"][1]["transform"]["reference_points"][0] = 0.0
+
+    model = _broken_model(tmp_path, trained, "zero_low.json", zero_low)
+    code, out = _export_geometric(model, tmp_path)
+    assert code == 2
+    assert "positive domain" in capsys.readouterr().err
+    assert not (out / "bins.tsv").exists()
 
 
 def test_curves_verb(trained, tmp_path):
@@ -402,6 +440,9 @@ def test_eval_nan_linear_weight_is_data_error(trained, tmp_path, capsys):
     "edit, message",
     [
         (lambda d: d.__setitem__("format_version", 99), "format version 99"),
+        # A format 1 file: its FFM document also held num_fields.
+        (lambda d: d.update(format_version=1, interaction={**d["interaction"], "num_fields": 2}),
+         "format version 1 is not supported"),
         (lambda d: d["interaction"].__setitem__("variant", "xfm"), "variant 'xfm'"),
     ],
 )
@@ -472,12 +513,15 @@ def _continuous_x(doc):
             1, {"name": "x", "kind": "binned", "boundaries": [0.0, 1.0, 1.0]}
         ),
         lambda d: _continuous_x(d)["transform"]["levels"].pop(),
+        lambda d: _continuous_x(d)["transform"]["reference_points"].__setitem__(3, float("nan")),
+        lambda d: _continuous_x(d)["transform"]["levels"].reverse(),
         lambda d: d["schema"]["fields"][0]["vocabulary"].__setitem__("red", 5),
         lambda d: _continuous_x(d).__setitem__("transform", None),
         lambda d: d["schema"]["fields"][0].__setitem__("name", None),
     ],
     ids=["label_kind", "affine_range", "degree", "transform_kind", "field_kind",
-         "duplicate_name", "boundaries", "quantile_levels", "vocabulary_index",
+         "duplicate_name", "boundaries", "quantile_levels", "quantile_nan_point",
+         "quantile_reversed_levels", "vocabulary_index",
          "null_transform", "null_name"],
 )
 def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, edit):

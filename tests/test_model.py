@@ -103,7 +103,7 @@ def explicit_pair_matrix(inter, e, f):
         P_f = np.zeros((k, m * k))
         P_f[:, f * k : (f + 1) * k] = np.eye(k)
         return P_f.T @ P_e  # block f of x against block e of y
-    return inter.matrices[(e, f)] if e <= f else inter.matrices[(f, e)].T
+    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
 
 
 def brute_force_score(model, entries):
@@ -577,9 +577,20 @@ def _doc(variant="fmfm"):
         ("fwfm", lambda d: d["interaction"]["strengths"][0].__setitem__(1, float("nan")),
          "non-finite"),
         ("fmfm", lambda d: d["interaction"]["matrices"]["0,2"].pop(), "pair matrix 0,2"),
-        ("fmfm", lambda d: d["interaction"]["matrices"].pop("1,1"), "pairs"),
+        ("fmfm", lambda d: d["interaction"]["matrices"].__setitem__("1,1", [[0.0] * 3] * 3),
+         "pairs"),
+        ("fmfm", lambda d: d["interaction"]["matrices"].pop("0,1"), "pairs e < f"),
         ("fmfm", lambda d: d["interaction"]["dims"].pop(), "dims"),
         ("fmfm", lambda d: d["V"][1][0].__setitem__(0, float("-inf")), "non-finite"),
+        # The integer entries must be ints >= 0; each message names its key.
+        ("fm", lambda d: d["interaction"].__setitem__("dim", 3.0), "interaction dim must"),
+        ("fwfm", lambda d: d["interaction"].__setitem__("dim", True), "interaction dim must"),
+        ("ffm", lambda d: d["interaction"].__setitem__("block_dim", -1),
+         "interaction block_dim must"),
+        ("fmfm", lambda d: d["interaction"]["dims"].__setitem__(0, 3.0),
+         "interaction dims must"),
+        # What format 1 held and format 2 dropped is not read silently.
+        ("fwfm", lambda d: d["interaction"].__setitem__("learn", False), "unknown entries learn"),
     ],
 )
 def test_model_from_dict_rejects_inconsistent_documents(variant, edit, message):

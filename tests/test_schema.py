@@ -103,6 +103,14 @@ def test_continuous_entries_match_basis_eval():
         assert fid == 0
         dense[i] = value
     npt.assert_array_equal(dense, basis.eval_many([0.3])[0])
+    # The degree+1 active functions sit at their own indices, also on a
+    # knot, where one of them is 0.0.
+    for z in (0.3, float(basis.knots[5]), 1.0):
+        first, values = basis.eval_sparse(z)
+        idx, val = encode_row(schema, {"z": z})
+        assert idx[0].tolist() == [list(range(first, first + 4))]
+        assert val[0].tobytes() == values[None].tobytes()
+    assert (basis.eval_sparse(float(basis.knots[5]))[1] == 0.0).any()
 
 
 def test_row_invariants_and_determinism():

@@ -266,37 +266,51 @@ def test_best_epoch_selection_uses_holdout(variant):
     assert metrics.cross_entropy == pytest.approx(min(holdout_losses), rel=1e-9)
 
 
-def _spec_arrays(inter):
-    """The FwFM strengths or the FmFM pair matrices, learned or not."""
-    if isinstance(inter, FwFMScalars):
-        return {"strengths": inter.strengths}
-    return {f"{e},{f}": M for (e, f), M in inter.matrices.items()}
-
-
 @pytest.mark.parametrize("variant", ("fwfm", "fmfm"))
-@pytest.mark.parametrize("learn", (False, True))
-def test_spec_tensors_move_only_when_learned(variant, learn):
+def test_spec_tensors_move_where_a_score_reads_them(variant):
     schema = mixed_schema()
     rows, labels = random_rows(300, 14)
     data = pack(schema, rows, labels)
-    inter = dataclasses.replace(make_interaction(variant, schema, 2), learn=learn)
-    before = {name: a.copy() for name, a in _spec_arrays(inter).items()}
+    inter = make_interaction(variant, schema, 2)
+    before = {name: a.copy() for name, a in inter.tensors().items()}
     cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
     model, _ = train(cfg, schema, inter, data)
+    m = len(schema.fields)
+    pairs = list(itertools.combinations(range(m), 2))
+    # One free strength per pair e < f (FwFM), one (2, 2) matrix (FmFM).
     plain = 1 + model.w.size + sum(v.size for v in model.V)
-    assert (model.num_parameters > plain) == learn
-    for name, a in _spec_arrays(model.interaction).items():
-        if not learn:
-            assert a.tobytes() == before[name].tobytes(), name
-            continue
-        # Only pairs e < f enter a score: the FwFM diagonal and the FmFM
-        # (e, e) matrices have zero gradients.
-        moved = a != before[name]
-        if variant == "fwfm":
-            assert (moved == ~np.eye(len(a), dtype=bool)).all()
-        else:
-            e, f = map(int, name.split(","))
-            assert moved.all() if e < f else not moved.any(), name
+    assert model.num_parameters == plain + len(pairs) * (1 if variant == "fwfm" else 4)
+    tensors = model.interaction.tensors()
+    if variant == "fwfm":
+        # Only pairs e < f enter a score: the diagonal never moves.
+        moved = tensors["strengths"] != before["strengths"]
+        assert (moved == ~np.eye(m, dtype=bool)).all()
+    else:
+        assert list(tensors) == [f"{e},{f}" for e, f in pairs]
+        for name, a in tensors.items():
+            assert (a != before[name]).all(), name
+
+
+def test_fmfm_trains_the_same_without_diagonal_matrices():
+    # An (e, e) matrix per field, as model format 1 held, is stepped with a
+    # zero gradient, since no score reads it: w, V and every e < f matrix
+    # come out bit for bit as without it.
+    schema = mixed_schema()
+    rows, labels = random_rows(300, 16)
+    data = pack(schema, rows, labels)
+    inter = make_interaction("fmfm", schema, 2)
+    diagonal = {(e, e): np.eye(2) for e in range(len(schema.fields))}
+    with_diagonal = FmFMMatrices(dims=inter.dims, matrices={**inter.matrices, **diagonal})
+    cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
+    model, _ = train(cfg, schema, inter, data)
+    full, _ = train(cfg, schema, with_diagonal, data)
+    assert model.w0 == full.w0
+    # w, the V tables, then the e < f matrices; `full` lists its (e, e) ones last.
+    for a, b in zip(training._tensors(model), training._tensors(full)):
+        assert a.tobytes() == b.tobytes()
+    for pair in diagonal:
+        assert (full.interaction.matrices[pair] == np.eye(2)).all()
+    assert full.num_parameters - model.num_parameters == len(diagonal) * 2 * 2
 
 
 @pytest.mark.parametrize("variant", ("fwfm", "fmfm"))
@@ -305,18 +319,18 @@ def test_train_twice_with_one_spec_leaves_it_unchanged(variant):
     rows, labels = random_rows(300, 15)
     data = pack(schema, rows, labels)
     inter = make_interaction(variant, schema, 2)
-    before = {name: a.copy() for name, a in _spec_arrays(inter).items()}
+    before = {name: a.copy() for name, a in inter.tensors().items()}
     cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
     m1, _ = train(cfg, schema, inter, data)
     m2, _ = train(cfg, schema, inter, data)
-    for name, a in _spec_arrays(inter).items():
+    for name, a in inter.tensors().items():
         assert a.tobytes() == before[name].tobytes(), name
     assert float(m1.w0).hex() == float(m2.w0).hex()
     p1, p2 = _parameters(m1), _parameters(m2)
     assert p1.keys() == p2.keys()
     for name, a in p1.items():
         assert a.tobytes() == p2[name].tobytes(), name
-        assert not any(a is b for b in _spec_arrays(inter).values()), name
+        assert not any(a is b for b in inter.tensors().values()), name
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +508,10 @@ def randomized(model, seed):
 def _parameters(model):
     """Every trainable array of the model, by name; the interaction's
     arrays under the names of its tensors."""
-    out = {"w": model.w, **{f"V{f}": v for f, v in enumerate(model.V)}}
-    inter = model.interaction
-    if isinstance(inter, (FwFMScalars, FmFMMatrices)):
-        out.update(_spec_arrays(inter))
-    return out
+    return {
+        "w": model.w, **{f"V{f}": v for f, v in enumerate(model.V)},
+        **model.interaction.tensors(),
+    }
 
 
 def _dense(model, g):
@@ -519,7 +532,7 @@ def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
     schema = wide_schema()
     rows, labels = wide_rows(24, 13, ids=["0", "3", "7", "unseen"])
     data = pack(schema, rows, labels)
-    assert (data.val[2] == 0.0).any()  # padded spline entries
+    assert (data.val[2] == 0.0).any()  # zero-valued spline entries
     model = randomized(init_params(schema, make_interaction(variant, schema, 3), seed=2), 3)
 
     def loss():
@@ -667,7 +680,7 @@ def _oracle_backward(model, data, P, d_score):
 def test_touched_rows_equal_np_unique(data):
     width = data.draw(st.integers(1, 50))
     n, c = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 5))
-    # Zero is the padding row: draw it often.
+    # Draw row 0 often, so that rows repeat.
     entry = st.just(0) | st.integers(0, width - 1)
     idx = np.array(data.draw(st.lists(entry, min_size=n * c, max_size=n * c)),
                    dtype=np.int64).reshape(n, c)
