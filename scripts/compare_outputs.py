@@ -9,11 +9,16 @@ per segment through its own `splinefm.cli.main`, in a fresh interpreter
 that imports `splinefm` from its source directory. `model.json`,
 `metrics.json`, the printed `eval` metrics, `model_binned.json` and
 `bins.tsv` must be equal byte for byte, and every curve value within
-`CURVE_TOLERANCE`. Prints one line per workload and seed; exits 1 when
-any output differs. For a model file that differs, the line also names
-the top-level entries that differ and the largest absolute gap over
-`w0`, `w`, `V` and the interaction's arrays, which tells a change of the
-file format from a change of the numbers.
+`CURVE_TOLERANCE`. Once per invocation, each side also runs an FwFM
+`sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data and a
+small `synth` (`SYNTH`); `sweep.tsv`, `results.tsv`, `train.csv` and
+`test.csv` must be equal byte for byte, and `curves.tsv` within
+`CURVE_TOLERANCE`. Prints one line per workload and seed and one for
+`sweep` and `synth`; exits 1 when any output differs. For a model file
+that differs, the line also names the top-level entries that differ and
+the largest absolute gap over `w0`, `w`, `V` and the interaction's
+arrays, which tells a change of the file format from a change of the
+numbers.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
@@ -35,6 +41,13 @@ CURVE_TOLERANCE = 1e-12
 SEEDS = (1, 7)
 EXACT = ["model.json", "metrics.json", "eval.json", "export/model_binned.json", "export/bins.tsv"]
 MODELS = {"model.json", "export/model_binned.json"}
+# The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
+# what it sweeps.
+SWEEP_SYNTH_INPUTS = ("paper_synth", 1)
+SWEEP_GRID = {"step_size": [0.05, 0.1], "l2": [0.0, 0.001]}
+SYNTH = {"n_train": 2_000, "n_test": 2_000, "repeats": 1, "interval_counts": [5, 12], "seed": 1}
+SWEEP_SYNTH = "sweep-synth"  # the case name of `sweep` and `synth`
+SWEEP_SYNTH_EXACT = ["sweep/sweep.tsv", "synth/results.tsv", "synth/train.csv", "synth/test.csv"]
 
 
 def write_case(workload: str, seed: int, inputs: Path) -> None:
@@ -43,17 +56,27 @@ def write_case(workload: str, seed: int, inputs: Path) -> None:
     (inputs / "segments.json").write_text(json.dumps(facts["segments"]))
 
 
-def run_side(src: str, inputs: str, out: str, workload: str) -> None:
-    """Run every verb of one workload with the package under `src` on the
-    inputs `write_case` wrote to `inputs`; the outputs go to `out`."""
+def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
+    """Write the `sweep` and `synth` configs; the sweep trains an FwFM on the
+    training data of the workload inputs `workload_inputs`, for 2 epochs."""
+    config = yaml.safe_load((workload_inputs / "config.yaml").read_text())
+    config["model"]["variant"] = "fwfm"
+    config["train"]["epochs"] = 2
+    inputs.mkdir(parents=True, exist_ok=True)
+    (inputs / "sweep.yaml").write_text(yaml.safe_dump({**config, "sweep": {"grid": SWEEP_GRID}}))
+    (inputs / "synth.yaml").write_text(yaml.safe_dump({"synth": SYNTH, "train": {"epochs": 2}}))
+
+
+def run_side(src: str, inputs: str, out: str, case: str) -> None:
+    """Run the verbs of one case with the package under `src`: a workload's
+    on the inputs `write_case` wrote to `inputs`, or `SWEEP_SYNTH`'s on the
+    configs `write_sweep_synth` wrote there. The outputs go to `out`."""
     sys.path.insert(0, src)
     from splinefm import cli
 
     if Path(cli.__file__).resolve().parent != (Path(src) / "splinefm").resolve():
         sys.exit(f"imported splinefm from {cli.__file__}, not from {src}")
-    w = WORKLOADS[workload]
     inputs, out = Path(inputs), Path(out)
-    segments = json.loads((inputs / "segments.json").read_text())
 
     def verb(argv) -> str:
         printed = io.StringIO()
@@ -63,6 +86,12 @@ def run_side(src: str, inputs: str, out: str, workload: str) -> None:
             sys.exit(f"{argv[0]} exited {code}")
         return printed.getvalue()
 
+    if case == SWEEP_SYNTH:
+        verb(["sweep", inputs / "sweep.yaml", "--output", out / "sweep"])
+        verb(["synth", inputs / "synth.yaml", "--output", out / "synth"])
+        return
+    w = WORKLOADS[case]
+    segments = json.loads((inputs / "segments.json").read_text())
     verb(["train", inputs / "config.yaml", "--output", out])
     (out / "eval.json").write_text(verb(["eval", out / "model.json", inputs / "test.csv"]))
     verb(["export-bins", out / "model.json", inputs / "export.yaml", "--output", out / "export"])
@@ -103,15 +132,16 @@ def model_gaps(base: Path, head: Path) -> str:
     return f"entries {', '.join(entries) or 'none'} differ, largest gap {gap:.3g}"
 
 
-def compare(base: Path, head: Path) -> list:
-    """What differs between the outputs of two sides, one line each."""
+def compare(base: Path, head: Path, exact=EXACT, curves="curve*.tsv") -> list:
+    """What differs between the outputs of two sides, one line each: the
+    files `exact`, and the curve files the pattern `curves` matches."""
     diffs = [
         f"{name} ({model_gaps(base / name, head / name)})" if name in MODELS else name
-        for name in EXACT
+        for name in exact
         if (base / name).read_bytes() != (head / name).read_bytes()
     ]
-    base_curves = sorted(p.name for p in base.glob("curve*.tsv"))
-    if base_curves != sorted(p.name for p in head.glob("curve*.tsv")):
+    base_curves = sorted(str(p.relative_to(base)) for p in base.glob(curves))
+    if base_curves != sorted(str(p.relative_to(head)) for p in head.glob(curves)):
         return diffs + ["the curve files"]
     for name in base_curves:
         a, b = _curve(base / name), _curve(head / name)
@@ -134,20 +164,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with contextlib.ExitStack() as stack:
         work = Path(args.work or stack.enter_context(tempfile.TemporaryDirectory()))
+
+        def run(case: str, directory: Path) -> None:
+            for side, src in (("base", args.base), ("head", args.head)):
+                subprocess.run(
+                    [sys.executable, __file__, "--side", str(Path(src).resolve()),
+                     str(directory / "inputs"), str(directory / side), case],
+                    check=True,
+                )
+
         failed = False
         for name in sorted(WORKLOADS):
             for seed in SEEDS:
                 case = work / f"{name}-{seed}"
                 write_case(name, seed, case / "inputs")
-                for side, src in (("base", args.base), ("head", args.head)):
-                    subprocess.run(
-                        [sys.executable, __file__, "--side", str(Path(src).resolve()),
-                         str(case / "inputs"), str(case / side), name],
-                        check=True,
-                    )
+                run(name, case)
                 diffs = compare(case / "base", case / "head")
                 failed |= bool(diffs)
                 print(f"{name} seed {seed}: " + ("; ".join(diffs) or "identical"), flush=True)
+        name, seed = SWEEP_SYNTH_INPUTS
+        case = work / SWEEP_SYNTH
+        write_sweep_synth(work / f"{name}-{seed}" / "inputs", case / "inputs")
+        run(SWEEP_SYNTH, case)
+        diffs = compare(case / "base", case / "head", SWEEP_SYNTH_EXACT, "synth/curves.tsv")
+        failed |= bool(diffs)
+        print(f"sweep and synth on {name} seed {seed}: " + ("; ".join(diffs) or "identical"),
+              flush=True)
     return 1 if failed else 0
 
 

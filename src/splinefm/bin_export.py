@@ -75,27 +75,22 @@ def export_binned(
             stacklevel=2,
         )
 
-    fld = model.schema.field_named(field_name)
-    fid = fld.field_id
+    fid = model.schema.field_named(field_name).field_id
     midpoints = 0.5 * (boundaries[:-1] + boundaries[1:])
     B = kind.basis.eval_many(kind.transform.apply_many(midpoints))
     # Stacked (1, l) @ (l, k) products, one per bin, give the bits of a
     # per-midpoint dense (l,) @ (l, k) product; a single (N, l) @ (l, k)
     # product or an einsum sums in another order and changes the last bits.
     bin_embeddings = (B[:, None, :] @ model.V[fid])[:, 0]
-    bin_linear = (B[:, None, :] @ model.w[fld.offset : fld.offset + fld.width, None])[:, 0, 0]
+    bin_linear = (B[:, None, :] @ model.w[fid][:, None])[:, 0, 0]
 
-    fields = model.schema.fields
     schema = build_schema(
-        [(f.name, binned if f.field_id == fid else f.kind) for f in fields],
+        [(f.name, binned if f.field_id == fid else f.kind) for f in model.schema.fields],
         label_kind=model.schema.label_kind,
     )
-    w = [model.w[f.offset : f.offset + f.width] for f in fields]
-    w[fid] = bin_linear
-    V = [bin_embeddings.copy() if i == fid else v.copy() for i, v in enumerate(model.V)]
-    new_model = ModelParams(
-        schema=schema, interaction=model.interaction, w0=model.w0, w=np.concatenate(w), V=V
-    )
+    w = [(bin_linear if i == fid else a).copy() for i, a in enumerate(model.w)]
+    V = [(bin_embeddings if i == fid else v).copy() for i, v in enumerate(model.V)]
+    new_model = ModelParams(schema=schema, interaction=model.interaction, w0=model.w0, w=w, V=V)
     export = BinnedExport(
         field_id=fid,
         boundaries=boundaries,

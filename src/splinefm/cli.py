@@ -242,13 +242,18 @@ def cmd_export_bins(args) -> None:
     field_name = export_cfg.get("field")
     if field_name is None:
         raise ConfigError("export.field is required")
+    mode, explicit = export_cfg.get("mode", "inverse_cdf"), export_cfg.get("boundaries")
+    if mode == "explicit" and explicit is None:
+        raise ConfigError("export.mode explicit needs export.boundaries")
+    if mode != "explicit" and explicit is not None:
+        raise ConfigError(f"export.boundaries is read only by export.mode explicit, not {mode!r}")
     model = load_model(args.model)
     kind = _continuous_kind(model, field_name)
     boundaries = make_boundaries(
         kind.transform,
         _config_int(export_cfg.get("bins", 200), "export.bins", maximum=MAX_BINS),
-        export_cfg.get("mode", "inverse_cdf"),
-        explicit=export_cfg.get("boundaries"),
+        mode,
+        explicit=explicit,
     )
     exported, export = export_binned(model, field_name, boundaries)
     out = _out_dir(config, args.output)
@@ -283,7 +288,7 @@ def cmd_synth(args) -> None:
     train_cfg = _train_config(config.get("train", {}), schema)
     out = _out_dir(config, args.output)
 
-    rows_tr, y_tr, seg_tr, z_tr = generate(curves, n_train, seed)
+    rows_tr, y_tr, _, _ = generate(curves, n_train, seed)
     rows_te, y_te, _, _ = generate(curves, n_test, seed + 1)
     for name, rows, labels in (("train.csv", rows_tr, y_tr), ("test.csv", rows_te, y_te)):
         _write_tsv(

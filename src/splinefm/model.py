@@ -217,13 +217,13 @@ class ModelParams:
     schema: DatasetSchema
     interaction: InteractionSpec
     w0: float
-    w: np.ndarray  # (total_features,)
+    w: list  # per field: (width_f,) linear weights
     V: list  # per field: (width_f, k_f) embedding rows
 
     @property
     def num_parameters(self) -> int:
-        """w0, w, the V tables and the interaction's learned tensors."""
-        n = 1 + self.w.size + sum(v.size for v in self.V)
+        """w0, the w and V tables and the interaction's learned tensors."""
+        n = 1 + sum(w.size + v.size for w, v in zip(self.w, self.V))
         return n + self.interaction.tensor_parameters()
 
 
@@ -244,7 +244,7 @@ def init_params(
         schema=schema,
         interaction=interaction,
         w0=0.0,
-        w=np.zeros(schema.total_features),
+        w=[np.zeros(f.width) for f in schema.fields],
         V=V,
     )
 
@@ -291,14 +291,11 @@ class PackedData:
 
 def _field_vectors(model: ModelParams, data: PackedData):
     """Reduced per-field vectors P_f (n, k_f) and the linear term (n,)."""
-    schema = model.schema
     P = []
     linear = np.full(data.n, model.w0)
-    for f in schema.fields:
-        fid = f.field_id
-        idx, val = data.idx[fid], data.val[fid]
-        P.append(np.einsum("nc,nck->nk", val, model.V[fid][idx]))
-        linear += np.einsum("nc,nc->n", val, model.w[idx + f.offset])
+    for idx, val, w, V in zip(data.idx, data.val, model.w, model.V):
+        P.append(np.einsum("nc,nck->nk", val, V[idx]))
+        linear += np.einsum("nc,nc->n", val, w[idx])
     return P, linear
 
 
@@ -438,13 +435,15 @@ def model_to_dict(model: ModelParams) -> dict:
 
 
 def _model_head(model: ModelParams) -> dict:
-    """Every entry of `model_to_dict` but the trailing embedding tables."""
+    """Every entry of `model_to_dict` but the trailing embedding tables.
+    The file holds `w` as one flat list, the per-field vectors in schema
+    order; `_model_from_doc` splits it again."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "schema": model.schema.to_dict(),
         "interaction": model.interaction.to_doc(),
         "w0": model.w0,
-        "w": model.w.tolist(),
+        "w": np.concatenate(model.w).tolist() if model.w else [],
     }
 
 
@@ -530,12 +529,11 @@ def _model_from_doc(doc: dict) -> ModelParams:
         _array(v, f"V table of field {f.name!r}", (f.width, inter.embed_dim(f.field_id)))
         for f, v in zip(schema.fields, doc["V"])
     ]
+    w = _array(doc["w"], "w", (schema.total_features,))
+    # `np.split` with no cuts gives one array, so a model with no fields is special.
+    cuts = np.cumsum([f.width for f in schema.fields])[:-1]
     return ModelParams(
-        schema=schema,
-        interaction=inter,
-        w0=w0,
-        w=_array(doc["w"], "w", (schema.total_features,)),
-        V=V,
+        schema=schema, interaction=inter, w0=w0, w=np.split(w, cuts) if m else [], V=V
     )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .splines import SplineBasis, build_uniform
 from .transforms import (
+    DEFAULT_RESOLUTION,
     AffineTransform,
     Transform,
     fit_quantile,
@@ -103,7 +104,6 @@ class FieldSchema:
     field_id: int
     name: str
     kind: FieldKind
-    offset: int  # first global feature index owned by this field
 
     @property
     def width(self) -> int:
@@ -185,12 +185,8 @@ class DatasetSchema:
 
 
 def build_schema(named_kinds, label_kind: str = "binary") -> DatasetSchema:
-    """Assemble a DatasetSchema from (name, kind) pairs, assigning offsets."""
-    fields = []
-    offset = 0
-    for fid, (name, kind) in enumerate(named_kinds):
-        fields.append(FieldSchema(field_id=fid, name=name, kind=kind, offset=offset))
-        offset += kind.width
+    """Assemble a DatasetSchema from (name, kind) pairs, numbering the fields."""
+    fields = [FieldSchema(fid, name, kind) for fid, (name, kind) in enumerate(named_kinds)]
     return DatasetSchema(fields=tuple(fields), label_kind=label_kind)
 
 
@@ -303,6 +299,8 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
             values = values[~np.isnan(values)]
             if values.size == 0:
                 raise DataError(f"field {name!r} has no valid numerical values")
+            if values.min() == values.max():
+                raise DataError(f"field {name!r} is constant: every value is {float(values[0])}")
             if kind == "binned":
                 nbins = _config_int(decl.get("bins"), f"field {name!r}: bins", maximum=MAX_BINS)
                 mode = decl.get("binning", "quantile")
@@ -314,8 +312,6 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
                     )
                 else:
                     raise ConfigError(f"unknown binning mode {mode!r}")
-                if len(bounds) < 2:
-                    raise DataError(f"field {name!r} is constant; cannot bin")
                 named_kinds.append((name, BinnedNumerical(bounds)))
             else:
                 basis = build_uniform(
@@ -325,11 +321,9 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
                 )
                 tmode = decl.get("transform", "quantile")
                 if tmode == "quantile":
-                    transform = fit_quantile(
-                        values,
-                        _config_int(decl.get("resolution", 1000), f"field {name!r}: resolution",
-                                    maximum=MAX_RESOLUTION),
-                    )
+                    resolution = _config_int(decl.get("resolution", DEFAULT_RESOLUTION),
+                                             f"field {name!r}: resolution", maximum=MAX_RESOLUTION)
+                    transform = fit_quantile(values, resolution)
                 elif tmode == "minmax":
                     transform = AffineTransform(float(values.min()), float(values.max()))
                 else:

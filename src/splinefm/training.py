@@ -176,7 +176,7 @@ class _Optimizer:
         # AdaGrad keeps one accumulator per parameter array; SGD keeps None.
         acc = np.zeros_like if config.optimizer == "adagrad" else (lambda a: None)
         self.acc_w0 = 0.0
-        self.acc_w = [acc(model.w[f.offset : f.offset + f.width]) for f in model.schema.fields]
+        self.acc_w = [acc(w) for w in model.w]
         self.acc_V = [acc(v) for v in model.V]
         self.tensors = {name: (t, acc(t)) for name, t in model.interaction.tensors().items()}
 
@@ -189,11 +189,9 @@ class _Optimizer:
             model.w0 -= lr * g_w0 / (math.sqrt(self.acc_w0) + cfg.adagrad_eps)
         else:
             model.w0 -= lr * g_w0
-        for fld, rows, dw, dv in zip(model.schema.fields, g.rows, g.w, g.V):
-            fid = fld.field_id
-            w = model.w[fld.offset : fld.offset + fld.width]
-            self._update(w, self.acc_w[fid], rows, dw)
-            self._update(model.V[fid], self.acc_V[fid], rows, dv)
+        for fid, rows in enumerate(g.rows):
+            self._update(model.w[fid], self.acc_w[fid], rows, g.w[fid])
+            self._update(model.V[fid], self.acc_V[fid], rows, g.V[fid])
         for name, grad in g.tensors.items():
             self._update(*self.tensors[name], slice(None), grad, decay=False)
 
@@ -216,9 +214,9 @@ class _Optimizer:
 
 
 def _tensors(model: ModelParams) -> list:
-    """Every trainable array of the model: w, the V tables and the
+    """Every trainable array of the model: the w and V tables and the
     interaction's learned tensors (w0 is a float)."""
-    return [model.w, *model.V, *model.interaction.tensors().values()]
+    return [*model.w, *model.V, *model.interaction.tensors().values()]
 
 
 def _snapshot(model: ModelParams):

@@ -1,0 +1,174 @@
+"""Independent oracles shared by the tests.
+
+The oracles lay every field's rows out in one global feature index space
+of their own: field after field in schema order, each taking as many
+indices as its width. They read the linear weights as one flat vector,
+`np.concatenate(model.w)`. So they borrow no layout from splinefm, which
+keeps its parameters in per-field tables.
+"""
+import copy
+
+import numpy as np
+
+from splinefm.model import FFMFieldConcat, FMIdentity, FwFMScalars, init_params, make_interaction
+from splinefm.schema import Categorical, encode_row
+
+
+def binary_cat():
+    return Categorical({"0": 0, "1": 1}, unknown_slot=False)
+
+
+def offsets(schema) -> list:
+    """The first global index of each field: the widths before it, summed."""
+    starts, total = [], 0
+    for f in schema.fields:
+        starts.append(total)
+        total += f.width
+    return starts
+
+
+def field_of(schema, idx: int) -> int:
+    """The id of the field whose global index range holds `idx`."""
+    for f, start in zip(schema.fields, offsets(schema)):
+        if start <= idx < start + f.width:
+            return f.field_id
+    raise AssertionError(idx)
+
+
+def entries(schema, raw):
+    """(global index, value, field id) of every nonzero entry `encode_row`
+    gives for `raw`, in field order."""
+    idx, val = encode_row(schema, raw)
+    return [
+        (start + int(i), float(v), f.field_id)
+        for f, start, f_idx, f_val in zip(schema.fields, offsets(schema), idx, val)
+        for i, v in zip(f_idx[0], f_val[0])
+        if v != 0.0
+    ]
+
+
+def random_model(schema, variant, seed, dim=3):
+    """A model with random bias, linear weights and interaction tensors."""
+    rng = np.random.default_rng(seed)
+    inter = make_interaction(variant, schema, dim)
+    if variant == "fwfm":
+        s = rng.normal(size=inter.strengths.shape)
+        inter.strengths[:] = 0.5 * (s + s.T)
+    elif variant == "fmfm":
+        for key in inter.matrices:
+            inter.matrices[key] = rng.normal(size=inter.matrices[key].shape)
+    model = init_params(schema, inter, seed=seed + 1)
+    model.w0 = float(rng.normal())
+    model.w = [rng.normal(size=f.width) for f in schema.fields]
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Scores: explicit pair matrices and a raw double loop over entries
+
+
+def explicit_pair_matrix(inter, e, f):
+    """Materialize M_{e,f} explicitly, independently of the batched kernels."""
+    if isinstance(inter, FMIdentity):
+        return np.eye(inter.dim)
+    if isinstance(inter, FwFMScalars):
+        return inter.strengths[e, f] * np.eye(inter.dim)
+    if isinstance(inter, FFMFieldConcat):
+        k, m = inter.block_dim, inter.num_fields
+        P_e = np.zeros((k, m * k))
+        P_e[:, e * k : (e + 1) * k] = np.eye(k)
+        P_f = np.zeros((k, m * k))
+        P_f[:, f * k : (f + 1) * k] = np.eye(k)
+        return P_f.T @ P_e  # block f of x against block e of y
+    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
+
+
+def brute_force_score(model, entries):
+    """Direct double loop over raw (unreduced) nonzero entries, each a
+    (global index, value, field id)."""
+    schema = model.schema
+    starts = offsets(schema)
+    w = np.concatenate(model.w)
+
+    def embed(idx):
+        fid = field_of(schema, idx)
+        return model.V[fid][idx - starts[fid]]
+
+    score = model.w0
+    for idx, x, _fid in entries:
+        score += x * w[idx]
+    for a in range(len(entries)):
+        for b in range(a + 1, len(entries)):
+            i, xi, _ = entries[a]
+            j, xj, _ = entries[b]
+            M = explicit_pair_matrix(model.interaction, field_of(schema, i), field_of(schema, j))
+            score += (xi * embed(i)) @ M @ (xj * embed(j))
+    return score
+
+
+def sum_reduced_score(model, raw, field_name):
+    """`brute_force_score` of `raw` with the entries of the continuous field
+    `field_name` pre-summed into one synthetic feature, the field's first
+    row, as a sum reduction does."""
+    z = model.schema.field_named(field_name)
+    start = offsets(model.schema)[z.field_id]
+    w = np.concatenate(model.w)
+    summed_p = np.zeros(model.interaction.embed_dim(z.field_id))
+    summed_w = 0.0
+    reduced = []
+    for idx, x, fid in entries(model.schema, raw):
+        if fid == z.field_id:
+            summed_p = summed_p + x * model.V[fid][idx - start]
+            summed_w += x * w[idx]
+        else:
+            reduced.append((idx, x, fid))
+    proxy = copy.deepcopy(model)
+    proxy.V[z.field_id][0] = summed_p
+    proxy.w[z.field_id][0] = summed_w
+    reduced.append((start, 1.0, z.field_id))
+    reduced.sort()
+    return brute_force_score(proxy, reduced)
+
+
+# ---------------------------------------------------------------------------
+# Finite differences over the parameters a batch gradient covers
+
+
+def perturb(model, kind, key, h):
+    """Add `h` to the parameter `touched_params` names by (kind, key)."""
+    if kind == "w0":
+        model.w0 += h
+    elif kind == "w":
+        fid, local = key
+        model.w[fid][local] += h
+    elif kind == "v":
+        fid, local, comp = key
+        model.V[fid][local, comp] += h
+    elif kind == "s":
+        e, f = key
+        model.interaction.strengths[e, f] += h
+        if e != f:
+            model.interaction.strengths[f, e] += h
+    elif kind == "m":
+        pair, r, c = key
+        model.interaction.matrices[pair][r, c] += h
+
+
+def touched_params(grad):
+    """(kind, key, gradient) for every parameter the batch gradient covers.
+    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
+    out = [("w0", None, grad.w0)]
+    for fid, (rows, dw, dv) in enumerate(zip(grad.rows, grad.w, grad.V)):
+        for local, gw, gv in zip(rows, dw, dv):
+            out.append(("w", (fid, local), gw))
+            for comp, gc in enumerate(gv):
+                out.append(("v", (fid, local, comp), gc))
+    for name, g in grad.tensors.items():
+        for pos in np.ndindex(g.shape):
+            if name == "strengths":
+                if pos[0] <= pos[1]:
+                    out.append(("s", pos, g[pos]))
+            else:
+                pair = tuple(int(i) for i in name.split(","))
+                out.append(("m", (pair, *pos), g[pos]))
+    return out

@@ -4,7 +4,6 @@ Each test checks one shipped guarantee at its stated tolerance and
 runtime budget and prints a single pass/fail line so the whole
 contract can be audited from the test log at a glance.
 """
-import copy
 import csv
 import math
 import os
@@ -13,18 +12,23 @@ import time
 import numpy as np
 import pytest
 import yaml
+from oracles import (
+    binary_cat,
+    brute_force_score,
+    offsets,
+    perturb,
+    random_model,
+    sum_reduced_score,
+    touched_params,
+)
 
 from splinefm import training
 from splinefm.bin_export import export_binned, make_boundaries
 from splinefm.cli import main as cli_main
 from splinefm.model import (
-    FFMFieldConcat,
-    FMIdentity,
-    FwFMScalars,
     PackedData,
     fit_pairwise_span,
     fit_span,
-    init_params,
     make_interaction,
     predict_scores,
 )
@@ -33,7 +37,6 @@ from splinefm.schema import (
     Categorical,
     ContinuousNumerical,
     build_schema,
-    encode_row,
     infer_schema,
 )
 from splinefm.splines import build_uniform
@@ -49,10 +52,6 @@ def report(capsys, num, name, ok, detail):
         status = "PASS" if ok else "FAIL"
         print(f"\n[acceptance {num}] {name}: {status} ({detail})", flush=True)
     assert ok, f"acceptance criterion {num} ({name}): {detail}"
-
-
-def binary_cat():
-    return Categorical({"0": 0, "1": 1}, unknown_slot=False)
 
 
 def mixed_schema(num_functions=6):
@@ -73,21 +72,6 @@ def mixed_schema(num_functions=6):
 def scores(model, rows):
     """Raw scores of raw rows under the shipped scorer, `predict_scores`."""
     return predict_scores(model, pack(model.schema, rows, np.zeros(len(rows))))
-
-
-def random_model(schema, variant, seed, dim=3):
-    rng = np.random.default_rng(seed)
-    inter = make_interaction(variant, schema, dim)
-    if variant == "fwfm":
-        s = rng.normal(size=inter.strengths.shape)
-        inter.strengths[:] = 0.5 * (s + s.T)
-    elif variant == "fmfm":
-        for key in inter.matrices:
-            inter.matrices[key] = rng.normal(size=inter.matrices[key].shape)
-    model = init_params(schema, inter, seed=seed + 1)
-    model.w0 = float(rng.normal())
-    model.w = rng.normal(size=model.w.shape)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -205,44 +189,6 @@ def test_acceptance_3_bspline_correctness(capsys):
 # 4. Gradient check
 
 
-def _perturb(model, kind, key, h):
-    if kind == "w0":
-        model.w0 += h
-    elif kind == "w":
-        model.w[key] += h
-    elif kind == "v":
-        fid, local, comp = key
-        model.V[fid][local, comp] += h
-    elif kind == "s":
-        e, f = key
-        model.interaction.strengths[e, f] += h
-        if e != f:
-            model.interaction.strengths[f, e] += h
-    elif kind == "m":
-        pair, r, c = key
-        model.interaction.matrices[pair][r, c] += h
-
-
-def _touched(model, grad):
-    """(kind, key, gradient) for every parameter a batch gradient covers.
-    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
-    out = [("w0", None, grad.w0)]
-    for fld, rows, dw, dv in zip(model.schema.fields, grad.rows, grad.w, grad.V):
-        for local, gw, gv in zip(rows, dw, dv):
-            out.append(("w", fld.offset + local, gw))
-            for comp, gc in enumerate(gv):
-                out.append(("v", (fld.field_id, local, comp), gc))
-    for name, g in grad.tensors.items():
-        for pos in np.ndindex(g.shape):
-            if name == "strengths":
-                if pos[0] <= pos[1]:
-                    out.append(("s", pos, g[pos]))
-            else:
-                pair = tuple(int(i) for i in name.split(","))
-                out.append(("m", (pair, *pos), g[pos]))
-    return out
-
-
 def test_acceptance_4_gradient_check(capsys):
     # The training backward pass (`_batch_backward`) on each row as a batch
     # of one with d_score = 1, against central differences of the row's
@@ -263,13 +209,13 @@ def test_acceptance_4_gradient_check(capsys):
         data = pack(schema, [raw], [0.0])
         P, _ = training._field_vectors(model, data)
         grad = training._batch_backward(model, data, P, np.ones(1))
-        for kind, key, g in _touched(model, grad):
+        for kind, key, g in touched_params(grad):
             kinds.add(kind)
-            _perturb(model, kind, key, h)
+            perturb(model, kind, key, h)
             plus = predict_scores(model, data)[0]
-            _perturb(model, kind, key, -2 * h)
+            perturb(model, kind, key, -2 * h)
             minus = predict_scores(model, data)[0]
-            _perturb(model, kind, key, h)
+            perturb(model, kind, key, h)
             fd = (plus - minus) / (2 * h)
             # Floor keeps roundoff noise in near-zero gradients from
             # masquerading as relative error.
@@ -283,45 +229,6 @@ def test_acceptance_4_gradient_check(capsys):
 
 # ---------------------------------------------------------------------------
 # 5. Brute-force equivalence
-
-
-def _explicit_pair_matrix(inter, e, f):
-    if isinstance(inter, FMIdentity):
-        return np.eye(inter.dim)
-    if isinstance(inter, FwFMScalars):
-        return inter.strengths[e, f] * np.eye(inter.dim)
-    if isinstance(inter, FFMFieldConcat):
-        k, m = inter.block_dim, inter.num_fields
-        P_e = np.zeros((k, m * k))
-        P_e[:, e * k : (e + 1) * k] = np.eye(k)
-        P_f = np.zeros((k, m * k))
-        P_f[:, f * k : (f + 1) * k] = np.eye(k)
-        return P_f.T @ P_e
-    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
-
-
-def _brute_force(model, entries):
-    schema = model.schema
-
-    def field_of(idx):
-        for f in schema.fields:
-            if f.offset <= idx < f.offset + f.width:
-                return f.field_id
-        raise AssertionError(idx)
-
-    score = model.w0
-    for idx, x, _ in entries:
-        score += x * model.w[idx]
-    for a in range(len(entries)):
-        for b in range(a + 1, len(entries)):
-            i, xi, _ = entries[a]
-            j, xj, _ = entries[b]
-            fi, fj = field_of(i), field_of(j)
-            vi = model.V[fi][i - schema.fields[fi].offset]
-            vj = model.V[fj][j - schema.fields[fj].offset]
-            M = _explicit_pair_matrix(model.interaction, fi, fj)
-            score += (xi * vi) @ M @ (xj * vj)
-    return score
 
 
 def test_acceptance_5_brute_force_equivalence(capsys):
@@ -343,36 +250,16 @@ def test_acceptance_5_brute_force_equivalence(capsys):
         value = [rng.normal(size=(n, 1)) for _ in schema.fields]
         got = predict_scores(model, PackedData(idx=local, val=value, y=np.zeros(n)))
         for r in range(n):
-            entries = [(f.offset + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]),
-                        f.field_id) for f in schema.fields]
-            expected = _brute_force(model, entries)
+            entries = [(start + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]),
+                        f.field_id) for f, start in zip(schema.fields, offsets(schema))]
+            expected = brute_force_score(model, entries)
             worst = max(worst, abs(got[r] - expected) / max(abs(expected), 1e-12))
     # Sum-reduced field: pre-sum its entries and apply the same oracle.
-    schema_z = mixed_schema()
-    z_field = schema_z.field_named("z")
     raw = {"a": "1", "b": "q", "z": 0.37}
-    idx, val = encode_row(schema_z, raw)
-    row = [(f.offset + int(i), float(x), f.field_id)
-           for f, f_idx, f_val in zip(schema_z.fields, idx, val)
-           for i, x in zip(f_idx[0], f_val[0]) if x != 0.0]
     for i, variant in enumerate(VARIANTS):
-        model = random_model(schema_z, variant, seed=5100 + i)
+        model = random_model(mixed_schema(), variant, seed=5100 + i)
         score = scores(model, [raw])[0]
-        proxy = copy.deepcopy(model)
-        summed_p = np.zeros(model.interaction.embed_dim(z_field.field_id))
-        summed_w = 0.0
-        reduced = []
-        for idx, x, fid in row:
-            if fid == z_field.field_id:
-                summed_p = summed_p + x * model.V[fid][idx - z_field.offset]
-                summed_w += x * model.w[idx]
-            else:
-                reduced.append((idx, x, fid))
-        proxy.V[z_field.field_id][0] = summed_p
-        proxy.w[z_field.offset] = summed_w
-        reduced.append((z_field.offset, 1.0, z_field.field_id))
-        reduced.sort()
-        expected = _brute_force(proxy, reduced)
+        expected = sum_reduced_score(model, raw, "z")
         worst = max(worst, abs(score - expected) / max(abs(expected), 1e-12))
     ok = worst < 1e-12
     report(capsys, 5, "predict_scores equals the raw double-loop oracle", ok,

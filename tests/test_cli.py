@@ -137,6 +137,25 @@ def test_export_bins_verb(trained, tmp_path):
     assert len(rows) == 1 + 16
 
 
+@pytest.mark.parametrize(
+    "export, message",
+    [
+        ({"mode": "inverse_cdf", "bins": 4, "boundaries": [0, 1, 2]},
+         "export.boundaries is read only by export.mode explicit"),
+        ({"mode": "explicit"}, "export.mode explicit needs export.boundaries"),
+    ],
+    ids=["boundaries_without_explicit", "explicit_without_boundaries"],
+)
+def test_export_boundaries_only_with_explicit_mode(trained, tmp_path, capsys, export, message):
+    export_cfg = tmp_path / "export.yaml"
+    export_cfg.write_text(yaml.safe_dump({"export": {"field": "x", **export}}))
+    out = tmp_path / "exp"
+    model = trained["out"] / "model.json"
+    assert main(["export-bins", str(model), str(export_cfg), "--output", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "bins.tsv").exists()
+
+
 def _export_geometric(model_path, tmp_path):
     export_cfg = tmp_path / "geometric.yaml"
     with open(export_cfg, "w") as fh:
@@ -304,6 +323,28 @@ def test_exit_code_data_error(tmp_path, capsys):
         )
     assert main(["train", str(cfg)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        {"kind": "binned", "bins": 4, "binning": "uniform"},
+        {"kind": "binned", "bins": 4, "binning": "quantile"},
+        {"kind": "continuous", "transform": "quantile"},
+        {"kind": "continuous", "transform": "minmax"},
+    ],
+    ids=["uniform_bins", "quantile_bins", "quantile_transform", "minmax_transform"],
+)
+def test_constant_numerical_column_is_data_error(tmp_path, capsys, decl):
+    data = tmp_path / "d.csv"
+    data.write_text("x,label\n5,0\n5,1\n5,0\n")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data": {"path": str(data)},
+        "schema": {"fields": [{"name": "x", **decl}]},
+    }))
+    assert main(["train", str(cfg), "--output", str(tmp_path / "out")]) == 3
+    assert "data error: field 'x' is constant" in capsys.readouterr().err
 
 
 def test_exit_code_bad_label_column(tmp_path):

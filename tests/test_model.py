@@ -1,10 +1,19 @@
-import copy
 import json
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import (
+    binary_cat,
+    brute_force_score,
+    entries,
+    offsets,
+    perturb,
+    random_model,
+    sum_reduced_score,
+    touched_params,
+)
 
 from splinefm import training
 from splinefm.errors import DataError
@@ -26,22 +35,12 @@ from splinefm.model import (
     save_model,
     segmentized_curve,
 )
-from splinefm.schema import (
-    BinnedNumerical,
-    Categorical,
-    ContinuousNumerical,
-    build_schema,
-    encode_row,
-)
+from splinefm.schema import BinnedNumerical, Categorical, ContinuousNumerical, build_schema
 from splinefm.splines import build_uniform
 from splinefm.training import pack
 from splinefm.transforms import AffineTransform
 
 VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
-
-
-def binary_cat():
-    return Categorical({"0": 0, "1": 1}, unknown_slot=False)
 
 
 def small_schema():
@@ -57,79 +56,6 @@ def small_schema():
 def score(model, raw):
     """The raw score of one raw row."""
     return predict_scores(model, pack(model.schema, [raw], [0.0]))[0]
-
-
-def entries(schema, raw):
-    """(global index, value, field id) of every nonzero entry `encode_row`
-    gives for `raw`, in field order."""
-    idx, val = encode_row(schema, raw)
-    return [
-        (f.offset + int(i), float(v), f.field_id)
-        for f, f_idx, f_val in zip(schema.fields, idx, val)
-        for i, v in zip(f_idx[0], f_val[0])
-        if v != 0.0
-    ]
-
-
-def random_model(schema, variant, seed, dim=3):
-    rng = np.random.default_rng(seed)
-    inter = make_interaction(variant, schema, dim)
-    if variant == "fwfm":
-        s = rng.normal(size=inter.strengths.shape)
-        inter.strengths[:] = 0.5 * (s + s.T)
-    elif variant == "fmfm":
-        for key in inter.matrices:
-            inter.matrices[key] = rng.normal(size=inter.matrices[key].shape)
-    model = init_params(schema, inter, seed=seed + 1)
-    model.w0 = float(rng.normal())
-    model.w = rng.normal(size=model.w.shape)
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: explicit pair matrices + raw double loop
-
-
-def explicit_pair_matrix(inter, e, f):
-    """Materialize M_{e,f} explicitly, independently of the batched kernels."""
-    if isinstance(inter, FMIdentity):
-        return np.eye(inter.dim)
-    if isinstance(inter, FwFMScalars):
-        return inter.strengths[e, f] * np.eye(inter.dim)
-    if isinstance(inter, FFMFieldConcat):
-        k, m = inter.block_dim, inter.num_fields
-        P_e = np.zeros((k, m * k))
-        P_e[:, e * k : (e + 1) * k] = np.eye(k)
-        P_f = np.zeros((k, m * k))
-        P_f[:, f * k : (f + 1) * k] = np.eye(k)
-        return P_f.T @ P_e  # block f of x against block e of y
-    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
-
-
-def brute_force_score(model, entries):
-    """Direct double loop over raw (unreduced) nonzero entries."""
-    schema = model.schema
-    score = model.w0
-
-    def field_of(idx):
-        for f in schema.fields:
-            if f.offset <= idx < f.offset + f.width:
-                return f.field_id
-        raise AssertionError(idx)
-
-    def embed(idx):
-        fid = field_of(idx)
-        return model.V[fid][idx - schema.fields[fid].offset]
-
-    for idx, x, _fid in entries:
-        score += x * model.w[idx]
-    for a in range(len(entries)):
-        for b in range(a + 1, len(entries)):
-            i, xi, _ = entries[a]
-            j, xj, _ = entries[b]
-            M = explicit_pair_matrix(model.interaction, field_of(i), field_of(j))
-            score += (xi * embed(i)) @ M @ (xj * embed(j))
-    return score
 
 
 def identity_schema():
@@ -155,8 +81,8 @@ def test_forward_matches_brute_force_identity_reductions(variant):
     value = [rng.normal(size=(n, 1)) for _ in schema.fields]
     scores = predict_scores(model, PackedData(idx=local, val=value, y=np.zeros(n)))
     for r in range(n):
-        row = [(f.offset + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]),
-                f.field_id) for f in schema.fields]
+        row = [(start + int(local[f.field_id][r, 0]), float(value[f.field_id][r, 0]), f.field_id)
+               for f, start in zip(schema.fields, offsets(schema))]
         expected = brute_force_score(model, row)
         assert scores[r] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -166,27 +92,8 @@ def test_forward_matches_brute_force_with_sum_reduction(variant):
     schema = small_schema()
     model = random_model(schema, variant, seed=3)
     raw = {"a": "1", "b": "q", "z": 0.37}
-    got = score(model, raw)
-    # Pre-sum the continuous field's entries into one synthetic feature,
-    # then apply the same raw double-loop oracle.
-    z_field = schema.field_named("z")
-    summed_p = np.zeros(model.interaction.embed_dim(z_field.field_id))
-    summed_w = 0.0
-    reduced = []
-    for idx, x, fid in entries(schema, raw):
-        if fid == z_field.field_id:
-            summed_p = summed_p + x * model.V[fid][idx - z_field.offset]
-            summed_w += x * model.w[idx]
-        else:
-            reduced.append((idx, x, fid))
-    proxy = copy.deepcopy(model)
-    slot_idx = z_field.offset  # reuse the field's first row as the synthetic feature
-    proxy.V[z_field.field_id][0] = summed_p
-    proxy.w[slot_idx] = summed_w
-    reduced.append((slot_idx, 1.0, z_field.field_id))
-    reduced.sort()
-    expected = brute_force_score(proxy, reduced)
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    expected = sum_reduced_score(model, raw, "z")
+    assert score(model, raw) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_zero_parameters_score_is_bias():
@@ -208,7 +115,7 @@ def test_hand_computed_three_feature_fm():
     )
     model = init_params(schema, FMIdentity(dim=2), seed=0)
     model.w0 = 1.0
-    model.w[:] = [1, 2, 3, 4, 5, 6]
+    model.w = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
     model.V[0][:] = [[1, 0], [0, 1]]
     model.V[1][:] = [[2, 1], [1, 2]]
     model.V[2][:] = [[1, 1], [3, 0]]
@@ -225,7 +132,7 @@ def test_ffm_against_textbook_block_oracle():
     va = model.V[0][1]
     vb = model.V[1][0]
     # Feature of field 0 exposes its field-1 block; vice versa.
-    expected = model.w0 + model.w[1] + model.w[2] + va[2:4] @ vb[0:2]
+    expected = model.w0 + model.w[0][1] + model.w[1][0] + va[2:4] @ vb[0:2]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -233,49 +140,11 @@ def test_ffm_against_textbook_block_oracle():
 # Gradients
 
 
-def perturb(model, kind, key, h):
-    if kind == "w0":
-        model.w0 += h
-    elif kind == "w":
-        model.w[key] += h
-    elif kind == "v":
-        fid, local, comp = key
-        model.V[fid][local, comp] += h
-    elif kind == "s":
-        e, f = key
-        model.interaction.strengths[e, f] += h
-        if e != f:
-            model.interaction.strengths[f, e] += h
-    elif kind == "m":
-        pair, r, c = key
-        model.interaction.matrices[pair][r, c] += h
-
-
 def batch_of_one(model, raw, d_score=1.0):
     """The batched backward pass over the single packed row `raw`."""
     data = pack(model.schema, [raw], [0.0])
     P, _ = training._field_vectors(model, data)
     return training._batch_backward(model, data, P, np.array([d_score]))
-
-
-def touched_params(model, grad):
-    """(kind, key, gradient) for every parameter the batch gradient covers.
-    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
-    out = [("w0", None, grad.w0)]
-    for fld, rows, dw, dv in zip(model.schema.fields, grad.rows, grad.w, grad.V):
-        for local, gw, gv in zip(rows, dw, dv):
-            out.append(("w", fld.offset + local, gw))
-            for comp, gc in enumerate(gv):
-                out.append(("v", (fld.field_id, local, comp), gc))
-    for name, g in grad.tensors.items():
-        for pos in np.ndindex(g.shape):
-            if name == "strengths":
-                if pos[0] <= pos[1]:
-                    out.append(("s", pos, g[pos]))
-            else:
-                pair = tuple(int(i) for i in name.split(","))
-                out.append(("m", (pair, *pos), g[pos]))
-    return out
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -286,7 +155,7 @@ def test_gradients_match_finite_differences(variant):
         model = random_model(schema, variant, seed=seed)
         raw = {"a": "1", "b": ["p", "q", "r"][seed % 3], "z": 0.2 + 0.1 * seed}
         grad = batch_of_one(model, raw)
-        touched = touched_params(model, grad)
+        touched = touched_params(grad)
         assert {kind for kind, _, _ in touched} >= {"w0", "w", "v"}
         for kind, key, g in touched:
             perturb(model, kind, key, h)
@@ -304,7 +173,7 @@ def test_zero_upstream_gradient_is_empty():
     for variant in VARIANTS:
         model = random_model(schema, variant, seed=0)
         grad = batch_of_one(model, {"a": "0", "b": "p", "z": 0.5}, d_score=0.0)
-        assert all(g == 0.0 for _, _, g in touched_params(model, grad))
+        assert all(g == 0.0 for _, _, g in touched_params(grad))
 
 
 def test_linear_weight_gradient_is_entry_value():
@@ -314,9 +183,11 @@ def test_linear_weight_gradient_is_entry_value():
     d = 0.7
     grad = batch_of_one(model, raw, d_score=d)
     values = {idx: x for idx, x, _ in entries(schema, raw)}
-    for kind, idx, g in touched_params(model, grad):
+    starts = offsets(schema)
+    for kind, key, g in touched_params(grad):
         if kind == "w":
-            assert g == pytest.approx(values.get(idx, 0.0) * d, rel=1e-12)
+            fid, local = key
+            assert g == pytest.approx(values.get(starts[fid] + local, 0.0) * d, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +201,7 @@ def test_fwfm_unit_strengths_collapses_to_fm():
         schema=schema,
         interaction=FwFMScalars(strengths=np.ones((3, 3)), dim=3),
         w0=fm.w0,
-        w=fm.w.copy(),
+        w=[a.copy() for a in fm.w],
         V=[v.copy() for v in fm.V],
     )
     for raw in [{"a": "0", "b": "q", "z": 0.1}, {"a": "1", "b": "r", "z": 0.9}]:
@@ -345,7 +216,7 @@ def test_fmfm_identity_matrices_collapses_to_fm():
         schema=schema,
         interaction=FmFMMatrices(dims=(3, 3, 3), matrices=matrices),
         w0=fm.w0,
-        w=fm.w.copy(),
+        w=[a.copy() for a in fm.w],
         V=[v.copy() for v in fm.V],
     )
     raw = {"a": "1", "b": "p", "z": 0.33}
@@ -427,8 +298,7 @@ def test_span_recovers_linear_weights_with_zero_embeddings():
         v[:] = 0.0
     alpha, beta, res = fit_span(model, {"a": "0", "b": "p"}, "z")
     assert res < 1e-9
-    z_field = schema.field_named("z")
-    w_field = model.w[z_field.offset : z_field.offset + z_field.width]
+    w_field = model.w[schema.field_named("z").field_id]
     # Constant-column ambiguity: alpha is determined up to adding a
     # constant to every coefficient (partition of unity).
     shift = alpha - w_field
@@ -496,8 +366,7 @@ def test_model_serialization_bit_exact(variant):
     doc = json.loads(json.dumps(model_to_dict(model)))
     clone = model_from_dict(doc)
     assert clone.w0 == model.w0
-    npt.assert_array_equal(clone.w, model.w)
-    for a, b in zip(clone.V, model.V):
+    for a, b in zip([*clone.w, *clone.V], [*model.w, *model.V], strict=True):
         npt.assert_array_equal(a, b)
     raw = {"a": "1", "b": "q", "z": 0.27}
     assert score(clone, raw) == score(model, raw)
@@ -515,7 +384,7 @@ def test_save_model_bytes_equal_json_dump(variant, tmp_path):
         ]
     )
     model = random_model(schema, variant, seed=23)
-    model.w[3] = -0.0
+    model.w[1][1] = -0.0
     reference = tmp_path / "reference.json"
     with open(reference, "w") as fh:
         json.dump(model_to_dict(model), fh)
@@ -529,6 +398,35 @@ def test_save_model_bytes_equal_json_dump(variant, tmp_path):
     assert (tmp_path / "empty.json").read_bytes() == reference.read_bytes()
     # Zero-dim tables and pair matrices are written as bare `[]` lists.
     assert [v.shape for v in load_model(tmp_path / "empty.json").V] == [v.shape for v in empty.V]
+
+
+def test_model_file_w_is_the_field_vectors_in_schema_order(tmp_path):
+    # The file's one flat `w` is the only place where the fields' linear
+    # weights meet; loading splits it back by field.
+    schema = build_schema(
+        [
+            ("c", Categorical({"p": 0, "q": 1}, unknown_slot=True)),
+            ("b", BinnedNumerical(np.array([0.0, 1.0, 2.0, 4.0]))),
+            ("z", ContinuousNumerical(AffineTransform(0.0, 1.0), build_uniform(6, 3))),
+        ]
+    )
+    model = random_model(schema, "ffm", seed=29)
+    save_model(model, tmp_path / "model.json")
+    w = json.loads((tmp_path / "model.json").read_text())["w"]
+    assert len(w) == 3 + 3 + 6
+    for f, start in zip(schema.fields, offsets(schema)):
+        assert w[start : start + f.width] == model.w[f.field_id].tolist()
+    save_model(load_model(tmp_path / "model.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
+def test_bias_only_model_file_has_an_empty_w(tmp_path):
+    model = init_params(build_schema([]), FMIdentity(dim=2), seed=0)
+    model.w0 = 0.25
+    save_model(model, tmp_path / "model.json")
+    assert json.loads((tmp_path / "model.json").read_text())["w"] == []
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.w == [] and loaded.V == [] and loaded.w0 == 0.25
 
 
 def _traced_peak(fn) -> int:
@@ -568,6 +466,7 @@ def _doc(variant="fmfm"):
         ("fm", lambda d: d["V"][2].pop(), "shape"),
         ("fm", lambda d: d["V"].pop(), "V tables"),
         ("fm", lambda d: d["w"].append(0.0), "shape"),
+        ("fm", lambda d: d["w"].pop(), "shape"),
         ("fm", lambda d: d["V"][0][1].append(0.5), "numeric array"),
         ("fm", lambda d: d.__setitem__("w0", float("inf")), "w0"),
         ("fm", lambda d: d.pop("w"), "'w'"),

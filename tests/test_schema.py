@@ -1,11 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import binary_cat, entries, offsets
 
 from splinefm.errors import ConfigError, DataError
 from splinefm.schema import (
     BinnedNumerical,
-    Categorical,
     ContinuousNumerical,
     DatasetSchema,
     build_schema,
@@ -14,22 +14,6 @@ from splinefm.schema import (
 )
 from splinefm.splines import build_uniform
 from splinefm.transforms import AffineTransform
-
-
-def binary_cat():
-    return Categorical({"0": 0, "1": 1}, unknown_slot=False)
-
-
-def entries(schema, raw):
-    """(global index, value, field id) of every nonzero entry `encode_row`
-    gives for `raw`, in field order."""
-    idx, val = encode_row(schema, raw)
-    return [
-        (f.offset + int(i), float(v), f.field_id)
-        for f, f_idx, f_val in zip(schema.fields, idx, val)
-        for i, v in zip(f_idx[0], f_val[0])
-        if v != 0.0
-    ]
 
 
 def assert_encoded_equal(a, b):
@@ -129,10 +113,9 @@ def test_row_invariants_and_determinism():
     # Continuous field entries sum to 1 (partition of unity).
     z_sum = sum(v for _, v, fid in row if fid == 1)
     assert z_sum == pytest.approx(1.0, abs=1e-12)
-    # Field index ranges never overlap.
+    # Every entry lies in its own field's index range.
     for idx, _, fid in row:
-        f = schema.fields[fid]
-        assert f.offset <= idx < f.offset + f.width
+        assert 0 <= idx - offsets(schema)[fid] < schema.fields[fid].width
 
 
 def test_reduction_assignment():

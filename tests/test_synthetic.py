@@ -130,7 +130,7 @@ def test_emit_curves_identity_for_perfect_spline_model():
     fld = schema.fields[3]
     rng = np.random.default_rng(5)
     coef = rng.normal(size=fld.width)
-    model.w[fld.offset : fld.offset + fld.width] = coef
+    model.w[fld.field_id] = coef
     grid = np.linspace(0.0, 40.0, 81)
     records = emit_curves(model, grid)
     basis = fld.kind.basis

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import binary_cat
 
 from splinefm import training
 from splinefm.errors import ConfigError, DataError
@@ -35,10 +36,6 @@ from splinefm.training import (
 from splinefm.transforms import AffineTransform, fit_quantile
 
 VARIANTS = ("fm", "ffm", "fwfm", "fmfm")
-
-
-def binary_cat():
-    return Categorical({"0": 0, "1": 1}, unknown_slot=False)
 
 
 def mixed_schema():
@@ -136,8 +133,7 @@ def test_same_seed_bit_identical():
     m1, _ = train(cfg, schema, make_interaction("ffm", schema, 2), data)
     m2, _ = train(cfg, schema, make_interaction("ffm", schema, 2), data)
     assert m1.w0 == m2.w0
-    npt.assert_array_equal(m1.w, m2.w)
-    for a, b in zip(m1.V, m2.V):
+    for a, b in zip([*m1.w, *m1.V], [*m2.w, *m2.V], strict=True):
         npt.assert_array_equal(a, b)
 
 
@@ -152,8 +148,7 @@ def test_holdout_rows_never_influence_parameters():
     m1, _ = train(cfg, schema, inter, data, holdout=pack(schema, h1_rows, h1_labels))
     m2, _ = train(cfg, schema, inter, data, holdout=pack(schema, h2_rows, h2_labels))
     assert m1.w0 == m2.w0
-    npt.assert_array_equal(m1.w, m2.w)
-    for a, b in zip(m1.V, m2.V):
+    for a, b in zip([*m1.w, *m1.V], [*m2.w, *m2.V], strict=True):
         npt.assert_array_equal(a, b)
 
 
@@ -207,7 +202,7 @@ def test_evaluate_hand_computed_batch():
     from splinefm.model import init_params
 
     m = init_params(schema, make_interaction("fm", schema, 1), seed=0)
-    m.w[:] = [1.0, -1.0]
+    m.w[0][:] = [1.0, -1.0]
     rows = [{"a": "0"}, {"a": "1"}, {"a": "1"}]
     data = pack(schema, rows, [1.0, 0.0, 1.0])
     p0 = 1 / (1 + math.exp(-1.0))
@@ -278,7 +273,7 @@ def test_spec_tensors_move_where_a_score_reads_them(variant):
     m = len(schema.fields)
     pairs = list(itertools.combinations(range(m), 2))
     # One free strength per pair e < f (FwFM), one (2, 2) matrix (FmFM).
-    plain = 1 + model.w.size + sum(v.size for v in model.V)
+    plain = 1 + sum(a.size for a in (*model.w, *model.V))
     assert model.num_parameters == plain + len(pairs) * (1 if variant == "fwfm" else 4)
     tensors = model.interaction.tensors()
     if variant == "fwfm":
@@ -494,7 +489,8 @@ def randomized(model, seed):
     gradient term is exercised."""
     rng = np.random.default_rng(seed)
     model.w0 = float(rng.normal())
-    model.w[:] = rng.normal(size=model.w.shape)
+    for w in model.w:
+        w[:] = rng.normal(size=w.shape)
     inter = model.interaction
     if isinstance(inter, FwFMScalars):
         s = rng.normal(size=inter.strengths.shape)
@@ -509,7 +505,8 @@ def _parameters(model):
     """Every trainable array of the model, by name; the interaction's
     arrays under the names of its tensors."""
     return {
-        "w": model.w, **{f"V{f}": v for f, v in enumerate(model.V)},
+        **{f"w{f}": w for f, w in enumerate(model.w)},
+        **{f"V{f}": v for f, v in enumerate(model.V)},
         **model.interaction.tensors(),
     }
 
@@ -517,9 +514,9 @@ def _parameters(model):
 def _dense(model, g):
     """The sparse batch gradient scattered onto zero tables."""
     out = {name: np.zeros_like(a) for name, a in _parameters(model).items()}
-    for fld, rows, dw, dv in zip(model.schema.fields, g.rows, g.w, g.V):
-        out["w"][rows + fld.offset] = dw
-        out[f"V{fld.field_id}"][rows] = dv
+    for f, (rows, dw, dv) in enumerate(zip(g.rows, g.w, g.V)):
+        out[f"w{f}"][rows] = dw
+        out[f"V{f}"][rows] = dv
     out.update(g.tensors)
     if "strengths" in out:
         # Pairs e < f read strengths[e, f] only.
@@ -564,12 +561,10 @@ def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
 def _dense_backward(model, data, P, d_score):
     """Reference: dense zero tables filled entry by entry with np.add.at."""
     G, d_tensors = model.interaction.grads(P, d_score)
-    dw = np.zeros_like(model.w)
+    dw = [np.zeros_like(w) for w in model.w]
     dV = [np.zeros_like(v) for v in model.V]
-    for fld in model.schema.fields:
-        fid = fld.field_id
-        idx, val = data.idx[fid], data.val[fid]
-        np.add.at(dw, idx + fld.offset, val * d_score[:, None])
+    for fid, (idx, val) in enumerate(zip(data.idx, data.val)):
+        np.add.at(dw[fid], idx, val * d_score[:, None])
         for c in range(idx.shape[1]):
             np.add.at(dV[fid], idx[:, c], val[:, c, None] * G[fid])
     return float(d_score.sum()), dw, dV, d_tensors
@@ -591,11 +586,15 @@ def reference_train(cfg, schema, interaction, data):
             P, _ = training._field_vectors(model, batch)
             _, d_score = training._loss_and_dscore(cfg.loss, predict_scores(model, batch), batch.y)
             g0, dw, dV, d_tensors = _dense_backward(model, batch, P, d_score / batch.n)
-            grads = {"w": dw, **{f"V{f}": dv for f, dv in enumerate(dV)}, **d_tensors}
+            grads = {
+                **{f"w{f}": a for f, a in enumerate(dw)},
+                **{f"V{f}": a for f, a in enumerate(dV)},
+            }
             if cfg.l2 > 0.0:
                 g0 += cfg.l2 * model.w0
-                for name in ["w", *(f"V{f}" for f in range(len(dV)))]:
-                    grads[name] += cfg.l2 * params[name]
+                for name, grad in grads.items():
+                    grad += cfg.l2 * params[name]
+            grads.update(d_tensors)
             if cfg.optimizer == "sgd":
                 model.w0 -= lr * g0
                 for name, grad in grads.items():
