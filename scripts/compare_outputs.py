@@ -8,12 +8,11 @@ Each side then runs `train`, `eval`, `export-bins` and one `curves` call
 per segment through its own `splinefm.cli.main`, in a fresh interpreter
 that imports `splinefm` from its source directory. `model.json`,
 `metrics.json`, the printed `eval` metrics, `model_binned.json` and
-`bins.tsv` must be equal byte for byte, and every curve value within
-`CURVE_TOLERANCE`. Once per invocation, each side also runs an FwFM
-`sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data and a
-small `synth` (`SYNTH`); `sweep.tsv`, `results.tsv`, `train.csv` and
-`test.csv` must be equal byte for byte, and `curves.tsv` within
-`CURVE_TOLERANCE`. Prints one line per workload and seed and one for
+`bins.tsv` and every curve file must be equal byte for byte. Once per
+invocation, each side also runs an FwFM `sweep` (`SWEEP_GRID`) on the
+`SWEEP_SYNTH_INPUTS` training data and a small `synth` (`SYNTH`);
+`sweep.tsv`, `results.tsv`, `train.csv`, `test.csv` and `curves.tsv`
+must be equal byte for byte. Prints one line per workload and seed and one for
 `sweep` and `synth`; exits 1 when any output differs. For a model file
 that differs, the line also names the top-level entries that differ and
 the largest absolute gap over `w0`, `w`, `V` and the interaction's
@@ -37,7 +36,6 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
-CURVE_TOLERANCE = 1e-12
 SEEDS = (1, 7)
 EXACT = ["model.json", "metrics.json", "eval.json", "export/model_binned.json", "export/bins.tsv"]
 MODELS = {"model.json", "export/model_binned.json"}
@@ -102,11 +100,6 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
               "--grid", f"{lo}:{hi}:{points}", "--output", out / f"curve{i}.tsv"])
 
 
-def _curve(path: Path) -> list:
-    lines = path.read_text().splitlines()
-    return [lines[0]] + [[float(x) for x in line.split("\t")] for line in lines[1:]]
-
-
 def _model_arrays(doc: dict) -> dict:
     """`w0`, `w`, each `V` table and each interaction array of a model
     document, by name."""
@@ -134,25 +127,16 @@ def model_gaps(base: Path, head: Path) -> str:
 
 def compare(base: Path, head: Path, exact=EXACT, curves="curve*.tsv") -> list:
     """What differs between the outputs of two sides, one line each: the
-    files `exact`, and the curve files the pattern `curves` matches."""
+    files `exact`, and the curve files the pattern `curves` matches, each
+    compared byte for byte."""
+    base_curves = sorted(str(p.relative_to(base)) for p in base.glob(curves))
+    same_curves = base_curves == sorted(str(p.relative_to(head)) for p in head.glob(curves))
     diffs = [
         f"{name} ({model_gaps(base / name, head / name)})" if name in MODELS else name
-        for name in exact
+        for name in exact + (base_curves if same_curves else [])
         if (base / name).read_bytes() != (head / name).read_bytes()
     ]
-    base_curves = sorted(str(p.relative_to(base)) for p in base.glob(curves))
-    if base_curves != sorted(str(p.relative_to(head)) for p in head.glob(curves)):
-        return diffs + ["the curve files"]
-    for name in base_curves:
-        a, b = _curve(base / name), _curve(head / name)
-        if a[0] != b[0] or len(a) != len(b):
-            diffs.append(f"{name}: header or length")
-            continue
-        worst = max((abs(x - y) for ra, rb in zip(a[1:], b[1:]) for x, y in zip(ra, rb)),
-                    default=0.0)
-        if not worst <= CURVE_TOLERANCE:
-            diffs.append(f"{name}: differs by {worst:.3g}")
-    return diffs
+    return diffs if same_curves else diffs + ["the curve files"]
 
 
 def main(argv=None) -> int:

@@ -247,6 +247,8 @@ def cmd_export_bins(args) -> None:
         raise ConfigError("export.mode explicit needs export.boundaries")
     if mode != "explicit" and explicit is not None:
         raise ConfigError(f"export.boundaries is read only by export.mode explicit, not {mode!r}")
+    if mode == "explicit" and "bins" in export_cfg:
+        raise ConfigError("export.bins is not read by export.mode explicit; the boundaries set it")
     model = load_model(args.model)
     kind = _continuous_kind(model, field_name)
     boundaries = make_boundaries(

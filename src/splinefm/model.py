@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .schema import ContinuousNumerical, DatasetSchema, encode_row
+from .schema import ContinuousNumerical, DatasetSchema, build_schema, encode_columns, encode_row
 
 __all__ = [
     "FMIdentity",
@@ -309,20 +309,27 @@ def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
 # Segmentized curves and spanning-property fits
 
 
-def _score_rows(model: ModelParams, rows: list) -> np.ndarray:
-    """Raw scores of raw rows, encoded one by one with `encode_row` (the
-    traced benchmark counts its calls per point) and scored in one batch."""
-    if not rows:
+def _score_grid(model: ModelParams, segment: dict, columns: dict) -> np.ndarray:
+    """Raw scores of the segment row with each field named in `columns` taking
+    its column's values in turn: the first point's row is encoded once with
+    `encode_row` and repeated, the varying fields as columns with
+    `encode_columns` (bit for bit `encode_row`'s arrays), and all scored at once."""
+    points = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    if not points:
         return np.empty(0)
-    encoded = [encode_row(model.schema, raw) for raw in rows]
-    idx = [np.concatenate(column) for column in zip(*(i for i, _ in encoded))]
-    val = [np.concatenate(column) for column in zip(*(v for _, v in encoded))]
-    return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(len(rows))))
+    n = len(points)
+    idx, val = encode_row(model.schema, {**segment, **points[0]})
+    idx, val = [np.repeat(a, n, axis=0) for a in idx], [np.repeat(a, n, axis=0) for a in val]
+    varying = [model.schema.field_named(name) for name in columns]
+    grid_schema = build_schema([(f.name, f.kind) for f in varying])
+    for f, i, v in zip(varying, *encode_columns(grid_schema, points)):
+        idx[f.field_id], val[f.field_id] = i, v
+    return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(n)))
 
 
 def segmentized_curve(model: ModelParams, segment: dict, field_name: str, grid):
     """Raw model scores as a function of one field, the rest held fixed."""
-    return _score_rows(model, [{**segment, field_name: z} for z in grid])
+    return _score_grid(model, segment, {field_name: grid})
 
 
 def _continuous_kind(model: ModelParams, field_name: str) -> ContinuousNumerical:
@@ -386,13 +393,13 @@ def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: 
     raw_f = [kind_f.transform.inverse(u) for u in u_f]
 
     # The surface, flattened row by row over (e, f).
-    target = _score_rows(
-        model, [{**segment, field_e: ze, field_f: zf} for ze in raw_e for zf in raw_f]
+    n_e, n_f = len(raw_e), len(raw_f)
+    target = _score_grid(
+        model, segment, {field_e: np.repeat(raw_e, n_f), field_f: np.tile(raw_f, n_e)}
     )
 
     B = kind_e.basis.eval_many(kind_e.transform.apply_many(raw_e))
     C = kind_f.basis.eval_many(kind_f.transform.apply_many(raw_f))
-    n_e, n_f = B.shape[0], C.shape[0]
     ones_e = np.ones((n_e, 1))
     ones_f = np.ones((n_f, 1))
 

@@ -306,6 +306,9 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
                 mode = decl.get("binning", "quantile")
                 if mode == "uniform":
                     bounds = np.linspace(values.min(), values.max(), nbins + 1)
+                    if not (np.diff(bounds) > 0).all():
+                        raise DataError(f"field {name!r}: the range {float(values.min())} to "
+                                        f"{float(values.max())} is too narrow for {nbins} bins")
                 elif mode == "quantile":
                     bounds = np.unique(
                         np.quantile(values, np.linspace(0.0, 1.0, nbins + 1))

@@ -96,6 +96,8 @@ class AffineTransform:
     high: float
 
     def __post_init__(self):
+        object.__setattr__(self, "low", float(self.low))
+        object.__setattr__(self, "high", float(self.high))
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise ConfigError("affine transform bounds must be finite")
         if self.high <= self.low:

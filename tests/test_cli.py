@@ -143,8 +143,10 @@ def test_export_bins_verb(trained, tmp_path):
         ({"mode": "inverse_cdf", "bins": 4, "boundaries": [0, 1, 2]},
          "export.boundaries is read only by export.mode explicit"),
         ({"mode": "explicit"}, "export.mode explicit needs export.boundaries"),
+        ({"mode": "explicit", "bins": 7, "boundaries": [0, 5, 10]},
+         "export.bins is not read by export.mode explicit"),
     ],
-    ids=["boundaries_without_explicit", "explicit_without_boundaries"],
+    ids=["boundaries_without_explicit", "explicit_without_boundaries", "bins_with_explicit"],
 )
 def test_export_boundaries_only_with_explicit_mode(trained, tmp_path, capsys, export, message):
     export_cfg = tmp_path / "export.yaml"

@@ -15,6 +15,7 @@ from oracles import (
     touched_params,
 )
 
+from splinefm import model as model_module
 from splinefm import training
 from splinefm.errors import DataError
 from splinefm.model import (
@@ -33,9 +34,16 @@ from splinefm.model import (
     model_to_dict,
     predict_scores,
     save_model,
+    _score_grid,
     segmentized_curve,
 )
-from splinefm.schema import BinnedNumerical, Categorical, ContinuousNumerical, build_schema
+from splinefm.schema import (
+    BinnedNumerical,
+    Categorical,
+    ContinuousNumerical,
+    build_schema,
+    encode_row,
+)
 from splinefm.splines import build_uniform
 from splinefm.training import pack
 from splinefm.transforms import AffineTransform
@@ -262,9 +270,8 @@ def test_binned_field_curve_is_step_function():
     assert len(np.unique(np.round(curve, 12))) <= 3
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_curve_equals_batch_scores_of_its_rows(variant):
-    schema = build_schema(
+def curve_schema():
+    return build_schema(
         [
             ("a", Categorical({"x": 0, "y": 1}, unknown_slot=True)),
             ("b", BinnedNumerical(np.array([0.0, 1.0, 2.0]))),
@@ -272,15 +279,85 @@ def test_curve_equals_batch_scores_of_its_rows(variant):
             ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
         ]
     )
-    model = random_model(schema, variant, seed=31)
-    # An unseen category and two missing values hold the other fields fixed.
-    segment = {"a": "never-seen", "b": "", "w": "nan"}
-    grid = np.linspace(-0.25, 1.25, 41)
-    rows = [{**segment, "z": z} for z in grid]
-    expected = predict_scores(model, pack(schema, rows, np.zeros(len(rows))))
-    curve = segmentized_curve(model, segment, "z", grid)
-    npt.assert_allclose(curve, expected, rtol=0, atol=1e-12)
-    assert segmentized_curve(model, segment, "z", []).shape == (0,)
+
+
+def full_row_scores(model, rows):
+    """Every raw row encoded whole and scored in one packed batch."""
+    return predict_scores(model, pack(model.schema, rows, np.zeros(len(rows))))
+
+
+# Segments of `curve_schema` that hold the other fields fixed: an unseen
+# category, binned values in and out of range, and missing values.
+CURVE_SEGMENTS = [
+    {"a": "never-seen", "b": "", "w": "nan"},
+    {"a": "x", "b": "1.5", "w": ""},
+    {"a": "y", "b": "-3", "w": "0.25"},
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_curve_equals_batch_scores_of_its_rows(variant):
+    model = random_model(curve_schema(), variant, seed=31)
+    # The grid runs past both ends of z's transform range and holds a missing value.
+    grid = np.append(np.linspace(-0.25, 1.25, 41), np.nan)
+    for segment in CURVE_SEGMENTS:
+        expected = full_row_scores(model, [{**segment, "z": z} for z in grid])
+        curve = segmentized_curve(model, segment, "z", grid)
+        assert curve.tobytes() == expected.tobytes()
+        assert segmentized_curve(model, segment, "z", []).shape == (0,)
+    # A curve over a binned field.
+    segment, grid = {**CURVE_SEGMENTS[1], "z": "0.3"}, np.linspace(-1.0, 3.0, 17)
+    expected = full_row_scores(model, [{**segment, "b": x} for x in grid])
+    assert segmentized_curve(model, segment, "b", grid).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_two_field_grid_equals_batch_scores_of_its_rows(variant):
+    model = random_model(curve_schema(), variant, seed=32)
+    z, w = np.linspace(-0.5, 1.5, 7), np.linspace(-2.0, 2.0, 5)
+    segment = {"a": "x", "b": "0.5"}
+    points = [{**segment, "z": zv, "w": wv} for zv in z for wv in w]
+    grid = _score_grid(model, segment, {"z": np.repeat(z, w.size), "w": np.tile(w, z.size)})
+    assert grid.tobytes() == full_row_scores(model, points).tobytes()
+
+
+def test_curves_and_span_fits_encode_one_row_per_call(monkeypatch):
+    calls = []
+
+    def counted(schema, raw):
+        calls.append(raw)
+        return encode_row(schema, raw)
+
+    monkeypatch.setattr(model_module, "encode_row", counted)
+    model = random_model(two_continuous_schema(), "ffm", seed=33)
+    for fit in (
+        lambda: segmentized_curve(model, {"a": "1", "v": "0.5"}, "u", np.linspace(0, 1, 50)),
+        lambda: fit_span(model, {"a": "0", "v": "1.0"}, "u"),
+        lambda: fit_pairwise_span(model, {"a": "1"}, "u", "v"),
+    ):
+        calls.clear()
+        fit()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "segment, grid, message",
+    [
+        ({"a": "x", "b": "1", "w": "0"}, [0.5, 0.25, np.inf], "field 'z': value inf is not finite"),
+        ({"a": "x", "b": "1", "w": "0"}, [0.5, "inf"], "field 'z': value 'inf' is not finite"),
+        ({"a": "x", "b": "1", "w": "deep"}, [0.5, 0.75],
+         "field 'w': cannot parse 'deep' as a number"),
+        ({"a": "x", "b": "one", "w": "0"}, [np.inf], "field 'b': cannot parse 'one' as a number"),
+    ],
+    ids=["infinite_grid_point", "infinite_grid_text", "unparsable_segment", "segment_first"],
+)
+def test_curve_errors_name_the_first_bad_value(segment, grid, message):
+    # The messages of encoding every grid row whole, first row first: a
+    # data error (exit 3) naming the field and the value.
+    model = random_model(curve_schema(), "fm", seed=34)
+    with pytest.raises(DataError) as exc:
+        segmentized_curve(model, segment, "z", grid)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -416,6 +493,16 @@ def test_model_file_w_is_the_field_vectors_in_schema_order(tmp_path):
     assert len(w) == 3 + 3 + 6
     for f, start in zip(schema.fields, offsets(schema)):
         assert w[start : start + f.width] == model.w[f.field_id].tolist()
+    save_model(load_model(tmp_path / "model.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
+def test_integer_affine_bounds_survive_save_load_save(tmp_path):
+    # `AffineTransform(0, 1)` holds its bounds as floats, so the first file
+    # already writes 0.0 and 1.0 and loading changes nothing.
+    model = random_model(small_schema(), "fm", seed=30)
+    assert type(model.schema.field_named("z").kind.transform.to_dict()["low"]) is float
+    save_model(model, tmp_path / "model.json")
     save_model(load_model(tmp_path / "model.json"), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 

@@ -66,6 +66,15 @@ def test_infer_schema_errors():
         infer_schema([], {"fields": [{"name": "a", "kind": "categorical"}]})
 
 
+def test_uniform_bins_over_a_range_of_a_few_ulps_is_data_error():
+    # Distinct values whose range `np.linspace` cannot split into 4 strictly
+    # increasing bins: the data is at fault, not the config.
+    rows = [{"x": "1.0"}, {"x": "1.0000000000000002"}, {"x": "1.0"}]
+    decl = {"name": "x", "kind": "binned", "bins": 4, "binning": "uniform"}
+    with pytest.raises(DataError, match="field 'x': the range 1.0 to 1.0000000000000002"):
+        infer_schema(rows, {"fields": [decl]})
+
+
 def test_binned_interval_membership():
     kind = BinnedNumerical(np.array([0.0, 1.0, 2.0]))
     assert kind.bin_of(0.5) == 0
