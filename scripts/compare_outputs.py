@@ -3,12 +3,14 @@
 Usage: python3 scripts/compare_outputs.py BASE_SRC HEAD_SRC [--work DIR]
 
 For each benchmark workload and each seed in `SEEDS`, the inputs come from
-`perfbench/workloads.write_inputs`, written once and read by both sides.
-Each side then runs `train`, `eval`, `export-bins` and one `curves` call
-per segment through its own `splinefm.cli.main`, in a fresh interpreter
-that imports `splinefm` from its source directory. `model.json`,
-`metrics.json`, the printed `eval` metrics, `model_binned.json` and
-`bins.tsv` and every curve file must be equal byte for byte. Once per
+`perfbench/workloads.write_inputs`, written once and read by both sides,
+and `write_malformed` writes a malformed but readable copy of the test
+data. Each side then runs `train`, `eval` (on both test files),
+`export-bins` and one `curves` call per segment through its own
+`splinefm.cli.main`, in a fresh interpreter that imports `splinefm` from
+its source directory. `model.json`, `metrics.json`, both printed `eval`
+metrics, `model_binned.json` and `bins.tsv` and every curve file must be
+equal byte for byte. Once per
 invocation, each side also runs an FwFM `sweep` (`SWEEP_GRID`) on the
 `SWEEP_SYNTH_INPUTS` training data and a small `synth` (`SYNTH`);
 `sweep.tsv`, `results.tsv`, `train.csv`, `test.csv` and `curves.tsv`
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -37,7 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 SEEDS = (1, 7)
-EXACT = ["model.json", "metrics.json", "eval.json", "export/model_binned.json", "export/bins.tsv"]
+EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
+         "export/model_binned.json", "export/bins.tsv"]
 MODELS = {"model.json", "export/model_binned.json"}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
@@ -52,6 +56,27 @@ def write_case(workload: str, seed: int, inputs: Path) -> None:
     """Write one workload's inputs, and its curve segments as JSON."""
     facts = write_inputs(WORKLOADS[workload], seed, inputs)
     (inputs / "segments.json").write_text(json.dumps(facts["segments"]))
+    write_malformed(inputs)
+
+
+def write_malformed(inputs: Path) -> None:
+    """Write `malformed.csv`: the rows of `test.csv` with `;` between cells
+    and the label column first, renamed `clicked`, after the first two rows a
+    blank line, then a row short of its last cell (a continuous field, which
+    reads as missing) and a row with an extra cell. `malformed.yaml` gives
+    `eval --config` that delimiter and label column."""
+    with open(inputs / "test.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    first = rows[0].index("label")
+    rows = [[row[first]] + row[:first] + row[first + 1 :] for row in rows]
+    rows[0][0] = "clicked"
+    rows[3] = rows[3][:-1]
+    rows[4] = rows[4] + ["extra"]
+    rows.insert(3, [])
+    with open(inputs / "malformed.csv", "w", newline="") as fh:
+        csv.writer(fh, delimiter=";").writerows(rows)
+    data = {"data": {"delimiter": ";", "label": "clicked"}}
+    (inputs / "malformed.yaml").write_text(yaml.safe_dump(data))
 
 
 def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
@@ -92,6 +117,9 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
     segments = json.loads((inputs / "segments.json").read_text())
     verb(["train", inputs / "config.yaml", "--output", out])
     (out / "eval.json").write_text(verb(["eval", out / "model.json", inputs / "test.csv"]))
+    malformed = ["eval", out / "model.json", inputs / "malformed.csv",
+                 "--config", inputs / "malformed.yaml"]
+    (out / "eval_malformed.json").write_text(verb(malformed))
     verb(["export-bins", out / "model.json", inputs / "export.yaml", "--output", out / "export"])
     lo, hi, points = w.curve_grid
     for i, segment in enumerate(segments):

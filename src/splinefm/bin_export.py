@@ -51,7 +51,7 @@ def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explici
     if num_bins < 1:
         raise ConfigError(f"need at least 1 bin, got {num_bins}")
     if mode == "inverse_cdf":
-        return np.array([transform.inverse(j / num_bins) for j in range(num_bins + 1)])
+        return transform.inverse_many(np.arange(num_bins + 1) / num_bins)
     if mode == "geometric":
         lo, hi = transform.inverse(0.0), transform.inverse(1.0)
         if lo <= 0.0:

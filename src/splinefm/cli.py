@@ -109,6 +109,8 @@ def _reason(exc: Exception) -> str:
 
 
 def _read_table(data_cfg: dict):
+    """Feature columns (by name) and labels of a CSV file. Blank lines are
+    skipped, short rows padded with None and extra cells dropped."""
     path = data_cfg.get("path")
     delimiter = data_cfg.get("delimiter", ",")
     label_col = data_cfg.get("label", "label")
@@ -120,20 +122,33 @@ def _read_table(data_cfg: dict):
         raise ConfigError(f"data.label must be a column name, got {label_col!r}")
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh, delimiter=delimiter))
+            reader = csv.reader(fh, delimiter=delimiter)
+            header, rows, n = next(reader, []), filter(None, reader), 0
+            width, lists = len(header), [[] for _ in header]
+            # A chunk of rows at a time: holding every row's list at once
+            # costs about as much again in garbage collection.
+            while chunk := list(itertools.islice(rows, 4096)):
+                n += len(chunk)
+                if set(map(len, chunk)) != {width}:
+                    chunk = [(row + [None] * width)[:width] for row in chunk]
+                for column, part in zip(lists, zip(*chunk)):
+                    column.extend(part)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read data file {path}: {_reason(exc)}") from None
-    if not rows:
+    if not n:
         raise DataError(f"data file {path} has no rows")
-    if label_col not in rows[0]:
+    columns = dict(zip(header, lists))
+    if label_col not in columns:
         raise DataError(f"label column {label_col!r} not found in {path}")
-    labels = []
-    for i, r in enumerate(rows):
-        try:
-            labels.append(float(r.pop(label_col)))
-        except (TypeError, ValueError):
-            raise DataError(f"row {i}: cannot parse label {r.get(label_col)!r}") from None
-    return rows, np.asarray(labels)
+    cells = columns.pop(label_col)
+    try:
+        return columns, np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except (TypeError, ValueError):
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except (TypeError, ValueError):
+                raise DataError(f"row {i}: cannot parse label {cell!r}") from None
 
 
 def _out_dir(config: dict, override=None) -> Path:
@@ -202,11 +217,11 @@ def _train_config(train_cfg: dict, schema) -> TrainConfig:
 def cmd_train(args) -> None:
     started = time.time()
     config = _load_config(args.config)
-    rows, labels = _read_table(config.get("data", {}))
-    schema = infer_schema(rows, config.get("schema", {}))
+    table, labels = _read_table(config.get("data", {}))
+    schema = infer_schema(table, config.get("schema", {}))
     interaction = _interaction(config, schema)
     train_cfg = _train_config(config.get("train", {}), schema)
-    data = pack(schema, rows, labels)
+    data = pack(schema, table, labels)
 
     def progress(record):
         print(json.dumps(record), flush=True)
@@ -224,8 +239,8 @@ def cmd_eval(args) -> None:
     # The config supplies only how to read DATA: its delimiter and label column.
     config = _load_config(args.config) if args.config else {}
     model = load_model(args.model)
-    rows, labels = _read_table({**config.get("data", {}), "path": args.data})
-    data = pack(model.schema, rows, labels)
+    table, labels = _read_table({**config.get("data", {}), "path": args.data})
+    data = pack(model.schema, table, labels)
     metrics = evaluate(model, data, _LABEL_LOSS[model.schema.label_kind])
     doc = dataclasses.asdict(metrics)
     print(json.dumps(doc, indent=2))
@@ -380,10 +395,10 @@ def cmd_sweep(args) -> None:
             raise ConfigError(f"sweep.grid key {key!r} is not a train parameter")
         if not isinstance(values, list):
             raise ConfigError(f"sweep.grid.{key} must be a list, got {values!r}")
-    rows, labels = _read_table(config.get("data", {}))
-    schema = infer_schema(rows, config.get("schema", {}))
+    table, labels = _read_table(config.get("data", {}))
+    schema = infer_schema(table, config.get("schema", {}))
     interaction = _interaction(config, schema)
-    data = pack(schema, rows, labels)
+    data = pack(schema, table, labels)
 
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[key] for key in keys)))

@@ -314,15 +314,14 @@ def _score_grid(model: ModelParams, segment: dict, columns: dict) -> np.ndarray:
     its column's values in turn: the first point's row is encoded once with
     `encode_row` and repeated, the varying fields as columns with
     `encode_columns` (bit for bit `encode_row`'s arrays), and all scored at once."""
-    points = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    if not points:
+    n = len(next(iter(columns.values())))
+    if not n:
         return np.empty(0)
-    n = len(points)
-    idx, val = encode_row(model.schema, {**segment, **points[0]})
+    idx, val = encode_row(model.schema, {**segment, **{k: v[0] for k, v in columns.items()}})
     idx, val = [np.repeat(a, n, axis=0) for a in idx], [np.repeat(a, n, axis=0) for a in val]
     varying = [model.schema.field_named(name) for name in columns]
     grid_schema = build_schema([(f.name, f.kind) for f in varying])
-    for f, i, v in zip(varying, *encode_columns(grid_schema, points)):
+    for f, i, v in zip(varying, *encode_columns(grid_schema, columns)):
         idx[f.field_id], val[f.field_id] = i, v
     return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(n)))
 
@@ -351,6 +350,15 @@ def _lstsq_minnorm(design: np.ndarray, target: np.ndarray) -> np.ndarray:
 SPAN_GRID_FACTOR = 10
 
 
+def _span_grid(model: ModelParams, field_name: str):
+    """A continuous field's basis size, its span-fit grid (even in u) as raw
+    values, and its basis at the points the encoder sees there."""
+    kind = _continuous_kind(model, field_name)
+    ell = kind.basis.num_functions
+    raw = kind.transform.inverse_many(np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell))
+    return ell, raw, kind.basis.eval_many(kind.transform.apply_many(raw))
+
+
 def fit_span(model: ModelParams, segment: dict, field_name: str):
     """Least-squares fit of a segmentized curve onto the field's basis.
 
@@ -359,14 +367,9 @@ def fit_span(model: ModelParams, segment: dict, field_name: str):
     solution is used and only the residual is meaningful, not the
     individual coefficients.
     """
-    kind = _continuous_kind(model, field_name)
-    ell = kind.basis.num_functions
-    u_grid = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell)
-    raw_grid = [kind.transform.inverse(u) for u in u_grid]
+    ell, raw_grid, B = _span_grid(model, field_name)
     curve = segmentized_curve(model, segment, field_name, raw_grid)
-    # Evaluate the basis at the points the encoder actually sees.
-    u_seen = kind.transform.apply_many(raw_grid)
-    design = np.column_stack([kind.basis.eval_many(u_seen), np.ones(len(u_seen))])
+    design = np.column_stack([B, np.ones(len(raw_grid))])
     coef = _lstsq_minnorm(design, curve)
     max_residual = float(np.max(np.abs(design @ coef - curve)))
     return coef[:ell], float(coef[ell]), max_residual
@@ -383,14 +386,8 @@ def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: 
     remaining residual, so a surface with no interaction between the two
     fields yields vanishing alpha[i, j] for i, j >= 1.
     """
-    kind_e = _continuous_kind(model, field_e)
-    kind_f = _continuous_kind(model, field_f)
-    ell = kind_e.basis.num_functions
-    kappa = kind_f.basis.num_functions
-    u_e = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell)
-    u_f = np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * kappa)
-    raw_e = [kind_e.transform.inverse(u) for u in u_e]
-    raw_f = [kind_f.transform.inverse(u) for u in u_f]
+    ell, raw_e, B = _span_grid(model, field_e)
+    kappa, raw_f, C = _span_grid(model, field_f)
 
     # The surface, flattened row by row over (e, f).
     n_e, n_f = len(raw_e), len(raw_f)
@@ -398,8 +395,6 @@ def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: 
         model, segment, {field_e: np.repeat(raw_e, n_f), field_f: np.tile(raw_f, n_e)}
     )
 
-    B = kind_e.basis.eval_many(kind_e.transform.apply_many(raw_e))
-    C = kind_f.basis.eval_many(kind_f.transform.apply_many(raw_f))
     ones_e = np.ones((n_e, 1))
     ones_f = np.ones((n_f, 1))
 

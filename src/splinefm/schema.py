@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "infer_schema",
     "encode_row",
     "encode_columns",
+    "table_columns",
 ]
 
 
@@ -221,12 +223,26 @@ def _missing_column(name: str) -> DataError:
     return DataError(f"column {name!r} of the schema is missing from the data")
 
 
-def _column(rows, name: str) -> list:
-    """The raw values of column `name`, one per row."""
-    try:
-        return list(map(operator.itemgetter(name), rows))
-    except KeyError:
-        raise _missing_column(name) from None
+def table_columns(table, names) -> tuple[dict, int | None]:
+    """The columns in `names` that a table holds, by name, and its row
+    count: None for a mapping with no column. A table is a mapping of column
+    name -> sequence of cells, every column of one length, or a sequence of
+    row dicts (column name -> cell) whose first row names its columns; a
+    later row without one of them is a DataError."""
+    if isinstance(table, Mapping):
+        lengths = {len(cells) for cells in table.values()}
+        if len(lengths) > 1:
+            raise DataError(f"the columns of a table differ in length: {sorted(lengths)}")
+        return {name: table[name] for name in names if name in table}, next(iter(lengths), None)
+    rows, columns = list(table), {}
+    for name in names:
+        if rows and name not in rows[0]:
+            continue
+        try:
+            columns[name] = list(map(operator.itemgetter(name), rows))
+        except KeyError:
+            raise _missing_column(name) from None
+    return columns, len(rows)
 
 
 def _config_int(value, key: str, minimum=None, maximum=None) -> int:
@@ -260,8 +276,8 @@ FIELD_KEYS = frozenset(
 )
 
 
-def infer_schema(rows, config: dict) -> DatasetSchema:
-    """Build a schema from a raw tabular sample and a config's `schema`
+def infer_schema(table, config: dict) -> DatasetSchema:
+    """Build a schema from a raw sample table and a config's `schema`
     section: `label_kind` ("binary" or "real"; default "binary") and
     `fields`, a list of per-field declarations, each a dict with keys
     (`FIELD_KEYS`):
@@ -276,26 +292,27 @@ def infer_schema(rows, config: dict) -> DatasetSchema:
       resolution: quantile transform resolution (default 1000)
       unknown_slot: reserve an unknown index (categorical; default True)
     """
-    rows = list(rows)
-    if not rows:
+    decls = config.get("fields", [])
+    names = [d.get("name") for d in decls]
+    columns, n = table_columns(table, [name for name in names if isinstance(name, str)])
+    if n == 0:  # None: a mapping with no column (a CSV file of labels only)
         raise DataError("cannot infer a schema from an empty sample")
-    header = set(rows[0].keys())
     named_kinds = []
-    for decl in config.get("fields", []):
+    for decl in decls:
         name = decl.get("name")
         if not isinstance(name, str):
             raise ConfigError(f"field declaration needs a 'name' string, got {name!r}")
-        if name not in header:
+        if name not in columns:
             raise ConfigError(f"declared field {name!r} not found in the sample header")
         kind = decl.get("kind")
         if kind == "categorical":
-            seen = sorted({str(v) for v in _column(rows, name)})
+            seen = sorted({str(v) for v in columns[name]})
             vocab = {v: i for i, v in enumerate(seen)}
             named_kinds.append(
                 (name, Categorical(vocab, unknown_slot=decl.get("unknown_slot", True)))
             )
         elif kind in ("binned", "continuous"):
-            values = _parse_column(_column(rows, name), name)
+            values = _parse_column(columns[name], name)
             values = values[~np.isnan(values)]
             if values.size == 0:
                 raise DataError(f"field {name!r} has no valid numerical values")
@@ -379,12 +396,12 @@ def encode_row(schema: DatasetSchema, raw: dict) -> tuple[list, list]:
     return idx, val
 
 
-def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
-    """Encode raw rows one field column at a time.
+def encode_columns(schema: DatasetSchema, table) -> tuple[list, list]:
+    """Encode the rows of a table one field column at a time.
 
     Returns per-field (n, c_f) arrays `idx` (field-local indices) and
     `val`, with c_f = degree+1 for continuous fields and 1 otherwise.
-    Row r holds the arrays `encode_row` gives for rows[r], bit for bit: a
+    Row r holds the arrays `encode_row` gives for row r, bit for bit: a
     continuous field's degree+1 active functions at their own indices
     (`first + arange(degree+1)`; at a knot some of the values are 0.0).
     Missing values are encoded as in `encode_row`. Invalid values raise
@@ -397,12 +414,18 @@ def encode_columns(schema: DatasetSchema, rows) -> tuple[list, list]:
     arrays are its rows of that one evaluation (views of one array per
     basis).
     """
-    rows = list(rows)
-    n = len(rows)
+    return _encode_columns(schema, *table_columns(table, [f.name for f in schema.fields]))
+
+
+def _encode_columns(schema: DatasetSchema, columns: dict, n) -> tuple[list, list]:
+    """`encode_columns` of the columns and row count `table_columns` gives;
+    `pack` calls it directly, so that a table is turned into columns once."""
     idx, val, u = [], [], {}
     for f in schema.fields:
         k = f.kind
-        column = _column(rows, f.name)
+        column = columns.get(f.name)
+        if column is None:
+            raise _missing_column(f.name)
         if isinstance(k, Categorical):
             lookup = k.vocabulary.get
             codes = np.array([lookup(str(v), -1) for v in column], dtype=np.intp)

@@ -90,16 +90,13 @@ def generate(curves, n: int, seed: int):
         mask = segments == s
         p[mask] = curve_value(curves[s], z[mask])
     labels = (rng.random(n) < p).astype(float)
-    rows = [
-        {
-            "c0": str((s >> 2) & 1),
-            "c1": str((s >> 1) & 1),
-            "c2": str(s & 1),
-            "z": float(zi),
-        }
-        for s, zi in zip(segments, z)
-    ]
+    rows = [{**_segment_cells(s), "z": float(zi)} for s, zi in zip(segments, z)]
     return rows, labels, segments, z
+
+
+def _segment_cells(s) -> dict:
+    """The categorical cells of segment `s`: its three bits, high bit first."""
+    return {f"c{j}": str((s >> (2 - j)) & 1) for j in range(3)}
 
 
 def build_synthetic_schema(strategy: str, intervals: int):
@@ -194,12 +191,7 @@ def emit_curves(model: ModelParams, grid, curves=None) -> list:
     grid = np.asarray(grid, dtype=float)
     records = []
     for s in range(NUM_SEGMENTS):
-        segment = {
-            "c0": str((s >> 2) & 1),
-            "c1": str((s >> 1) & 1),
-            "c2": str(s & 1),
-        }
-        scores = segmentized_curve(model, segment, "z", grid)
+        scores = segmentized_curve(model, _segment_cells(s), "z", grid)
         predicted = 1.0 / (1.0 + np.exp(-scores))
         truth = curve_value(curves[s], grid) if curves is not None else None
         for i, z in enumerate(grid):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, PackedData, _field_vectors, init_params, predict_scores
-from .schema import DatasetSchema, _config_int, encode_columns
+from .schema import DatasetSchema, _config_int, _encode_columns, table_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
 __all__ = [
@@ -83,13 +83,14 @@ class Metrics:
     history: list = field(default_factory=list)
 
 
-def pack(schema: DatasetSchema, rows, labels) -> PackedData:
-    """Encode raw rows (dicts) into fixed-width per-field arrays."""
-    rows = list(rows)
+def pack(schema: DatasetSchema, table, labels) -> PackedData:
+    """Encode a table (columns or row dicts; see `schema.table_columns`) and
+    its labels into fixed-width per-field arrays."""
+    columns, n = table_columns(table, [f.name for f in schema.fields])
     labels = np.asarray(labels, dtype=float)
-    if len(rows) != labels.size:
-        raise DataError(f"{len(rows)} rows but {labels.size} labels")
-    idx, val = encode_columns(schema, rows)
+    if n is not None and n != labels.size:
+        raise DataError(f"{n} rows but {labels.size} labels")
+    idx, val = _encode_columns(schema, columns, n)
     return PackedData(idx=idx, val=val, y=labels)
 
 

@@ -35,6 +35,14 @@ def _check_finite_array(z) -> np.ndarray:
     return z
 
 
+def _check_unit_array(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    outside = ~((u >= 0.0) & (u <= 1.0))  # NaN too
+    if outside.any():
+        raise ConfigError(f"inverse argument must lie in [0, 1], got {float(u[outside][0])!r}")
+    return u
+
+
 @dataclass(frozen=True)
 class QuantileTransform:
     """Piecewise-linear empirical CDF approximation.
@@ -75,10 +83,11 @@ class QuantileTransform:
 
     def inverse(self, u: float) -> float:
         """Piecewise-linear inverse of apply, defined for u in [0, 1]."""
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise ConfigError(f"inverse argument must lie in [0, 1], got {u!r}")
-        return float(np.interp(u, self.levels, self.reference_points))
+        return float(self.inverse_many(u))
+
+    def inverse_many(self, u) -> np.ndarray:
+        """`inverse` over an array."""
+        return np.interp(_check_unit_array(u), self.levels, self.reference_points)
 
     def to_dict(self) -> dict:
         return {
@@ -118,10 +127,11 @@ class AffineTransform:
         return np.where(u > 1.0, 1.0, u)
 
     def inverse(self, u: float) -> float:
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise ConfigError(f"inverse argument must lie in [0, 1], got {u!r}")
-        return self.low + u * (self.high - self.low)
+        return float(self.inverse_many(u))
+
+    def inverse_many(self, u) -> np.ndarray:
+        """`inverse` over an array."""
+        return self.low + _check_unit_array(u) * (self.high - self.low)
 
     def to_dict(self) -> dict:
         return {"kind": "affine", "low": self.low, "high": self.high}

@@ -4,14 +4,19 @@ The oracles lay every field's rows out in one global feature index space
 of their own: field after field in schema order, each taking as many
 indices as its width. They read the linear weights as one flat vector,
 `np.concatenate(model.w)`. So they borrow no layout from splinefm, which
-keeps its parameters in per-field tables.
+keeps its parameters in per-field tables. `read_table` reads a data file
+one dict per row, where splinefm reads it column by column, and
+`scalar_inverse` inverts a transform one Python float at a time.
 """
 import copy
+import csv
 
 import numpy as np
 
+from splinefm.errors import DataError
 from splinefm.model import FFMFieldConcat, FMIdentity, FwFMScalars, init_params, make_interaction
 from splinefm.schema import Categorical, encode_row
+from splinefm.transforms import AffineTransform
 
 
 def binary_cat():
@@ -61,6 +66,42 @@ def random_model(schema, variant, seed, dim=3):
     model.w0 = float(rng.normal())
     model.w = [rng.normal(size=f.width) for f in schema.fields]
     return model
+
+
+# ---------------------------------------------------------------------------
+# Data files and transforms
+
+
+def read_table(path, delimiter=",", label="label"):
+    """(feature columns by name, labels) of a CSV file, as `cli._read_table`
+    reads it, from the rows `csv.DictReader` gives: blank lines skipped,
+    None in the cells a short row lacks, a long row's extra cells under the
+    key None, the last of two same-named columns."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise DataError(f"cannot read data file {path}: {reason}") from None
+    if not rows:
+        raise DataError(f"data file {path} has no rows")
+    if label not in rows[0]:
+        raise DataError(f"label column {label!r} not found in {path}")
+    labels = []
+    for i, row in enumerate(rows):
+        try:
+            labels.append(float(row[label]))
+        except (TypeError, ValueError):
+            raise DataError(f"row {i}: cannot parse label {row[label]!r}") from None
+    names = [name for name in rows[0] if name not in (None, label)]
+    return {name: [row[name] for row in rows] for name in names}, np.array(labels)
+
+
+def scalar_inverse(transform, u: float) -> float:
+    """A transform's inverse at one point, computed on Python floats."""
+    if isinstance(transform, AffineTransform):
+        return transform.low + float(u) * (transform.high - transform.low)
+    return float(np.interp(float(u), transform.levels, transform.reference_points))
 
 
 # ---------------------------------------------------------------------------

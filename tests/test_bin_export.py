@@ -3,6 +3,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import scalar_inverse
 
 from splinefm.bin_export import export_binned, make_boundaries
 from splinefm.errors import ConfigError
@@ -23,7 +24,7 @@ from splinefm.schema import (
 )
 from splinefm.splines import build_uniform
 from splinefm.training import pack
-from splinefm.transforms import AffineTransform, QuantileTransform
+from splinefm.transforms import AffineTransform, QuantileTransform, fit_quantile
 
 
 def scores(model, rows):
@@ -63,6 +64,15 @@ def test_inverse_cdf_boundaries_are_quantiles():
     t = QuantileTransform(ref, np.linspace(0, 1, 5))
     b = make_boundaries(t, 4, "inverse_cdf")
     npt.assert_allclose(b, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("transform", ["quantile", "affine"])
+def test_inverse_cdf_boundaries_equal_per_point_inverse_bitwise(transform):
+    sample = np.random.default_rng(8).lognormal(size=2_000)
+    t = fit_quantile(sample, 500) if transform == "quantile" else AffineTransform(0.3, 7.1)
+    b = make_boundaries(t, 2_000, "inverse_cdf")
+    expected = np.array([scalar_inverse(t, j / 2_000) for j in range(2_001)])
+    assert b.tobytes() == expected.tobytes()
 
 
 def test_geometric_ladder_ratio_two():

@@ -16,8 +16,10 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 
-from splinefm.cli import main
+from splinefm.cli import _read_table, main
+from splinefm.errors import DataError
 from splinefm.model import load_model
 
 
@@ -291,6 +293,27 @@ def test_synth_verb_small(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+def test_label_only_csv_trains_a_bias_only_model(tmp_path, capsys):
+    # A file with no feature column still has its rows.
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n1\n0\n1\n1\n")
+    cfg = tmp_path / "config.yaml"
+    doc = write_config(cfg, data, tmp_path / "run", epochs=1)
+    doc["schema"]["fields"] = []
+    doc["sweep"] = {"grid": {"step_size": [0.05, 0.2]}}
+    cfg.write_text(yaml.safe_dump(doc))
+    for verb in ("train", "sweep"):
+        assert main([verb, str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "run" / "model.json"), str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["sample_count"] == 4
+    doc["schema"]["fields"] = [{"name": "color", "kind": "categorical"}]
+    cfg.write_text(yaml.safe_dump(doc))
+    for verb in ("train", "sweep"):
+        assert main([verb, str(cfg)]) == 2
+        assert "declared field 'color' not found in the sample header" in capsys.readouterr().err
+
+
 # Exit codes
 
 
@@ -1013,3 +1036,86 @@ def test_fuzz_curves(fuzz_base, data):
     argv = ["curves", "model.json", field, "--segment", segment, "--grid", grid]
     with _in_directory(files):
         assert _exit_code(argv) in _EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# The CSV reader against the `csv.DictReader` oracle
+
+
+def _read_outcomes(path, delimiter=",", label="label"):
+    """What `_read_table` and `oracles.read_table` give for one file: the
+    columns as lists and the label bits, or the error message."""
+    outcomes = []
+    for read in (
+        lambda: _read_table({"path": str(path), "delimiter": delimiter, "label": label}),
+        lambda: oracles.read_table(str(path), delimiter, label),
+    ):
+        try:
+            columns, labels = read()
+        except DataError as exc:
+            outcomes.append(str(exc))
+        else:
+            assert labels.dtype == np.float64
+            outcomes.append(({k: list(v) for k, v in columns.items()}, labels.tobytes()))
+    return outcomes
+
+
+@_FUZZ
+@given(content=_csv_bytes())
+def test_read_table_equals_dictreader_oracle_on_fuzzed_files(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("read") / "data.csv"
+    path.write_bytes(content)
+    got, expected = _read_outcomes(path)
+    assert got == expected
+
+
+# More rows than the reader's chunk of 4,096: blank lines at the first
+# chunk's edge, and a short and a long row in later chunks.
+_MANY_ROWS = ["label,x,c"] + [f"{i % 2},{i},a" for i in range(9_000)]
+_MANY_ROWS[4096:4098] = ["", ""]
+_MANY_ROWS[5001], _MANY_ROWS[8201] = "0,5000", "1,8200,b,extra"
+
+_READ_CASES = {
+    "blank_lines": ("x,label\n\n1,0\n\n\n2,1\n\n", {}, ({"x": ["1", "2"]}, [0.0, 1.0])),
+    "short_row": ("c,x,label\na,1,0\nb\n", {}, "row 1: cannot parse label None"),
+    "short_row_label_first": ("label,c,x\n0,a,1\n1,b\n", {},
+                              ({"c": ["a", "b"], "x": ["1", None]}, [0.0, 1.0])),
+    "long_row": ("x,label\n1,0,extra,more\n2,1\n", {}, ({"x": ["1", "2"]}, [0.0, 1.0])),
+    "duplicate_header": ("x,x,label,label\n1,2,0,1\n3,4,1,0\n", {},
+                         ({"x": ["2", "4"]}, [1.0, 0.0])),
+    "semicolon_and_label": ("x;clicked;label\n1,5;1;a\n2;0;b\n",
+                            {"delimiter": ";", "label": "clicked"},
+                            ({"x": ["1,5", "2"], "label": ["a", "b"]}, [1.0, 0.0])),
+    "bad_label": ("x,label\n1,0\n\n2,abc\n3,zz\n", {}, "row 1: cannot parse label 'abc'"),
+    "header_only": ("x,label\n", {}, "data file {path} has no rows"),
+    "empty_file": ("", {}, "data file {path} has no rows"),
+    "no_label_column": ("x,y\n1,2\n", {}, "label column 'label' not found in {path}"),
+    # Checked against the oracle only.
+    "many_rows": ("\n".join(_MANY_ROWS) + "\n", {}, None),
+}
+
+
+@pytest.mark.parametrize("case", _READ_CASES, ids=list(_READ_CASES))
+def test_read_table_named_cases(tmp_path, case):
+    text, data, expected = _READ_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    got, oracle = _read_outcomes(path, **data)
+    assert got == oracle
+    if isinstance(expected, str):
+        assert got == expected.format(path=path)
+    elif expected is not None:
+        assert got == (expected[0], np.array(expected[1]).tobytes())
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_bad_label_exits_3_naming_row_and_cell(trained, tmp_path, capsys, verb):
+    data = tmp_path / "bad.csv"
+    data.write_text("color,x,label\nred,1.5,1\n\nblue,2.5,yes\n")
+    if verb == "train":
+        write_config(tmp_path / "bad.yaml", data, tmp_path / "bad_run")
+        argv = ["train", str(tmp_path / "bad.yaml")]
+    else:
+        argv = ["eval", str(trained["out"] / "model.json"), str(data)]
+    assert main(argv) == 3
+    assert "data error: row 1: cannot parse label 'yes'" in capsys.readouterr().err

@@ -340,6 +340,25 @@ def test_curves_and_span_fits_encode_one_row_per_call(monkeypatch):
         assert len(calls) == 1
 
 
+def test_curves_and_span_fits_encode_their_grid_columns_as_given(monkeypatch):
+    # The grid reaches the column encoder as the one mapping of name -> values,
+    # not as one dict per point.
+    tables, encode = [], model_module.encode_columns
+
+    def recorded(schema, table):
+        tables.append(table)
+        return encode(schema, table)
+
+    monkeypatch.setattr(model_module, "encode_columns", recorded)
+    model = random_model(two_continuous_schema(), "ffm", seed=34)
+    grid = np.linspace(0, 1, 7)
+    segmentized_curve(model, {"a": "1", "v": "0.5"}, "u", grid)
+    fit_pairwise_span(model, {"a": "1"}, "u", "v")
+    assert [list(t) for t in tables] == [["u"], ["u", "v"]]
+    assert tables[0]["u"] is grid
+    assert all(isinstance(c, np.ndarray) for c in tables[1].values())
+
+
 @pytest.mark.parametrize(
     "segment, grid, message",
     [

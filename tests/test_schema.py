@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -64,6 +66,52 @@ def test_infer_schema_errors():
         infer_schema([{"a": 1}], {"fields": [{"name": "missing", "kind": "binned", "bins": 3}]})
     with pytest.raises(DataError):
         infer_schema([], {"fields": [{"name": "a", "kind": "categorical"}]})
+
+
+def test_infer_schema_of_columns_equals_infer_schema_of_row_dicts():
+    rng = np.random.default_rng(4)
+
+    def cells(values):
+        # One cell in ten is missing ("" or None).
+        return [rng.choice(["", None]) if rng.random() < 0.1 else repr(float(v)) for v in values]
+
+    n = 300
+    columns = {
+        "open": [str(v) for v in rng.choice(["a", "b", "c"], n)],
+        "closed": [str(v) for v in rng.choice(["x", "y"], n)],
+        "binq": cells(rng.lognormal(size=n)),
+        "binu": cells(rng.integers(0, 50, n)),
+        "cq": cells(rng.normal(size=n)),
+        "cm": cells(rng.random(n)),
+        "unused": ["u"] * n,
+    }
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    decls = [
+        {"name": "open", "kind": "categorical"},
+        {"name": "closed", "kind": "categorical", "unknown_slot": False},
+        {"name": "binq", "kind": "binned", "bins": 5},
+        {"name": "binu", "kind": "binned", "bins": 4, "binning": "uniform"},
+        {"name": "cq", "kind": "continuous", "num_functions": 6, "resolution": 40},
+        {"name": "cm", "kind": "continuous", "transform": "minmax"},
+    ]
+    for config in ({"fields": decls}, {"label_kind": "real"}):
+        assert infer_schema(columns, config).to_dict() == infer_schema(rows, config).to_dict()
+    for config, table in (({"fields": [{"name": "nope", "kind": "categorical"}]}, columns),
+                          ({"fields": decls}, {"open": []})):
+        with pytest.raises((ConfigError, DataError)) as want:
+            infer_schema(rows if table is columns else [], config)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            infer_schema(table, config)
+    # A mapping with no columns (a CSV file of labels only) does not say
+    # how many rows it has, so it is no empty sample: as rows of no cells.
+    assert infer_schema({}, {}) == infer_schema([{}], {})
+    with pytest.raises(ConfigError, match="^declared field 'open' not found in the sample header$"):
+        infer_schema({}, {"fields": decls})
+    # Row dicts: the first row is the header; a later row without a cell
+    # for a declared field is at fault, not the config.
+    with pytest.raises(DataError, match="^column 'cq' of the schema is missing from the data$"):
+        infer_schema(rows[:5] + [{k: v for k, v in rows[5].items() if k != "cq"}],
+                     {"fields": decls})
 
 
 def test_uniform_bins_over_a_range_of_a_few_ulps_is_data_error():

@@ -413,6 +413,68 @@ def test_property_pack_raises_what_encode_row_raises(case):
         assert_rows_bitwise(schema, rows, pack(schema, rows, np.zeros(len(rows))))
 
 
+def _as_columns(schema, rows) -> dict:
+    """The row dicts `rows` of a table with the schema's columns, as columns."""
+    return {f.name: [row[f.name] for row in rows] for f in schema.fields}
+
+
+def _outcome(build):
+    """What `build()` returns, or the message of the DataError it raises."""
+    try:
+        return build()
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_packed_identical(got, want):
+    assert isinstance(got, training.PackedData) and isinstance(want, training.PackedData)
+    assert len(got.idx) == len(want.idx)
+    for a, b in zip([*got.idx, *got.val, got.y], [*want.idx, *want.val, want.y], strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=schemas_and_rows(closed_values=("x", "y", "unseen")))
+def test_property_pack_of_columns_equals_pack_of_row_dicts(case):
+    # Every field kind, missing cells and unseen categories with and
+    # without an unknown slot (the latter raises the same error either way).
+    schema, rows = case
+    labels = np.arange(len(rows), dtype=float)
+    got = _outcome(lambda: pack(schema, _as_columns(schema, rows), labels))
+    want = _outcome(lambda: pack(schema, rows, labels))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_packed_identical(got, want)
+
+
+def test_pack_of_a_bias_only_schema_counts_rows_by_labels():
+    schema = build_schema([])
+    labels = np.array([1.0, 0.0, 1.0])
+    want = pack(schema, [{}, {"x": "1"}, {}], labels)
+    assert want.n == 3 and want.idx == [] and want.val == []
+    for table in ({}, {"x": ["1", "2", "3"]}):
+        assert_packed_identical(pack(schema, table, labels), want)
+    for table in ([{}, {}], {"x": ["1", "2"]}):
+        with pytest.raises(DataError, match="^2 rows but 3 labels$"):
+            pack(schema, table, labels)
+
+
+def test_pack_of_columns_raises_what_pack_of_row_dicts_raises():
+    schema = mixed_schema()
+    rows, labels = random_rows(4, 5)
+    rows[2]["z"] = "bad"
+    without_b = [{k: v for k, v in row.items() if k != "b"} for row in rows]
+    for table in (rows, without_b):
+        with pytest.raises(DataError) as want:
+            pack(schema, table, labels)
+        with pytest.raises(DataError) as got:
+            pack(schema, {k: [row[k] for row in table] for k in table[0]}, labels)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DataError, match="the columns of a table differ in length"):
+        pack(schema, {**_as_columns(schema, rows), "extra": [1]}, labels)
+
+
 @pytest.mark.parametrize("n", [0, 30])
 def test_pack_evaluates_each_distinct_basis_once(monkeypatch, n):
     shared, other = build_uniform(8, 3), build_uniform(5, 2)

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_inverse
 from scipy.stats import kstest
 
 from splinefm.errors import ConfigError, DataError
@@ -138,3 +139,34 @@ def test_apply_many_rejects_non_finite():
             t.apply_many([0.5, float("inf")])
         with pytest.raises(ConfigError):
             t.apply_many([float("nan")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sample=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40).filter(
+        lambda v: min(v) < max(v)
+    ),
+    resolution=st.integers(min_value=1, max_value=30),
+    u=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=30),
+)
+def test_property_inverse_many_equals_inverse_bitwise(sample, resolution, u):
+    quantile = fit_quantile(sample, resolution)
+    affine = AffineTransform(min(sample), max(sample))
+    # The levels exactly, the ends, -0.0 and a linspace as the span fits use.
+    u = u + quantile.levels.tolist() + [0.0, -0.0, 1.0] + np.linspace(0, 1, 17).tolist()
+    for t in (quantile, affine):
+        batch = t.inverse_many(np.array(u))
+        assert batch.shape == (len(u),)
+        for single in ([t.inverse(x) for x in u], [scalar_inverse(t, x) for x in u]):
+            npt.assert_array_equal(batch.view(np.uint64), np.array(single).view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [-1e-9, 1.5, float("nan"), float("inf")])
+def test_inverse_many_rejects_what_inverse_rejects(bad):
+    for t in (fit_quantile([1, 2, 3], 2), AffineTransform(0.0, 1.0)):
+        with pytest.raises(ConfigError) as single:
+            t.inverse(bad)
+        with pytest.raises(ConfigError) as batch:
+            t.inverse_many([0.0, 0.5, bad, 2.0])
+        assert str(batch.value) == str(single.value)
+        assert str(single.value) == f"inverse argument must lie in [0, 1], got {bad!r}"
