@@ -8,18 +8,21 @@ and `write_malformed` writes a malformed but readable copy of the test
 data. Each side then runs `train`, `eval` (on both test files),
 `export-bins` and one `curves` call per segment through its own
 `splinefm.cli.main`, in a fresh interpreter that imports `splinefm` from
-its source directory. `model.json`, `metrics.json`, both printed `eval`
-metrics, `model_binned.json` and `bins.tsv` and every curve file must be
-equal byte for byte. Once per
-invocation, each side also runs an FwFM `sweep` (`SWEEP_GRID`) on the
-`SWEEP_SYNTH_INPUTS` training data and a small `synth` (`SYNTH`);
-`sweep.tsv`, `results.tsv`, `train.csv`, `test.csv` and `curves.tsv`
-must be equal byte for byte. Prints one line per workload and seed and one for
-`sweep` and `synth`; exits 1 when any output differs. For a model file
-that differs, the line also names the top-level entries that differ and
-the largest absolute gap over `w0`, `w`, `V` and the interaction's
-arrays, which tells a change of the file format from a change of the
-numbers.
+its source directory. `export-bins` runs twice: once on the workload's
+`export.yaml` (`inverse_cdf` mode) and once on `export_explicit.yaml`,
+which `write_explicit_export` writes: `explicit` mode with the same field
+and bin count, its boundaries evenly spaced over the field's range in
+`train.csv`. `model.json`, `metrics.json`, both printed `eval` metrics,
+`model_binned.json` and `bins.tsv` of both exports and every curve file
+must be equal byte for byte. Once per invocation, each side also runs an
+FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data and
+a small `synth` (`SYNTH`); `sweep.tsv`, `results.tsv`, `train.csv`,
+`test.csv` and `curves.tsv` must be equal byte for byte. Prints one line
+per workload and seed and one for `sweep` and `synth`; exits 1 when any
+output differs. For a model file that differs, the line also names the
+top-level entries that differ and the largest absolute gap over `w0`, `w`,
+`V` and the interaction's arrays, which tells a change of the file format
+from a change of the numbers.
 """
 from __future__ import annotations
 
@@ -40,9 +43,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 SEEDS = (1, 7)
+EXPORTS = ("export", "export_explicit")  # output directories of the two exports
 EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
-         "export/model_binned.json", "export/bins.tsv"]
-MODELS = {"model.json", "export/model_binned.json"}
+         *(f"{d}/{name}" for d in EXPORTS for name in ("model_binned.json", "bins.tsv"))]
+MODELS = {"model.json", *(f"{d}/model_binned.json" for d in EXPORTS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
 SWEEP_SYNTH_INPUTS = ("paper_synth", 1)
@@ -57,6 +61,19 @@ def write_case(workload: str, seed: int, inputs: Path) -> None:
     facts = write_inputs(WORKLOADS[workload], seed, inputs)
     (inputs / "segments.json").write_text(json.dumps(facts["segments"]))
     write_malformed(inputs)
+    write_explicit_export(inputs)
+
+
+def write_explicit_export(inputs: Path) -> None:
+    """Write `export_explicit.yaml`: the field and bin count of `export.yaml`
+    in `explicit` mode, with boundaries evenly spaced from the field's least
+    to its greatest value in `train.csv`."""
+    export = yaml.safe_load((inputs / "export.yaml").read_text())["export"]
+    with open(inputs / "train.csv", newline="") as fh:
+        values = [float(row[export["field"]]) for row in csv.DictReader(fh)]
+    boundaries = np.linspace(min(values), max(values), export["bins"] + 1).tolist()
+    explicit = {"field": export["field"], "mode": "explicit", "boundaries": boundaries}
+    (inputs / "export_explicit.yaml").write_text(yaml.safe_dump({"export": explicit}))
 
 
 def write_malformed(inputs: Path) -> None:
@@ -120,7 +137,8 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
     malformed = ["eval", out / "model.json", inputs / "malformed.csv",
                  "--config", inputs / "malformed.yaml"]
     (out / "eval_malformed.json").write_text(verb(malformed))
-    verb(["export-bins", out / "model.json", inputs / "export.yaml", "--output", out / "export"])
+    for config, directory in zip(("export.yaml", "export_explicit.yaml"), EXPORTS):
+        verb(["export-bins", out / "model.json", inputs / config, "--output", out / directory])
     lo, hi, points = w.curve_grid
     for i, segment in enumerate(segments):
         spec = ",".join(f"{k}={v}" for k, v in segment.items())

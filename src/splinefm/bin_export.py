@@ -18,6 +18,8 @@ from .schema import BinnedNumerical, build_schema
 
 __all__ = ["BinnedExport", "make_boundaries", "export_binned"]
 
+_LINE_ROWS = 256  # bins per chunk `BinnedExport.lines` turns into Python floats
+
 
 @dataclass(frozen=True)
 class BinnedExport:
@@ -31,12 +33,13 @@ class BinnedExport:
     def num_bins(self) -> int:
         return len(self.boundaries) - 1
 
-    def table(self) -> list:
-        """Human-readable rows: (low, high, midpoint, linear, embedding...)."""
+    def lines(self) -> list:
+        """One line per bin: low, high, midpoint, linear and the embedding,
+        each float as `repr` writes it, joined by tabs."""
         b = self.boundaries
-        return np.column_stack(
-            [b[:-1], b[1:], self.midpoints, self.bin_linear, self.bin_embeddings]
-        ).tolist()
+        table = np.c_[b[:-1], b[1:], self.midpoints, self.bin_linear, self.bin_embeddings]
+        chunks = (table[i : i + _LINE_ROWS].tolist() for i in range(0, len(table), _LINE_ROWS))
+        return ["\t".join(map(repr, row)) for chunk in chunks for row in chunk]
 
 
 def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explicit=None):

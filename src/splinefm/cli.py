@@ -274,15 +274,21 @@ def cmd_export_bins(args) -> None:
     )
     exported, export = export_binned(model, field_name, boundaries)
     out = _out_dir(config, args.output)
-    save_model(exported, out / "model_binned.json")
-    k_f = export.bin_embeddings.shape[1]
-    _write_tsv(
-        out / "bins.tsv",
-        ["low", "high", "midpoint", "linear"] + [f"e{i}" for i in range(k_f)],
-        export.table(),
-    )
+    _write_export(out, exported, export)
     _write_manifest(out, args.argv, config, started)
     print(f"exported model written to {out / 'model_binned.json'}")
+
+
+def _write_export(out: Path, exported, export) -> None:
+    """Write `model_binned.json` and `bins.tsv` from one `repr` of each bin's
+    floats: for a finite float, the text both `json` and `csv.writer` write."""
+    lines = export.lines()
+    v_text = {export.field_id: ("[" + ", ".join(s.split("\t")[4:]) + "]" for s in lines)}
+    save_model(exported, out / "model_binned.json", v_text=v_text)
+    k_f = export.bin_embeddings.shape[1]
+    header = "\t".join(["low", "high", "midpoint", "linear"] + [f"e{i}" for i in range(k_f)])
+    with open(out / "bins.tsv", "w", newline="") as fh:  # csv.writer's "\r\n" line ends
+        fh.writelines(s + "\r\n" for s in [header, *lines])
 
 
 def cmd_synth(args) -> None:
@@ -316,7 +322,8 @@ def cmd_synth(args) -> None:
         )
 
     records = run_comparison(
-        curves, counts, repeats, seed, n_train, n_test, train_cfg, block_dim
+        curves, counts, repeats, seed, n_train, n_test, train_cfg, block_dim,
+        data=(rows_tr, y_tr, rows_te, y_te),
     )
     _write_tsv(
         out / "results.tsv",

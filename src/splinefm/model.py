@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .schema import ContinuousNumerical, DatasetSchema, build_schema, encode_columns, encode_row
 
 __all__ = [
@@ -542,21 +542,27 @@ def _model_from_doc(doc: dict) -> ModelParams:
 _SAVE_ROWS = 1024  # embedding rows per encoded chunk
 
 
-def save_model(model: ModelParams, path) -> None:
+def save_model(model: ModelParams, path, v_text=None) -> None:
     """Write `model_to_dict(model)` as JSON, byte for byte what `json.dump`
-    writes. `json.dumps` runs CPython's C encoder, which `json.dump` never
-    uses; each table goes out in chunks of rows, so neither the document
-    nor a whole table is ever held as one string."""
+    writes; a non-finite value is a NumericalError before the file is opened.
+    `json.dumps` runs CPython's C encoder, which `json.dump` never uses; each
+    table goes out in chunks of rows, so neither the document nor a whole
+    table is ever held as one string. `v_text` (internal) maps a field id to
+    its V rows' JSON text, one string per row as `export-bins` rendered them
+    for `bins.tsv`, which is written in place of encoding that table."""
+    arrays = (model.w0, *model.w, *model.V, *model.interaction.tensors().values())
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"model holds a non-finite value; {path} is not written")
     head = json.dumps(_model_head(model))
     with open(path, "w") as fh:
         fh.write(head[:-1])
         fh.write(', "V": [')
         for i, v in enumerate(model.V):
             fh.write(", [" if i else "[")
-            for start in range(0, len(v), _SAVE_ROWS):
-                if start:
-                    fh.write(", ")
-                fh.write(json.dumps(v[start : start + _SAVE_ROWS].tolist())[1:-1])
+            chunks = (v[s : s + _SAVE_ROWS].tolist() for s in range(0, len(v), _SAVE_ROWS))
+            parts = (v_text or {}).get(i) or (json.dumps(c)[1:-1] for c in chunks)
+            for j, part in enumerate(parts):
+                fh.write(", " + part if j else part)
             fh.write("]")
         fh.write("]}")
 

@@ -138,19 +138,21 @@ def run_comparison(
     n_test: int = 75_000,
     train_config: TrainConfig | None = None,
     block_dim: int = 4,
+    data: tuple | None = None,
 ) -> list:
     """Train binned and spline FFMs at each interval count.
 
     Returns one record per (strategy, intervals, repeat):
     {"strategy", "intervals", "repeat", "test_loss", "train_loss"}.
     Repeats share the dataset and differ only in model initialization.
+    `data` is (train rows, train labels, test rows, test labels) as `generate`
+    draws them with `seed` and `seed + 1`; None draws them here.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    if train_config is None:
-        train_config = TrainConfig()
-    rows_tr, y_tr, _, _ = generate(curves, n_train, seed)
-    rows_te, y_te, _, _ = generate(curves, n_test, seed + 1)
+    train_config = train_config or TrainConfig()
+    rows_tr, y_tr, rows_te, y_te = data or (*generate(curves, n_train, seed)[:2],
+                                             *generate(curves, n_test, seed + 1)[:2])
 
     records = []
     for strategy in ("binned", "spline"):
@@ -160,12 +162,8 @@ def run_comparison(
             packed_te = pack(schema, rows_te, y_te)
             interaction = FFMFieldConcat(num_fields=4, block_dim=block_dim)
             for rep in range(repeats):
-                strategy_code = 0 if strategy == "binned" else 1
-                init_seed = int(
-                    np.random.SeedSequence(
-                        (seed, strategy_code, intervals, rep)
-                    ).generate_state(1)[0]
-                )
+                entropy = (seed, 0 if strategy == "binned" else 1, intervals, rep)
+                init_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
                 model, metrics = train(
                     train_config, schema, interaction, packed_tr, init_seed=init_seed
                 )

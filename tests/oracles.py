@@ -10,6 +10,7 @@ one dict per row, where splinefm reads it column by column, and
 """
 import copy
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -213,3 +214,13 @@ def touched_params(grad):
                 pair = tuple(int(i) for i in name.split(","))
                 out.append(("m", (pair, *pos), g[pos]))
     return out
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory Python allocations hold while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

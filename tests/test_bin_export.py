@@ -1,11 +1,14 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from oracles import scalar_inverse
+from oracles import binary_cat, random_model, scalar_inverse, traced_peak
 
 from splinefm.bin_export import export_binned, make_boundaries
+from splinefm.cli import _write_export
 from splinefm.errors import ConfigError
 from splinefm.model import (
     init_params,
@@ -173,10 +176,12 @@ def test_exported_schema_and_table_shape():
     assert isinstance(binned.schema.fields[1].kind, BinnedNumerical)
     assert binned.schema.total_features == 2 + 4
     assert export.num_bins == 4
-    table = export.table()
-    assert len(table) == 4
-    lo, hi, mid, linear, *embed = table[0]
-    assert (lo, hi, mid) == (0.0, 2.5, 1.25)
+    lines = export.lines()
+    assert len(lines) == 4
+    lo, hi, mid, linear, *embed = lines[0].split("\t")
+    assert (lo, hi, mid) == ("0.0", "2.5", "1.25")
+    assert linear == repr(float(export.bin_linear[0]))
+    assert embed == [repr(v) for v in export.bin_embeddings[0].tolist()]
     assert len(embed) == model.interaction.embed_dim(1)
 
 
@@ -209,3 +214,80 @@ def test_exported_model_serialization_round_trip(tmp_path):
     doc = json.loads(json.dumps(model_to_dict(binned)))
     clone2 = model_from_dict(doc)
     assert scores(clone2, rows).tobytes() == s1.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The export files against the generic writers
+
+
+# Floats whose text is easy to get wrong: a signed zero, exponent forms,
+# the least subnormal and the greatest finite double.
+EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+def export_case(variant, position, dim=3, num_bins=50, edge_values=True):
+    """A random model with the continuous field "z" at `position` of three
+    fields, exported to `num_bins` bins; with `edge_values`, the exported
+    table and model hold `EDGE_VALUES` and their negatives instead."""
+    fields = [("a", binary_cat()), ("b", Categorical({"p": 0, "q": 1, "r": 2}))]
+    z = ("z", ContinuousNumerical(AffineTransform(-3.0, 7.0), build_uniform(9, 3)))
+    schema = build_schema(fields[:position] + [z] + fields[position:])
+    model = random_model(schema, variant, seed=position + 1, dim=dim)
+    boundaries = make_boundaries(AffineTransform(-3.0, 7.0), num_bins, "inverse_cdf")
+    exported, export = export_binned(model, "z", boundaries)
+    if edge_values:
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        emb = np.resize(values, export.bin_embeddings.shape)
+        linear = np.resize(values[3:] + values[:3], export.bin_linear.shape)
+        exported.V[export.field_id], exported.w[export.field_id] = emb.copy(), linear.copy()
+        export = dataclasses.replace(export, bin_embeddings=emb, bin_linear=linear)
+    return exported, export
+
+
+def write_bins_with_csv(out, export):
+    """`bins.tsv` through `csv.writer` over the rows as Python floats."""
+    b, k = export.boundaries, export.bin_embeddings.shape[1]
+    rows = np.column_stack(
+        [b[:-1], b[1:], export.midpoints, export.bin_linear, export.bin_embeddings]
+    ).tolist()
+    with open(out / "bins.tsv", "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t")
+        writer.writerow(["low", "high", "midpoint", "linear"] + [f"e{i}" for i in range(k)])
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("variant, dim", [("fm", 3), ("ffm", 2), ("fwfm", 3), ("fmfm", 3),
+                                          ("fm", 0)])
+def test_export_files_match_the_generic_writers(tmp_path, variant, dim, position):
+    exported, export = export_case(variant, position, dim)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    _write_export(tmp_path / "new", exported, export)
+    write_bins_with_csv(tmp_path / "old", export)
+    with open(tmp_path / "old" / "model_binned.json", "w") as fh:
+        json.dump(model_to_dict(exported), fh)
+    for name in ("bins.tsv", "model_binned.json"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+    text = (tmp_path / "new" / "bins.tsv").read_text()
+    for value in EDGE_VALUES:
+        assert f"\t{value!r}" in text and f"\t{-value!r}" in text
+    npt.assert_array_equal(
+        load_model(tmp_path / "new" / "model_binned.json").V[export.field_id],
+        exported.V[export.field_id],
+    )
+
+
+def test_export_peak_memory_not_above_save_model_and_csv_writer(tmp_path):
+    # About the size of a 2,000-bin export of a 36-wide FFM embedding.
+    exported, export = export_case("ffm", 1, dim=12, num_bins=2_000, edge_values=False)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+
+    def old():
+        save_model(exported, tmp_path / "old" / "model_binned.json")
+        write_bins_with_csv(tmp_path / "old", export)
+
+    reference = traced_peak(old)
+    peak = traced_peak(lambda: _write_export(tmp_path / "new", exported, export))
+    assert peak <= reference, (peak, reference)

@@ -292,6 +292,26 @@ def test_synth_verb_small(tmp_path):
     assert (out / "manifest.json").is_file()
 
 
+def test_synth_draws_its_data_once(tmp_path, monkeypatch):
+    # `run_comparison` trains on the rows `synth` drew for train.csv and
+    # test.csv, and draws none of its own.
+    from splinefm import cli, synthetic
+
+    drawn, generate = [], synthetic.generate
+
+    def counted(curves, n, seed):
+        drawn.append((n, seed))
+        return generate(curves, n, seed)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    monkeypatch.setattr(synthetic, "generate", counted)
+    cfg = tmp_path / "synth.yaml"
+    synth = {"n_train": 300, "n_test": 200, "repeats": 1, "seed": 5, "interval_counts": [4]}
+    cfg.write_text(yaml.safe_dump({"synth": synth, "train": {"epochs": 1}}))
+    assert main(["synth", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert drawn == [(300, 5), (200, 6)]
+
+
 # ---------------------------------------------------------------------------
 def test_label_only_csv_trains_a_bias_only_model(tmp_path, capsys):
     # A file with no feature column still has its rows.

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,11 +12,12 @@ from oracles import (
     random_model,
     sum_reduced_score,
     touched_params,
+    traced_peak,
 )
 
 from splinefm import model as model_module
 from splinefm import training
-from splinefm.errors import DataError
+from splinefm.errors import DataError, NumericalError
 from splinefm.model import (
     FFMFieldConcat,
     FMIdentity,
@@ -535,15 +535,6 @@ def test_bias_only_model_file_has_an_empty_w(tmp_path):
     assert loaded.w == [] and loaded.V == [] and loaded.w0 == 0.25
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_model_peak_memory_not_above_json_dump(tmp_path):
     schema = build_schema(
         [
@@ -557,9 +548,29 @@ def test_save_model_peak_memory_not_above_json_dump(tmp_path):
         with open(tmp_path / "reference.json", "w") as fh:
             json.dump(model_to_dict(model), fh)
 
-    reference = _traced_peak(dump)
-    peak = _traced_peak(lambda: save_model(model, tmp_path / "model.json"))
+    reference = traced_peak(dump)
+    peak = traced_peak(lambda: save_model(model, tmp_path / "model.json"))
     assert peak <= reference, (peak, reference)
+
+
+@pytest.mark.parametrize(
+    "variant, edit",
+    [
+        ("fm", lambda m: setattr(m, "w0", float("nan"))),
+        ("fm", lambda m: m.w[1].__setitem__(0, float("inf"))),
+        ("fm", lambda m: m.V[2].__setitem__((1, 0), float("-inf"))),
+        ("fwfm", lambda m: m.interaction.strengths.__setitem__((0, 1), float("nan"))),
+        ("fmfm", lambda m: m.interaction.matrices[(1, 2)].__setitem__((0, 0), float("inf"))),
+    ],
+    ids=["w0", "w", "V", "strengths", "matrix"],
+)
+def test_save_model_refuses_a_non_finite_value(tmp_path, variant, edit):
+    # `load_model` rejects a non-finite value, so `save_model` writes none.
+    model = random_model(small_schema(), variant, seed=4)
+    edit(model)
+    with pytest.raises(NumericalError, match="non-finite"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def _doc(variant="fmfm"):
