@@ -4,15 +4,17 @@ Usage: python3 scripts/compare_outputs.py BASE_SRC HEAD_SRC [--work DIR]
 
 For each benchmark workload and each seed in `SEEDS`, the inputs come from
 `perfbench/workloads.write_inputs`, written once and read by both sides,
-and `write_malformed` writes a malformed but readable copy of the test
-data. Each side then runs `train`, `eval` (on both test files),
-`export-bins` and one `curves` call per segment through its own
-`splinefm.cli.main`, in a fresh interpreter that imports `splinefm` from
-its source directory. `export-bins` runs twice: once on the workload's
-`export.yaml` (`inverse_cdf` mode) and once on `export_explicit.yaml`,
-which `write_explicit_export` writes: `explicit` mode with the same field
-and bin count, its boundaries evenly spaced over the field's range in
-`train.csv`. `model.json`, `metrics.json`, both printed `eval` metrics,
+`write_malformed` writes a malformed but readable copy of the test data,
+and `write_cuts` writes the first 1 and the first 1,025 data rows of
+`test.csv` (`CUT_ROWS`): a single row, and a whole scoring block of 1,024
+rows followed by a last block of one. Each side then runs `train`, `eval`
+(on all four test files), `export-bins` and one `curves` call per segment
+through its own `splinefm.cli.main`, in a fresh interpreter that imports
+`splinefm` from its source directory. `export-bins` runs twice: once on
+the workload's `export.yaml` (`inverse_cdf` mode) and once on
+`export_explicit.yaml`, which `write_explicit_export` writes: `explicit`
+mode with the same field and bin count, its boundaries evenly spaced over
+the field's range in `train.csv`. `model.json`, `metrics.json`, the four printed `eval` metrics,
 `model_binned.json` and `bins.tsv` of both exports and every curve file
 must be equal byte for byte. Once per invocation, each side also runs an
 FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data and
@@ -43,8 +45,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 SEEDS = (1, 7)
+CUT_ROWS = (1, 1_025)  # data rows of the cuts of `test.csv` that `eval` also scores
 EXPORTS = ("export", "export_explicit")  # output directories of the two exports
 EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
+         *(f"eval_{rows}.json" for rows in CUT_ROWS),
          *(f"{d}/{name}" for d in EXPORTS for name in ("model_binned.json", "bins.tsv"))]
 MODELS = {"model.json", *(f"{d}/model_binned.json" for d in EXPORTS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
@@ -61,7 +65,16 @@ def write_case(workload: str, seed: int, inputs: Path) -> None:
     facts = write_inputs(WORKLOADS[workload], seed, inputs)
     (inputs / "segments.json").write_text(json.dumps(facts["segments"]))
     write_malformed(inputs)
+    write_cuts(inputs)
     write_explicit_export(inputs)
+
+
+def write_cuts(inputs: Path) -> None:
+    """Write `test_<rows>.csv` for each of `CUT_ROWS`: the header and the
+    first `rows` data rows of `test.csv`."""
+    lines = (inputs / "test.csv").read_text().splitlines(keepends=True)
+    for rows in CUT_ROWS:
+        (inputs / f"test_{rows}.csv").write_text("".join(lines[: rows + 1]))
 
 
 def write_explicit_export(inputs: Path) -> None:
@@ -137,6 +150,9 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
     malformed = ["eval", out / "model.json", inputs / "malformed.csv",
                  "--config", inputs / "malformed.yaml"]
     (out / "eval_malformed.json").write_text(verb(malformed))
+    for rows in CUT_ROWS:
+        cut = verb(["eval", out / "model.json", inputs / f"test_{rows}.csv"])
+        (out / f"eval_{rows}.json").write_text(cut)
     for config, directory in zip(("export.yaml", "export_explicit.yaml"), EXPORTS):
         verb(["export-bins", out / "model.json", inputs / config, "--output", out / directory])
     lo, hi, points = w.curve_grid

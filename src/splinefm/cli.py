@@ -110,7 +110,8 @@ def _reason(exc: Exception) -> str:
 
 def _read_table(data_cfg: dict):
     """Feature columns (by name) and labels of a CSV file. Blank lines are
-    skipped, short rows padded with None and extra cells dropped."""
+    skipped, short rows padded with None and extra cells dropped; a header
+    that names a column twice is a data error."""
     path = data_cfg.get("path")
     delimiter = data_cfg.get("delimiter", ",")
     label_col = data_cfg.get("label", "label")
@@ -137,6 +138,9 @@ def _read_table(data_cfg: dict):
         raise DataError(f"cannot read data file {path}: {_reason(exc)}") from None
     if not n:
         raise DataError(f"data file {path} has no rows")
+    if len(set(header)) < len(header):
+        repeated = next(name for name in header if header.count(name) > 1)
+        raise DataError(f"data file {path} names column {repeated!r} more than once")
     columns = dict(zip(header, lists))
     if label_col not in columns:
         raise DataError(f"label column {label_col!r} not found in {path}")
@@ -353,8 +357,10 @@ def _parse_segment(spec: str) -> dict:
         for part in spec.split(","):
             if "=" not in part:
                 raise ConfigError(f"bad segment component {part!r}; expected name=value")
-            name, value = part.split("=", 1)
-            segment[name.strip()] = value.strip()
+            name, value = (text.strip() for text in part.split("=", 1))
+            if name in segment:
+                raise ConfigError(f"--segment names {name!r} twice")
+            segment[name] = value
     return segment
 
 
@@ -374,6 +380,11 @@ def cmd_curves(args) -> None:
     segment = _parse_segment(args.segment)
     grid = _parse_grid(args.grid)
     _continuous_kind(model, args.field)
+    others = {f.name for f in model.schema.fields} - {args.field}
+    unused = [name for name in segment if name not in others]
+    if unused:
+        raise ConfigError(f"--segment names {', '.join(map(repr, unused))}: "
+                          f"not a field of the model other than {args.field!r}")
     missing = [
         f.name for f in model.schema.fields if f.name != args.field and f.name not in segment
     ]

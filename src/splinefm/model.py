@@ -299,10 +299,23 @@ def _field_vectors(model: ModelParams, data: PackedData):
     return P, linear
 
 
+_SCORE_ROWS = 1024  # packed rows per scoring block
+
+
 def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
-    """Raw (pre-link) scores for every packed row."""
-    P, linear = _field_vectors(model, data)
-    return model.interaction.scores(P, linear)
+    """Raw (pre-link) scores for every packed row, in blocks of `_SCORE_ROWS`
+    rows. A block's working set is rows × Σ c_f·k_f floats of gathered
+    embeddings and rows × Σ k_f of field vectors, so memory is one block plus
+    the (n,) scores. A row's score reads only its own row, so the blocks
+    change no bit."""
+    if data.n <= _SCORE_ROWS:
+        P, linear = _field_vectors(model, data)
+        return model.interaction.scores(P, linear)
+    scores = np.empty(data.n)
+    for start in range(0, data.n, _SCORE_ROWS):
+        block = slice(start, start + _SCORE_ROWS)
+        scores[block] = predict_scores(model, data.subset(block))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,8 @@ def _score_grid(model: ModelParams, segment: dict, columns: dict) -> np.ndarray:
     """Raw scores of the segment row with each field named in `columns` taking
     its column's values in turn: the first point's row is encoded once with
     `encode_row` and repeated, the varying fields as columns with
-    `encode_columns` (bit for bit `encode_row`'s arrays), and all scored at once."""
+    `encode_columns` (bit for bit `encode_row`'s arrays), all in one
+    `predict_scores` call."""
     n = len(next(iter(columns.values())))
     if not n:
         return np.empty(0)

@@ -8,6 +8,7 @@ keeps its parameters in per-field tables. `read_table` reads a data file
 one dict per row, where splinefm reads it column by column, and
 `scalar_inverse` inverts a transform one Python float at a time.
 """
+import collections
 import copy
 import csv
 import tracemalloc
@@ -77,15 +78,20 @@ def read_table(path, delimiter=",", label="label"):
     """(feature columns by name, labels) of a CSV file, as `cli._read_table`
     reads it, from the rows `csv.DictReader` gives: blank lines skipped,
     None in the cells a short row lacks, a long row's extra cells under the
-    key None, the last of two same-named columns."""
+    key None; a header that repeats a name is an error naming the first such
+    name."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh, delimiter=delimiter))
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or str(exc)
         raise DataError(f"cannot read data file {path}: {reason}") from None
     if not rows:
         raise DataError(f"data file {path} has no rows")
+    for name, count in collections.Counter(reader.fieldnames).items():
+        if count > 1:
+            raise DataError(f"data file {path} names column {name!r} more than once")
     if label not in rows[0]:
         raise DataError(f"label column {label!r} not found in {path}")
     labels = []

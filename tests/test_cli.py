@@ -1102,7 +1102,11 @@ _READ_CASES = {
                               ({"c": ["a", "b"], "x": ["1", None]}, [0.0, 1.0])),
     "long_row": ("x,label\n1,0,extra,more\n2,1\n", {}, ({"x": ["1", "2"]}, [0.0, 1.0])),
     "duplicate_header": ("x,x,label,label\n1,2,0,1\n3,4,1,0\n", {},
-                         ({"x": ["2", "4"]}, [1.0, 0.0])),
+                         "data file {path} names column 'x' more than once"),
+    "duplicate_later_name": ("a,b,b,a,label\n1,2,3,4,0\n", {},
+                             "data file {path} names column 'a' more than once"),
+    "duplicate_empty_name": (",x,,label\n1,2,3,0\n", {},
+                             "data file {path} names column '' more than once"),
     "semicolon_and_label": ("x;clicked;label\n1,5;1;a\n2;0;b\n",
                             {"delimiter": ";", "label": "clicked"},
                             ({"x": ["1,5", "2"], "label": ["a", "b"]}, [1.0, 0.0])),
@@ -1139,3 +1143,49 @@ def test_bad_label_exits_3_naming_row_and_cell(trained, tmp_path, capsys, verb):
         argv = ["eval", str(trained["out"] / "model.json"), str(data)]
     assert main(argv) == 3
     assert "data error: row 1: cannot parse label 'yes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "sweep"])
+def test_repeated_header_name_exits_3_naming_it(trained, tmp_path, capsys, verb):
+    # Read as a mapping, the second `x` would silently replace the first.
+    data = tmp_path / "repeated.csv"
+    data.write_text("color,x,x,label\nred,1.5,100,1\nblue,2.5,400,0\n")
+    doc = write_config(tmp_path / "repeated.yaml", data, tmp_path / "repeated_run")
+    doc["sweep"] = {"grid": {"step_size": [0.1]}}
+    (tmp_path / "repeated.yaml").write_text(yaml.safe_dump(doc))
+    if verb == "eval":
+        argv = ["eval", str(trained["out"] / "model.json"), str(data)]
+    else:
+        argv = [verb, str(tmp_path / "repeated.yaml")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"data error: data file {data} names column 'x' more than once" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "segment, named",
+    [("color=red,zz=3", "'zz'"), ("color=red,x=5", "'x'"), ("zz=3,color=red,x=5", "'zz', 'x'")],
+    ids=["unknown", "curve_field", "both"],
+)
+def test_curves_segment_name_the_curve_does_not_use_is_config_error(
+    trained, capsys, segment, named
+):
+    model = str(trained["out"] / "model.json")
+    capsys.readouterr()
+    assert main(["curves", model, "x", "--segment", segment, "--grid", "0:10:3"]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: --segment names {named}: not a field" in captured.err
+    assert captured.out == ""
+
+
+def test_curves_segment_naming_a_field_twice_is_config_error(trained, capsys):
+    # Read as a mapping, the second value would silently replace the first.
+    model = str(trained["out"] / "model.json")
+    capsys.readouterr()
+    argv = ["curves", model, "x", "--segment", "color=red,color=blue", "--grid", "0:10:3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error: --segment names 'color' twice" in captured.err
+    assert captured.out == ""

@@ -144,6 +144,72 @@ def test_ffm_against_textbook_block_oracle():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _block_models():
+    """Every variant at dims 0 and 3, and an FmFM with unequal dims, on a
+    categorical, a binned and a continuous field."""
+    schema = build_schema(
+        [
+            ("a", Categorical({"p": 0, "q": 1, "r": 2}, unknown_slot=True)),
+            ("b", BinnedNumerical(np.array([0.0, 0.3, 0.6, 1.0]))),
+            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
+        ]
+    )
+    models = [random_model(schema, v, seed=s, dim=d)
+              for s, (v, d) in enumerate((v, d) for v in VARIANTS for d in (0, 3))]
+    rng = np.random.default_rng(8)
+    dims = (1, 4, 2)
+    matrices = {(e, f): rng.normal(size=(dims[e], dims[f])) for e, f in ((0, 1), (0, 2), (1, 2))}
+    unequal = init_params(schema, FmFMMatrices(dims=dims, matrices=matrices), seed=9)
+    unequal.w0, unequal.w = 0.3, [rng.normal(size=f.width) for f in schema.fields]
+    return models + [unequal]
+
+
+def _block_rows(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = [{"a": str(rng.choice(["p", "q", "r", "s"])), "b": float(rng.uniform(-0.2, 1.2)),
+             "z": float(rng.uniform())} for _ in range(n)]
+    return pack(schema, rows, rng.integers(0, 2, size=n).astype(float))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_scoring_in_blocks_changes_no_bit(monkeypatch, n):
+    # Blocks of 3 rows: one partial block, one whole block, several blocks
+    # with a one-row last block. `evaluate` refuses 0 rows.
+    losses = ("logloss", "squared") if n else ()
+    for i, model in enumerate(_block_models()):
+        data = _block_rows(model.schema, n, seed=i)
+        P, linear = model_module._field_vectors(model, data)
+        unblocked = model.interaction.scores(P, linear)
+        metrics = [training.evaluate(model, data, loss) for loss in losses]
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_SCORE_ROWS", 3)
+            got = predict_scores(model, data)
+            by_row = np.array([predict_scores(model, data.subset(slice(r, r + 1)))[0]
+                               for r in range(n)])
+            assert got.tobytes() == unblocked.tobytes() == by_row.tobytes(), i
+            assert [training.evaluate(model, data, loss) for loss in losses] == metrics, i
+
+
+def test_scoring_peak_memory_is_one_block_plus_the_scores():
+    # Unblocked, the per-field gathers V[idx] alone would hold n × c × k
+    # floats: about 16 times one block's peak here.
+    schema = build_schema(
+        [("a", binary_cat())]
+        + [(name, ContinuousNumerical(AffineTransform(0, 1), build_uniform(10, 3)))
+           for name in ("x", "y", "z")]
+    )
+    model = random_model(schema, "ffm", seed=6, dim=4)
+    rng = np.random.default_rng(6)
+    n = 16 * model_module._SCORE_ROWS
+    data = pack(schema, {"a": rng.choice(["0", "1"], size=n).tolist(),
+                         **{name: rng.uniform(size=n).tolist() for name in ("x", "y", "z")}},
+                np.zeros(n))
+    block = data.subset(slice(0, model_module._SCORE_ROWS))
+    block_peak = traced_peak(lambda: predict_scores(model, block))
+    peak = traced_peak(lambda: predict_scores(model, data))
+    assert peak <= block_peak + 8 * n + 64 * 1024, (peak, block_peak)
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 
