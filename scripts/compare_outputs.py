@@ -17,11 +17,15 @@ mode with the same field and bin count, its boundaries evenly spaced over
 the field's range in `train.csv`. `model.json`, `metrics.json`, the four printed `eval` metrics,
 `model_binned.json` and `bins.tsv` of both exports and every curve file
 must be equal byte for byte. Once per invocation, each side also runs an
-FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data and
-a small `synth` (`SYNTH`); `sweep.tsv`, `results.tsv`, `train.csv`,
-`test.csv` and `curves.tsv` must be equal byte for byte. Prints one line
-per workload and seed and one for `sweep` and `synth`; exits 1 when any
-output differs. For a model file that differs, the line also names the
+FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data, a
+small `synth` (`SYNTH`), and a `train` of the `SWEEP_SYNTH_INPUTS` config
+with `schema.label_kind: real`, which trains and scores by squared error,
+followed by an `eval` of that model on the workload's `test.csv`;
+`sweep.tsv`, `results.tsv`, `train.csv`, `test.csv`, `curves.tsv`, and
+the real model's `model.json`, `metrics.json` and printed `eval` metrics
+must be equal byte for byte. Prints one line per workload and seed and one
+for `sweep`, `synth` and the real label kind; exits 1 when any output
+differs. For a model file that differs, the line also names the
 top-level entries that differ and the largest absolute gap over `w0`, `w`,
 `V` and the interaction's arrays, which tells a change of the file format
 from a change of the numbers.
@@ -33,6 +37,7 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,14 +55,15 @@ EXPORTS = ("export", "export_explicit")  # output directories of the two exports
 EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
          *(f"eval_{rows}.json" for rows in CUT_ROWS),
          *(f"{d}/{name}" for d in EXPORTS for name in ("model_binned.json", "bins.tsv"))]
-MODELS = {"model.json", *(f"{d}/model_binned.json" for d in EXPORTS)}
+MODELS = {"model.json", "real/model.json", *(f"{d}/model_binned.json" for d in EXPORTS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
 SWEEP_SYNTH_INPUTS = ("paper_synth", 1)
 SWEEP_GRID = {"step_size": [0.05, 0.1], "l2": [0.0, 0.001]}
 SYNTH = {"n_train": 2_000, "n_test": 2_000, "repeats": 1, "interval_counts": [5, 12], "seed": 1}
-SWEEP_SYNTH = "sweep-synth"  # the case name of `sweep` and `synth`
-SWEEP_SYNTH_EXACT = ["sweep/sweep.tsv", "synth/results.tsv", "synth/train.csv", "synth/test.csv"]
+SWEEP_SYNTH = "sweep-synth"  # the case name of `sweep`, `synth` and the real label kind
+SWEEP_SYNTH_EXACT = ["sweep/sweep.tsv", "synth/results.tsv", "synth/train.csv", "synth/test.csv",
+                     "real/model.json", "real/metrics.json", "real/eval.json"]
 
 
 def write_case(workload: str, seed: int, inputs: Path) -> None:
@@ -110,12 +116,17 @@ def write_malformed(inputs: Path) -> None:
 
 
 def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
-    """Write the `sweep` and `synth` configs; the sweep trains an FwFM on the
-    training data of the workload inputs `workload_inputs`, for 2 epochs."""
+    """Write the `sweep` and `synth` configs, `real.yaml` (the config of the
+    workload inputs `workload_inputs` with `schema.label_kind: real`) and a
+    copy of their `test.csv`; the sweep trains an FwFM on their training
+    data, for 2 epochs."""
     config = yaml.safe_load((workload_inputs / "config.yaml").read_text())
+    inputs.mkdir(parents=True, exist_ok=True)
+    real = {**config, "schema": {**config["schema"], "label_kind": "real"}}
+    (inputs / "real.yaml").write_text(yaml.safe_dump(real))
+    shutil.copyfile(workload_inputs / "test.csv", inputs / "test.csv")
     config["model"]["variant"] = "fwfm"
     config["train"]["epochs"] = 2
-    inputs.mkdir(parents=True, exist_ok=True)
     (inputs / "sweep.yaml").write_text(yaml.safe_dump({**config, "sweep": {"grid": SWEEP_GRID}}))
     (inputs / "synth.yaml").write_text(yaml.safe_dump({"synth": SYNTH, "train": {"epochs": 2}}))
 
@@ -142,6 +153,9 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
     if case == SWEEP_SYNTH:
         verb(["sweep", inputs / "sweep.yaml", "--output", out / "sweep"])
         verb(["synth", inputs / "synth.yaml", "--output", out / "synth"])
+        verb(["train", inputs / "real.yaml", "--output", out / "real"])
+        printed = verb(["eval", out / "real" / "model.json", inputs / "test.csv"])
+        (out / "real" / "eval.json").write_text(printed)
         return
     w = WORKLOADS[case]
     segments = json.loads((inputs / "segments.json").read_text())
@@ -234,8 +248,8 @@ def main(argv=None) -> int:
         run(SWEEP_SYNTH, case)
         diffs = compare(case / "base", case / "head", SWEEP_SYNTH_EXACT, "synth/curves.tsv")
         failed |= bool(diffs)
-        print(f"sweep and synth on {name} seed {seed}: " + ("; ".join(diffs) or "identical"),
-              flush=True)
+        print(f"sweep, synth and real label kind on {name} seed {seed}: "
+              + ("; ".join(diffs) or "identical"), flush=True)
     return 1 if failed else 0
 
 

@@ -196,24 +196,6 @@ def _interaction(config: dict, schema):
     return make_interaction(model_cfg.get("variant", "fm"), schema, dim)
 
 
-# The loss `eval` scores a model with follows from the schema's label kind.
-_LABEL_LOSS = {"binary": "logloss", "real": "squared"}
-
-
-def _train_config(train_cfg: dict, schema) -> TrainConfig:
-    """The validated TrainConfig of a `train` section. `loss` defaults to
-    the loss `eval` scores `schema` with, and may not be another."""
-    loss = _LABEL_LOSS[schema.label_kind]
-    cfg = TrainConfig(**{"loss": loss, **train_cfg})
-    cfg.validate()
-    if cfg.loss != loss:
-        raise ConfigError(
-            f"train.loss {cfg.loss!r} does not match schema.label_kind "
-            f"{schema.label_kind!r}, which eval scores with {loss!r}"
-        )
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 
@@ -224,7 +206,7 @@ def cmd_train(args) -> None:
     table, labels = _read_table(config.get("data", {}))
     schema = infer_schema(table, config.get("schema", {}))
     interaction = _interaction(config, schema)
-    train_cfg = _train_config(config.get("train", {}), schema)
+    train_cfg = TrainConfig(**config.get("train", {})).validate()
     data = pack(schema, table, labels)
 
     def progress(record):
@@ -245,7 +227,7 @@ def cmd_eval(args) -> None:
     model = load_model(args.model)
     table, labels = _read_table({**config.get("data", {}), "path": args.data})
     data = pack(model.schema, table, labels)
-    metrics = evaluate(model, data, _LABEL_LOSS[model.schema.label_kind])
+    metrics = evaluate(model, data)
     doc = dataclasses.asdict(metrics)
     print(json.dumps(doc, indent=2))
     if args.output:
@@ -300,19 +282,22 @@ def cmd_synth(args) -> None:
     config = _load_config(args.config)
     synth_cfg = config.get("synth", {})
     curves = synth_cfg.get("curves", DEFAULT_CURVES)
+    counts = synth_cfg.get("interval_counts", [5, 6, 12, 120])
+    for key, value in (("curves", curves), ("interval_counts", counts)):
+        if not isinstance(value, list):
+            raise ConfigError(f"synth.{key} must be a list, got {value!r}")
     seed = _config_int(synth_cfg.get("seed", 0), "synth.seed", 0)
     n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train",
                           maximum=MAX_SYNTH_ROWS)
     n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test", maximum=MAX_SYNTH_ROWS)
     repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats", maximum=MAX_REPEATS)
-    counts = synth_cfg.get("interval_counts", [5, 6, 12, 120])
     counts = [_config_int(c, "synth.interval_counts", maximum=MAX_FUNCTIONS) for c in counts]
     if not counts:
         raise ConfigError("synth.interval_counts must not be empty")
     block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim", maximum=MAX_DIM)
     # Curve plot-data comes from one spline model at the smallest interval count.
     schema = build_synthetic_schema("spline", min(counts))
-    train_cfg = _train_config(config.get("train", {}), schema)
+    train_cfg = TrainConfig(**config.get("train", {})).validate()
     out = _out_dir(config, args.output)
 
     rows_tr, y_tr, _, _ = generate(curves, n_train, seed)
@@ -422,10 +407,10 @@ def cmd_sweep(args) -> None:
     combos = list(itertools.product(*(grid[key] for key in keys)))
     results = []
     base = config.get("train", {})
-    configs = [_train_config({**base, **dict(zip(keys, combo))}, schema) for combo in combos]
+    configs = [TrainConfig(**{**base, **dict(zip(keys, combo))}).validate() for combo in combos]
     for combo, cfg in zip(combos, configs):
         _, metrics = train(cfg, schema, interaction, data)
-        loss = metrics.cross_entropy if cfg.loss == "logloss" else metrics.rmse
+        loss = metrics.cross_entropy if schema.label_kind == "binary" else metrics.rmse
         results.append((*combo, loss))
     out = _out_dir(config, args.output)
     _write_tsv(out / "sweep.tsv", keys + ["loss"], results)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .model import FFMFieldConcat, ModelParams, segmentized_curve
+from .model import ModelParams, make_interaction, segmentized_curve
 from .schema import (
     BinnedNumerical,
     Categorical,
@@ -53,25 +53,31 @@ DEFAULT_CURVES = [
 def curve_value(curve: dict, z) -> np.ndarray:
     """Evaluate one CTR curve at value(s) z."""
     z = np.asarray(z, dtype=float)
+    if not isinstance(curve, dict):
+        raise ConfigError(f"a curve must be a mapping, got {curve!r}")
     family = curve.get("family")
-    if family == "logistic":
-        out = curve["base"] + curve["amplitude"] / (
-            1.0 + np.exp(-(z - curve["center"]) / curve["scale"])
-        )
-    elif family == "gaussian":
-        out = curve["base"] + curve["amplitude"] * np.exp(
-            -((z - curve["center"]) ** 2) / (2.0 * curve["width"] ** 2)
-        )
-    elif family == "sin_ramp":
-        out = (
-            curve["base"]
-            + curve["slope"] * z
-            + curve["amplitude"] * np.sin(2.0 * math.pi * z / curve["period"])
-        )
-    else:
-        raise ConfigError(f"unknown curve family {family!r}")
-    if np.any(out <= 0.0) or np.any(out >= 1.0):
-        raise ConfigError("curve leaves (0, 1) on [0, 40]")
+    try:
+        if family == "logistic":
+            out = curve["base"] + curve["amplitude"] / (
+                1.0 + np.exp(-(z - curve["center"]) / curve["scale"])
+            )
+        elif family == "gaussian":
+            out = curve["base"] + curve["amplitude"] * np.exp(
+                -((z - curve["center"]) ** 2) / (2.0 * curve["width"] ** 2)
+            )
+        elif family == "sin_ramp":
+            out = (
+                curve["base"]
+                + curve["slope"] * z
+                + curve["amplitude"] * np.sin(2.0 * math.pi * z / curve["period"])
+            )
+        else:
+            raise ConfigError(f"unknown curve family {family!r}")
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or non-numeric parameter
+        raise ConfigError(f"curve {curve!r}: {type(exc).__name__} {exc}") from None
+    # Written so that NaN fails the check.
+    if not np.all((out > 0.0) & (out < 1.0)):
+        raise ConfigError(f"curve {curve!r} leaves (0, 1) on [0, 40]")
     return out
 
 
@@ -160,14 +166,14 @@ def run_comparison(
             schema = build_synthetic_schema(strategy, intervals)
             packed_tr = pack(schema, rows_tr, y_tr)
             packed_te = pack(schema, rows_te, y_te)
-            interaction = FFMFieldConcat(num_fields=4, block_dim=block_dim)
+            interaction = make_interaction("ffm", schema, block_dim)
             for rep in range(repeats):
                 entropy = (seed, 0 if strategy == "binned" else 1, intervals, rep)
                 init_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
                 model, metrics = train(
                     train_config, schema, interaction, packed_tr, init_seed=init_seed
                 )
-                test = evaluate(model, packed_te, "logloss")
+                test = evaluate(model, packed_te)
                 records.append(
                     {
                         "strategy": strategy,

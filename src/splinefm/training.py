@@ -40,7 +40,6 @@ _INT_RANGE = {"batch_size": (1, None), "epochs": (1, 100_000), "seed": (0, None)
 
 @dataclass
 class TrainConfig:
-    loss: str = "logloss"  # "logloss" | "squared"
     optimizer: str = "adagrad"  # "adagrad" | "sgd"
     step_size: float = 0.1
     adagrad_eps: float = 1e-8
@@ -52,7 +51,8 @@ class TrainConfig:
     shuffle: bool = True
     select_best: bool = True  # keep parameters from the best-holdout epoch
 
-    def validate(self) -> None:
+    def validate(self) -> TrainConfig:
+        """Check every setting, turn integral floats into ints and return self."""
         for f in fields(self):
             value, kind, key = getattr(self, f.name), type(f.default), f"train.{f.name}"
             if kind is int:
@@ -62,8 +62,6 @@ class TrainConfig:
             is_bool = isinstance(value, bool)
             if not isinstance(value, _ACCEPTS[kind]) or is_bool != (kind is bool):
                 raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-        if self.loss not in ("logloss", "squared"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adagrad", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         # Written so that NaN fails each check.
@@ -73,6 +71,7 @@ class TrainConfig:
             raise ConfigError("holdout_fraction must lie in [0, 1)")
         if not self.l2 >= 0:
             raise ConfigError("l2 must be >= 0")
+        return self
 
 
 @dataclass
@@ -152,19 +151,27 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _loss_and_dscore(loss: str, scores, y):
-    if loss == "logloss":
+def _check_labels(label_kind: str, y) -> None:
+    """Refuse labels the loss of `label_kind` cannot score: binary labels
+    must be 0 or 1, real labels finite."""
+    binary = label_kind == "binary"
+    ok = (y == 0) | (y == 1) if binary else np.isfinite(y)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        need = "0 or 1" if binary else "finite"
+        raise DataError(f"row {row}: label {y[row]} is not {need} (label_kind {label_kind!r})")
+
+
+def _loss_and_dscore(label_kind: str, scores, y):
+    """The mean loss of `label_kind` and its derivative by each score: logloss
+    through the logistic link for binary labels, squared error for real ones."""
+    if label_kind == "binary":
         p = _sigmoid(scores)
         pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
         value = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))))
         return value, p - y
     value = float(np.mean((scores - y) ** 2))
     return value, 2.0 * (scores - y)
-
-
-def _mean_loss(loss: str, scores, y) -> float:
-    value, _ = _loss_and_dscore(loss, scores, y)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +259,7 @@ def train(
     config.validate()
     if data.n == 0:
         raise DataError("cannot train on an empty dataset")
-    if schema.label_kind == "binary" and not np.isin(data.y, (0.0, 1.0)).all():
-        raise DataError("binary label_kind requires 0/1 labels")
+    _check_labels(schema.label_kind, data.y)
 
     if holdout is None and config.holdout_fraction > 0.0:
         rng = np.random.default_rng(config.seed)
@@ -281,7 +287,7 @@ def train(
             batch = shuffled.subset(slice(start, start + config.batch_size))
             P, linear = _field_vectors(model, batch)
             scores = model.interaction.scores(P, linear)
-            loss, d_score = _loss_and_dscore(config.loss, scores, batch.y)
+            loss, d_score = _loss_and_dscore(schema.label_kind, scores, batch.y)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}, batch starting at row {start}"
@@ -290,7 +296,8 @@ def train(
             opt.step(model, _batch_backward(model, batch, P, d_score / batch.n))
         record = {"epoch": epoch, "train_loss": epoch_loss / data.n}
         if holdout is not None and holdout.n > 0:
-            h_loss = _mean_loss(config.loss, predict_scores(model, holdout), holdout.y)
+            h_scores = predict_scores(model, holdout)
+            h_loss, _ = _loss_and_dscore(schema.label_kind, h_scores, holdout.y)
             record["holdout_loss"] = h_loss
             if config.select_best and h_loss < best_loss:
                 best_loss = h_loss
@@ -301,22 +308,22 @@ def train(
     if best_snap is not None:
         _restore(model, best_snap)
 
-    final = evaluate(model, holdout if holdout is not None and holdout.n else data, config.loss)
+    final = evaluate(model, holdout if holdout is not None and holdout.n else data)
     metrics.cross_entropy = final.cross_entropy
     metrics.rmse = final.rmse
     return model, metrics
 
 
-def evaluate(model: ModelParams, data: PackedData, loss: str = "logloss") -> Metrics:
-    """Mean loss over packed rows; logloss goes through the logistic link."""
+def evaluate(model: ModelParams, data: PackedData) -> Metrics:
+    """Mean loss over packed rows under the model's label kind: cross-entropy
+    for binary labels, root mean squared error for real ones."""
     if data.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    scores = predict_scores(model, data)
-    metrics = Metrics(sample_count=data.n)
-    if loss == "logloss":
-        metrics.cross_entropy = _mean_loss("logloss", scores, data.y)
-    elif loss == "squared":
-        metrics.rmse = float(np.sqrt(np.mean((scores - data.y) ** 2)))
-    else:
-        raise ConfigError(f"unknown loss {loss!r}")
-    return metrics
+    label_kind = model.schema.label_kind
+    _check_labels(label_kind, data.y)
+    value, _ = _loss_and_dscore(label_kind, predict_scores(model, data), data.y)
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite loss {value} over {data.n} rows")
+    if label_kind == "binary":
+        return Metrics(cross_entropy=value, sample_count=data.n)
+    return Metrics(rmse=math.sqrt(value), sample_count=data.n)

@@ -371,12 +371,9 @@ def test_acceptance_8_california_housing(capsys):
         for seed in range(20):
             best = math.inf
             for step in (0.05, 0.15):
-                cfg = TrainConfig(
-                    loss="squared", step_size=step, epochs=8, seed=seed,
-                    holdout_fraction=0.2,
-                )
+                cfg = TrainConfig(step_size=step, epochs=8, seed=seed, holdout_fraction=0.2)
                 model, _ = train(cfg, schema, make_interaction("fm", schema, 4), data)
-                m = evaluate(model, data, "squared")
+                m = evaluate(model, data)
                 best = min(best, m.rmse)
             rmses.append(best)
         return float(np.mean(rmses))

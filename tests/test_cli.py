@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import functools
+import io
 import json
 import math
 import operator
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
 
+from splinefm import synthetic
 from splinefm.cli import _read_table, main
 from splinefm.errors import DataError
 from splinefm.model import load_model
@@ -539,6 +541,8 @@ def test_eval_unsupported_model_document_is_data_error(trained, tmp_path, capsys
 
 
 def _write_loss_config(tmp_path, label_kind, loss, sweep=False):
+    """A config of `label_kind` that sets `train.loss` (or, with `sweep`,
+    sweeps it), or sets no loss when `loss` is None."""
     data = tmp_path / "data.csv"
     cfg = tmp_path / "config.yaml"
     write_dataset(data, n=100)
@@ -546,13 +550,15 @@ def _write_loss_config(tmp_path, label_kind, loss, sweep=False):
     doc["schema"]["label_kind"] = label_kind
     if sweep:
         doc["sweep"] = {"grid": {"loss": ["logloss", "squared"]}}
-    else:
+    elif loss is not None:
         doc["train"]["loss"] = loss
     with open(cfg, "w") as fh:
         yaml.safe_dump(doc, fh)
     return cfg
 
 
+# The label kind decides the loss; `train.loss` is no setting, so a config
+# that names one, matching the label kind or not, exits 2 as an unknown key.
 @pytest.mark.parametrize(
     "label_kind, loss", [("binary", "squared"), ("real", "logloss")]
 )
@@ -560,24 +566,80 @@ def test_train_loss_label_kind_mismatch_is_config_error(tmp_path, capsys, label_
     cfg = _write_loss_config(tmp_path, label_kind, loss)
     assert main(["train", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"train.loss {loss!r}" in err and f"label_kind {label_kind!r}" in err
+    assert "config error: unknown key 'loss' in section 'train'" in err
     assert not (tmp_path / "out" / "model.json").exists()
 
 
-def test_train_real_label_kind_with_squared_loss(tmp_path):
-    cfg = _write_loss_config(tmp_path, "real", "squared")
+@pytest.mark.parametrize("label_kind, loss", [("binary", "logloss"), ("real", "squared")])
+def test_train_loss_key_is_unknown_even_when_it_matches(tmp_path, capsys, label_kind, loss):
+    cfg = _write_loss_config(tmp_path, label_kind, loss)
+    assert main(["train", str(cfg)]) == 2
+    assert "unknown key 'loss' in section 'train'" in capsys.readouterr().err
+
+
+def test_train_real_label_kind_with_squared_loss(tmp_path, capsys):
+    cfg = _write_loss_config(tmp_path, "real", None)
     assert main(["train", str(cfg)]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["cross_entropy"] is None and math.isfinite(metrics["rmse"])
+    capsys.readouterr()
     assert main(["eval", str(tmp_path / "out" / "model.json"), str(tmp_path / "data.csv")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["cross_entropy"] is None and math.isfinite(printed["rmse"])
 
 
 @pytest.mark.parametrize("label_kind", ["binary", "real"])
 def test_sweep_loss_label_kind_mismatch_is_config_error(tmp_path, capsys, label_kind):
-    # The grid holds both losses, so one of them disagrees with either kind.
+    # The grid holds both losses, one of which disagrees with either kind;
+    # no grid may name `loss`, as it is no train parameter.
     cfg = _write_loss_config(tmp_path, label_kind, None, sweep=True)
     assert main(["sweep", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "train.loss" in err and f"label_kind {label_kind!r}" in err
+    assert "config error: sweep.grid key 'loss' is not a train parameter" in err
     assert not (tmp_path / "out" / "sweep.tsv").exists()
+
+
+def _label_data(tmp_path, label):
+    """50 rows of `write_dataset` with the label of row 2 replaced."""
+    path = tmp_path / "labels.csv"
+    write_dataset(path, n=50)
+    rows = path.read_text().splitlines()
+    rows[3] = rows[3].rsplit(",", 1)[0] + "," + label
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("label", ["2", "nan", "inf", "-1", "0.5"])
+def test_eval_binary_label_not_0_or_1_exits_3(trained, tmp_path, capsys, label):
+    # Logloss cannot score such a label, and a NaN metric is not JSON.
+    data = _label_data(tmp_path, label)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", str(trained["out"] / "model.json"), str(data)]) == 3
+    captured = capsys.readouterr()
+    assert f"data error: row 2: label {float(label)} is not 0 or 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_real_label_not_finite_exits_3(tmp_path, capsys, verb, label):
+    # Squared error cannot score such a label: a data error, not a numerical one.
+    cfg = _write_loss_config(tmp_path, "real", None)
+    if verb == "eval":
+        assert main(["train", str(cfg)]) == 0
+        argv = ["eval", str(tmp_path / "out" / "model.json"), str(_label_data(tmp_path, label))]
+    else:
+        doc = yaml.safe_load(cfg.read_text())
+        doc["data"]["path"] = str(_label_data(tmp_path, label))
+        cfg.write_text(yaml.safe_dump(doc))
+        argv = ["train", str(cfg), "--output", str(tmp_path / "bad")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"data error: row 2: label {float(label)} is not finite" in captured.err
+    assert captured.out == ""
 
 
 def _continuous_x(doc):
@@ -681,7 +743,7 @@ def test_synth_squared_loss_is_config_error(tmp_path, capsys):
     )
     assert main(["synth", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "train.loss 'squared'" in err and "label_kind 'binary'" in err
+    assert "config error: unknown key 'loss' in section 'train'" in err
     assert not (out / "results.tsv").exists()
 
 
@@ -738,6 +800,13 @@ def test_unreadable_input_file_exits_with_its_code(trained, tmp_path, capsys, wh
     assert f"cannot read {what} file {bad}" in err
 
 
+def _synth_curves(edit):
+    """A small synth section with the default curves as `edit` leaves them."""
+    curves = copy.deepcopy(synthetic.DEFAULT_CURVES)
+    edit(curves)
+    return {"n_train": 100, "n_test": 100, "interval_counts": [4], "curves": curves}
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [
@@ -754,9 +823,21 @@ def test_unreadable_input_file_exits_with_its_code(trained, tmp_path, capsys, wh
         (lambda d: d["schema"]["fields"][0].__setitem__("unknown_slot", "no"), "unknown_slot"),
         (lambda d: d["data"].__setitem__("label", ["label"]), "data.label"),
         (lambda d: d["output"].__setitem__("directory", 5), "output.directory"),
+        (lambda d: d.__setitem__("synth", {"interval_counts": 5}), "synth.interval_counts"),
+        (lambda d: d.__setitem__("synth", {"curves": 5}), "synth.curves must be a list"),
+        (lambda d: d.__setitem__("synth", {"curves": list(range(1, 9))}), "must be a mapping"),
+        (lambda d: d.__setitem__("synth", _synth_curves(lambda c: c[2].pop("base"))),
+         "KeyError 'base'"),
+        (lambda d: d.__setitem__("synth", _synth_curves(lambda c: c[2].update(base="a"))),
+         "'base': 'a'"),
+        # NaN compares false with every bound.
+        (lambda d: d.__setitem__("synth", _synth_curves(lambda c: c[0].update(base=math.nan))),
+         "leaves (0, 1)"),
     ],
     ids=["delimiter", "sweep_grid", "output_file", "train_seed", "model_dim", "nan_l2",
-         "synth_seed", "field_name", "int_path", "unknown_slot", "list_label", "int_directory"],
+         "synth_seed", "field_name", "int_path", "unknown_slot", "list_label", "int_directory",
+         "synth_counts", "synth_curves", "synth_curve_kind", "synth_curve_key",
+         "synth_curve_text", "synth_curve_nan"],
 )
 def test_config_value_that_fails_later_is_config_error(trained, tmp_path, capsys, edit, key):
     doc = yaml.safe_load(trained["config"].read_text())
@@ -875,14 +956,6 @@ def test_train_manifest_holds_a_date_the_config_does_not_use(trained, tmp_path):
     assert main(["train", str(cfg), "--output", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["export"] == {"mode": "2001-01-01"}
-
-
-def test_train_loss_defaults_to_the_label_kind_loss(trained, tmp_path):
-    doc = yaml.safe_load(trained["config"].read_text())
-    doc["schema"]["label_kind"] = "real"
-    derived = _train_bytes(tmp_path, doc, "derived")
-    doc["train"]["loss"] = "squared"
-    assert _train_bytes(tmp_path, doc, "explicit") == derived
 
 
 # ---------------------------------------------------------------------------
@@ -1015,6 +1088,10 @@ def test_fuzz_train(fuzz_base, data):
         assert _exit_code(["train", "config.yaml", "--output", "out"]) in _EXIT_CODES
 
 
+def _not_json(constant):
+    raise AssertionError(f"eval printed {constant}, which is not JSON")
+
+
 @_FUZZ
 @given(data=st.data())
 def test_fuzz_eval(fuzz_base, data):
@@ -1024,8 +1101,12 @@ def test_fuzz_eval(fuzz_base, data):
     if data.draw(st.booleans()):
         files["config.yaml"] = data.draw(_config_text(fuzz_base["config"]))
         argv += ["--config", "config.yaml"]
-    with _in_directory(files):
-        assert _exit_code(argv) in _EXIT_CODES
+    printed = io.StringIO()
+    with _in_directory(files), contextlib.redirect_stdout(printed):
+        code = _exit_code(argv)
+    assert code in _EXIT_CODES
+    if code == 0:  # strict JSON: no NaN or Infinity
+        json.loads(printed.getvalue(), parse_constant=_not_json)
 
 
 @_FUZZ
@@ -1056,6 +1137,43 @@ def test_fuzz_curves(fuzz_base, data):
     argv = ["curves", "model.json", field, "--segment", segment, "--grid", grid]
     with _in_directory(files):
         assert _exit_code(argv) in _EXIT_CODES
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_sweep(fuzz_base, data):
+    doc = copy.deepcopy(fuzz_base["config"])
+    doc["data"]["path"] = "data.csv"
+    doc["sweep"] = {"grid": {"step_size": [0.05, 0.2], "l2": [0.0]}}
+    files = {"config.yaml": data.draw(_config_text(doc)), "data.csv": data.draw(_csv_bytes())}
+    with _in_directory(files):
+        assert _exit_code(["sweep", "config.yaml", "--output", "out"]) in _EXIT_CODES
+
+
+# The synth sizes a test can run; a mutation that deletes one of these keys
+# would otherwise fall back to the default of 25,000 or 75,000 rows.
+_SYNTH_CAPS = {"n_train": 200, "n_test": 200, "repeats": 1}
+
+
+def _capped_synth(doc):
+    """`doc` with `_SYNTH_CAPS` put back into its synth section, whenever the
+    document and that section are still mappings."""
+    if isinstance(doc, dict) and isinstance(doc.setdefault("synth", {}), dict):
+        for key, cap in _SYNTH_CAPS.items():
+            value = doc["synth"].get(key, cap)
+            doc["synth"][key] = cap if isinstance(value, (int, float)) and value > cap else value
+    return doc
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_synth(data):
+    doc = {"synth": {**_SYNTH_CAPS, "seed": 1, "interval_counts": [5], "block_dim": 2,
+                     "curves": copy.deepcopy(synthetic.DEFAULT_CURVES)},
+           "train": {"epochs": 1, "batch_size": 64}}
+    text = yaml.safe_dump(_capped_synth(data.draw(_mutated(doc))))
+    with _in_directory({"synth.yaml": text}):
+        assert _exit_code(["synth", "synth.yaml", "--output", "out"]) in _EXIT_CODES
 
 
 # ---------------------------------------------------------------------------

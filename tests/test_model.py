@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -174,20 +175,22 @@ def _block_rows(schema, n, seed):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
 def test_scoring_in_blocks_changes_no_bit(monkeypatch, n):
     # Blocks of 3 rows: one partial block, one whole block, several blocks
-    # with a one-row last block. `evaluate` refuses 0 rows.
-    losses = ("logloss", "squared") if n else ()
+    # with a one-row last block. `evaluate` refuses 0 rows; it scores the
+    # model by logloss and its twin with a real label kind by squared error.
     for i, model in enumerate(_block_models()):
+        real = dataclasses.replace(model.schema, label_kind="real")
+        scored = (model, dataclasses.replace(model, schema=real)) if n else ()
         data = _block_rows(model.schema, n, seed=i)
         P, linear = model_module._field_vectors(model, data)
         unblocked = model.interaction.scores(P, linear)
-        metrics = [training.evaluate(model, data, loss) for loss in losses]
+        metrics = [training.evaluate(m, data) for m in scored]
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "_SCORE_ROWS", 3)
             got = predict_scores(model, data)
             by_row = np.array([predict_scores(model, data.subset(slice(r, r + 1)))[0]
                                for r in range(n)])
             assert got.tobytes() == unblocked.tobytes() == by_row.tobytes(), i
-            assert [training.evaluate(model, data, loss) for loss in losses] == metrics, i
+            assert [training.evaluate(m, data) for m in scored] == metrics, i
 
 
 def test_scoring_peak_memory_is_one_block_plus_the_scores():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import binary_cat
 
 from splinefm import training
-from splinefm.errors import ConfigError, DataError
+from splinefm.errors import ConfigError, DataError, NumericalError
 from splinefm.model import (
     FFMFieldConcat,
     FmFMMatrices,
@@ -86,7 +86,7 @@ def test_constant_feature_converges_to_logit():
     labels = (rng.random(2000) < 0.3).astype(float)
     rows = [{"c": "x"} for _ in labels]
     data = pack(schema, rows, labels)
-    cfg = TrainConfig(loss="logloss", optimizer="adagrad", step_size=1.0, epochs=500, seed=0)
+    cfg = TrainConfig(optimizer="adagrad", step_size=1.0, epochs=500, seed=0)
     model, _ = train(cfg, schema, make_interaction("fm", schema, 1), data)
     rate = labels.mean()
     target = math.log(rate / (1 - rate))
@@ -117,11 +117,9 @@ def test_linear_only_squared_loss_matches_ols_oracle():
     assert ols_rmse < 1e-10
 
     data = pack(schema, rows, labels)
-    cfg = TrainConfig(
-        loss="squared", optimizer="adagrad", step_size=0.3, epochs=150, seed=0
-    )
+    cfg = TrainConfig(optimizer="adagrad", step_size=0.3, epochs=150, seed=0)
     model, _ = train(cfg, schema, make_interaction("fm", schema, 0), data)
-    rmse = evaluate(model, data, "squared").rmse
+    rmse = evaluate(model, data).rmse
     assert rmse < 1e-2
 
 
@@ -153,11 +151,11 @@ def test_holdout_rows_never_influence_parameters():
 
 
 def test_full_batch_gd_loss_non_increasing_linear_case():
-    schema = build_schema([("a", binary_cat()), ("b", binary_cat())])
+    # Squared loss on 0/1 labels: a real label kind.
+    schema = build_schema([("a", binary_cat()), ("b", binary_cat())], label_kind="real")
     rows, labels = random_rows(200, 9)
     data = pack(schema, rows, labels)
     cfg = TrainConfig(
-        loss="squared",
         optimizer="sgd",
         step_size=0.01,
         batch_size=200,
@@ -179,8 +177,18 @@ def test_cross_entropy_stays_finite_for_extreme_parameters():
     m.w0 = 1e6  # saturates the sigmoid
     rows = [{"a": "0"}, {"a": "1"}]
     data = pack(schema, rows, [0.0, 1.0])
-    metrics = evaluate(m, data, "logloss")
+    metrics = evaluate(m, data)
     assert math.isfinite(metrics.cross_entropy)
+
+
+def test_evaluate_non_finite_loss_is_numerical_error():
+    # A model file may hold any finite value; this one's squared error
+    # overflows, which `eval` would print as Infinity, not JSON.
+    schema = build_schema([("a", binary_cat())], label_kind="real")
+    m = init_params(schema, make_interaction("fm", schema, 1), seed=0)
+    m.w0 = 1e200
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite loss inf"):
+        evaluate(m, pack(schema, [{"a": "0"}], [0.0]))
 
 
 def test_evaluate_closed_forms():
@@ -191,10 +199,11 @@ def test_evaluate_closed_forms():
     rows = [{"a": "0"}, {"a": "1"}, {"a": "0"}]
     data = pack(schema, rows, [0.0, 1.0, 1.0])
     # All-zero parameters predict exactly 0.5.
-    assert evaluate(m, data, "logloss").cross_entropy == pytest.approx(math.log(2))
-    # Perfect predictions under squared loss.
-    data_real = pack(schema, rows, [0.0, 0.0, 0.0])
-    assert evaluate(m, data_real, "squared").rmse == 0.0
+    assert evaluate(m, data).cross_entropy == pytest.approx(math.log(2))
+    # Perfect predictions under squared loss, which a real label kind scores.
+    real = build_schema([("a", binary_cat())], label_kind="real")
+    m_real = init_params(real, make_interaction("fm", real, 1), seed=0)
+    assert evaluate(m_real, pack(real, rows, [0.0, 0.0, 0.0])).rmse == 0.0
 
 
 def test_evaluate_hand_computed_batch():
@@ -208,12 +217,12 @@ def test_evaluate_hand_computed_batch():
     p0 = 1 / (1 + math.exp(-1.0))
     p1 = 1 / (1 + math.exp(1.0))
     expected = -(math.log(p0) + math.log(1 - p1) + math.log(p1)) / 3
-    assert evaluate(m, data, "logloss").cross_entropy == pytest.approx(expected, rel=1e-12)
+    assert evaluate(m, data).cross_entropy == pytest.approx(expected, rel=1e-12)
 
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        TrainConfig(loss="hinge").validate()
+        TrainConfig(optimizer="newton").validate()
     with pytest.raises(ConfigError):
         TrainConfig(step_size=0.0).validate()
     with pytest.raises(ConfigError):
@@ -235,7 +244,7 @@ def test_empty_inputs_rejected():
 
     m = init_params(schema, make_interaction("fm", schema, 2), seed=0)
     with pytest.raises(DataError):
-        evaluate(m, data, "logloss")
+        evaluate(m, data)
 
 
 def test_binary_labels_enforced():
@@ -595,10 +604,10 @@ def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
     model = randomized(init_params(schema, make_interaction(variant, schema, 3), seed=2), 3)
 
     def loss():
-        return training._mean_loss("logloss", predict_scores(model, data), data.y)
+        return training._loss_and_dscore("binary", predict_scores(model, data), data.y)[0]
 
     P, _ = training._field_vectors(model, data)
-    _, d_score = training._loss_and_dscore("logloss", predict_scores(model, data), data.y)
+    _, d_score = training._loss_and_dscore("binary", predict_scores(model, data), data.y)
     g = training._batch_backward(model, data, P, d_score / data.n)
     h = 1e-6
     model.w0 += h
@@ -646,7 +655,8 @@ def reference_train(cfg, schema, interaction, data):
         for start in range(0, data.n, cfg.batch_size):
             batch = data.subset(order[start : start + cfg.batch_size])
             P, _ = training._field_vectors(model, batch)
-            _, d_score = training._loss_and_dscore(cfg.loss, predict_scores(model, batch), batch.y)
+            scores = predict_scores(model, batch)
+            _, d_score = training._loss_and_dscore(schema.label_kind, scores, batch.y)
             g0, dw, dV, d_tensors = _dense_backward(model, batch, P, d_score / batch.n)
             grads = {
                 **{f"w{f}": a for f, a in enumerate(dw)},
@@ -779,7 +789,7 @@ def test_batch_backward_equals_unique_and_pair_loop_oracle_bitwise(variant):
     model = randomized(init_params(schema, make_interaction(variant, schema, 3), seed=2), 4)
     for batch in (data, data.subset(slice(0, 7)), data.subset(slice(7, 8))):
         P, _ = training._field_vectors(model, batch)
-        _, d_score = training._loss_and_dscore("logloss", predict_scores(model, batch), batch.y)
+        _, d_score = training._loss_and_dscore("binary", predict_scores(model, batch), batch.y)
         d_score[::3] = 0.0
         g = training._batch_backward(model, batch, P, d_score / batch.n)
         w0, want_rows, want_w, want_V, want_tensors = _oracle_backward(
