@@ -14,9 +14,13 @@ through its own `splinefm.cli.main`, in a fresh interpreter that imports
 the workload's `export.yaml` (`inverse_cdf` mode) and once on
 `export_explicit.yaml`, which `write_explicit_export` writes: `explicit`
 mode with the same field and bin count, its boundaries evenly spaced over
-the field's range in `train.csv`. `model.json`, `metrics.json`, the four printed `eval` metrics,
-`model_binned.json` and `bins.tsv` of both exports and every curve file
-must be equal byte for byte. Once per invocation, each side also runs an
+the field's range in `train.csv`. Each exported binned model is scored
+too: `eval` on `test.csv` and on `malformed.csv`, and, where the workload's
+curve field is not its exported field, one `curves` call on the first
+segment, which holds a value of the binned field. `model.json`,
+`metrics.json`, the four printed `eval` metrics, `model_binned.json`,
+`bins.tsv` and the two printed `eval` metrics of both exports, and every
+curve file must be equal byte for byte. Once per invocation, each side also runs an
 FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data, a
 small `synth` (`SYNTH`), and a `train` of the `SWEEP_SYNTH_INPUTS` config
 with `schema.label_kind: real`, which trains and scores by squared error,
@@ -54,7 +58,8 @@ CUT_ROWS = (1, 1_025)  # data rows of the cuts of `test.csv` that `eval` also sc
 EXPORTS = ("export", "export_explicit")  # output directories of the two exports
 EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
          *(f"eval_{rows}.json" for rows in CUT_ROWS),
-         *(f"{d}/{name}" for d in EXPORTS for name in ("model_binned.json", "bins.tsv"))]
+         *(f"{d}/{name}" for d in EXPORTS
+           for name in ("model_binned.json", "bins.tsv", "eval.json", "eval_malformed.json"))]
 MODELS = {"model.json", "real/model.json", *(f"{d}/model_binned.json" for d in EXPORTS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
@@ -159,21 +164,33 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
         return
     w = WORKLOADS[case]
     segments = json.loads((inputs / "segments.json").read_text())
+
+    def evaluate(model: Path) -> None:
+        """`eval` of a model on `test.csv` and on `malformed.csv`, printed
+        to `eval.json` and `eval_malformed.json` beside the model."""
+        (model.parent / "eval.json").write_text(verb(["eval", model, inputs / "test.csv"]))
+        malformed = ["eval", model, inputs / "malformed.csv", "--config", inputs / "malformed.yaml"]
+        (model.parent / "eval_malformed.json").write_text(verb(malformed))
+
+    def curve(model: Path, segment: dict, output: Path) -> None:
+        lo, hi, points = w.curve_grid
+        spec = ",".join(f"{k}={v}" for k, v in segment.items())
+        verb(["curves", model, w.curve_field, "--segment", spec,
+              "--grid", f"{lo}:{hi}:{points}", "--output", output])
+
     verb(["train", inputs / "config.yaml", "--output", out])
-    (out / "eval.json").write_text(verb(["eval", out / "model.json", inputs / "test.csv"]))
-    malformed = ["eval", out / "model.json", inputs / "malformed.csv",
-                 "--config", inputs / "malformed.yaml"]
-    (out / "eval_malformed.json").write_text(verb(malformed))
+    evaluate(out / "model.json")
     for rows in CUT_ROWS:
         cut = verb(["eval", out / "model.json", inputs / f"test_{rows}.csv"])
         (out / f"eval_{rows}.json").write_text(cut)
     for config, directory in zip(("export.yaml", "export_explicit.yaml"), EXPORTS):
         verb(["export-bins", out / "model.json", inputs / config, "--output", out / directory])
-    lo, hi, points = w.curve_grid
+        binned = out / directory / "model_binned.json"
+        evaluate(binned)
+        if w.curve_field != w.export_field:
+            curve(binned, segments[0], out / directory / "curve.tsv")
     for i, segment in enumerate(segments):
-        spec = ",".join(f"{k}={v}" for k, v in segment.items())
-        verb(["curves", out / "model.json", w.curve_field, "--segment", spec,
-              "--grid", f"{lo}:{hi}:{points}", "--output", out / f"curve{i}.tsv"])
+        curve(out / "model.json", segment, out / f"curve{i}.tsv")
 
 
 def _model_arrays(doc: dict) -> dict:
@@ -201,7 +218,7 @@ def model_gaps(base: Path, head: Path) -> str:
     return f"entries {', '.join(entries) or 'none'} differ, largest gap {gap:.3g}"
 
 
-def compare(base: Path, head: Path, exact=EXACT, curves="curve*.tsv") -> list:
+def compare(base: Path, head: Path, exact=EXACT, curves="**/curve*.tsv") -> list:
     """What differs between the outputs of two sides, one line each: the
     files `exact`, and the curve files the pattern `curves` matches, each
     compared byte for byte."""

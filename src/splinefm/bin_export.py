@@ -45,7 +45,7 @@ class BinnedExport:
 def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explicit=None):
     """Bin boundaries for export.
 
-    Modes: "inverse_cdf" places boundaries at transform.inverse(j/N);
+    Modes: "inverse_cdf" places boundaries at transform.inverse_many(j/N);
     "geometric" builds a geometric ladder over the transform's range
     (positive domain required); "explicit" validates user boundaries.
     """
@@ -56,7 +56,7 @@ def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explici
     if mode == "inverse_cdf":
         return transform.inverse_many(np.arange(num_bins + 1) / num_bins)
     if mode == "geometric":
-        lo, hi = transform.inverse(0.0), transform.inverse(1.0)
+        lo, hi = transform.inverse_many([0.0, 1.0])
         if lo <= 0.0:
             raise ConfigError("geometric boundaries require a positive domain")
         return np.geomspace(lo, hi, num_bins + 1)
@@ -70,7 +70,7 @@ def export_binned(
     kind = _continuous_kind(model, field_name)
     binned = BinnedNumerical(boundaries)
     boundaries = binned.boundaries
-    lo, hi = kind.transform.inverse(0.0), kind.transform.inverse(1.0)
+    lo, hi = kind.transform.inverse_many([0.0, 1.0])
     if boundaries[0] > lo or boundaries[-1] < hi:
         warnings.warn(
             f"boundaries [{boundaries[0]}, {boundaries[-1]}] do not cover the "

@@ -47,7 +47,7 @@ _ALLOWED = {
     "model": {"variant", "dim"},
     "train": _TRAIN_KEYS,
     "export": {"field", "mode", "bins", "boundaries"},
-    "synth": {"curves", "n_train", "n_test", "repeats", "seed", "interval_counts", "block_dim"},
+    "synth": {"curves", "n_train", "n_test", "repeats", "seed", "interval_counts"},
     "sweep": {"grid"},
     "output": {"directory"},
 }
@@ -190,10 +190,13 @@ def _write_tsv(path: Path, header, rows, delimiter="\t") -> None:
         writer.writerows(rows)
 
 
+def _model_dim(config: dict) -> int:
+    return _config_int(config.get("model", {}).get("dim", 4), "model.dim", 0, MAX_DIM)
+
+
 def _interaction(config: dict, schema):
-    model_cfg = config.get("model", {})
-    dim = _config_int(model_cfg.get("dim", 4), "model.dim", 0, MAX_DIM)
-    return make_interaction(model_cfg.get("variant", "fm"), schema, dim)
+    variant = config.get("model", {}).get("variant", "fm")
+    return make_interaction(variant, schema, _model_dim(config))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,10 @@ def cmd_synth(args) -> None:
     counts = [_config_int(c, "synth.interval_counts", maximum=MAX_FUNCTIONS) for c in counts]
     if not counts:
         raise ConfigError("synth.interval_counts must not be empty")
-    block_dim = _config_int(synth_cfg.get("block_dim", 4), "synth.block_dim", maximum=MAX_DIM)
+    variant = config.get("model", {}).get("variant", "ffm")
+    if variant != "ffm":
+        raise ConfigError(f"synth trains FFMs only; model.variant must be 'ffm', got {variant!r}")
+    block_dim = _model_dim(config)
     # Curve plot-data comes from one spline model at the smallest interval count.
     schema = build_synthetic_schema("spline", min(counts))
     train_cfg = TrainConfig(**config.get("train", {})).validate()
@@ -310,10 +316,8 @@ def cmd_synth(args) -> None:
             delimiter=",",
         )
 
-    records = run_comparison(
-        curves, counts, repeats, seed, n_train, n_test, train_cfg, block_dim,
-        data=(rows_tr, y_tr, rows_te, y_te),
-    )
+    records = run_comparison((rows_tr, y_tr, rows_te, y_te), counts, repeats, seed, train_cfg,
+                             block_dim)
     _write_tsv(
         out / "results.tsv",
         ["strategy", "intervals", "repeat", "test_loss", "train_loss"],

@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Categorical:
-    vocabulary: dict  # value -> dense index from 0
+    vocabulary: dict  # cell text -> dense index from 0
     unknown_slot: bool = True
 
     def __post_init__(self):
@@ -52,6 +52,9 @@ class Categorical:
             raise ConfigError(f"unknown_slot must be true or false, got {self.unknown_slot!r}")
         if sorted(self.vocabulary.values()) != list(range(len(self.vocabulary))):
             raise ConfigError("a vocabulary must give its values the indices 0..n-1")
+        # Cells are looked up as text, and a model file keeps keys as text.
+        if not all(isinstance(key, str) for key in self.vocabulary):
+            raise ConfigError("every vocabulary value must be a string")
 
     @property
     def width(self) -> int:
@@ -155,7 +158,7 @@ class DatasetSchema:
             k = f.kind
             if isinstance(k, Categorical):
                 doc["kind"] = "categorical"
-                doc["vocabulary"] = {str(v): i for v, i in k.vocabulary.items()}
+                doc["vocabulary"] = dict(k.vocabulary)
                 doc["unknown_slot"] = k.unknown_slot
             elif isinstance(k, BinnedNumerical):
                 doc["kind"] = "binned"

@@ -48,10 +48,6 @@ class SplineBasis:
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
 
-    @property
-    def num_intervals(self) -> int:
-        return self.num_functions - self.degree
-
     def eval_sparse(self, z: float) -> tuple[int, np.ndarray]:
         """Evaluate the degree+1 functions active at `z`.
 

@@ -50,6 +50,9 @@ DEFAULT_CURVES = [
 ]
 
 
+# A zero or extreme curve parameter gives an infinity or a NaN, which the
+# (0, 1) check refuses; numpy's warnings about it would only repeat that.
+@np.errstate(all="ignore")
 def curve_value(curve: dict, z) -> np.ndarray:
     """Evaluate one CTR curve at value(s) z."""
     z = np.asarray(z, dtype=float)
@@ -136,29 +139,24 @@ def build_synthetic_schema(strategy: str, intervals: int):
 
 
 def run_comparison(
-    curves,
+    data: tuple,
     interval_counts,
     repeats: int,
     seed: int,
-    n_train: int = 25_000,
-    n_test: int = 75_000,
-    train_config: TrainConfig | None = None,
-    block_dim: int = 4,
-    data: tuple | None = None,
+    train_config: TrainConfig,
+    block_dim: int,
 ) -> list:
     """Train binned and spline FFMs at each interval count.
 
     Returns one record per (strategy, intervals, repeat):
     {"strategy", "intervals", "repeat", "test_loss", "train_loss"}.
-    Repeats share the dataset and differ only in model initialization.
-    `data` is (train rows, train labels, test rows, test labels) as `generate`
-    draws them with `seed` and `seed + 1`; None draws them here.
+    `data` is (train rows, train labels, test rows, test labels), as
+    `generate` draws them. Repeats share the dataset and differ only in
+    model initialization, which `seed` decides.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    train_config = train_config or TrainConfig()
-    rows_tr, y_tr, rows_te, y_te = data or (*generate(curves, n_train, seed)[:2],
-                                             *generate(curves, n_test, seed + 1)[:2])
+    rows_tr, y_tr, rows_te, y_te = data
 
     records = []
     for strategy in ("binned", "spline"):
@@ -186,21 +184,16 @@ def run_comparison(
     return records
 
 
-def emit_curves(model: ModelParams, grid, curves=None) -> list:
-    """Sigmoid-linked segmentized curves per segment, with ground truth.
-
-    Returns records {"segment", "z", "predicted", "truth"} (truth only
-    when `curves` is given).
-    """
+def emit_curves(model: ModelParams, grid, curves) -> list:
+    """Sigmoid-linked segmentized curves per segment, with the ground truth
+    of `curves`: records {"segment", "z", "predicted", "truth"}."""
     grid = np.asarray(grid, dtype=float)
     records = []
     for s in range(NUM_SEGMENTS):
         scores = segmentized_curve(model, _segment_cells(s), "z", grid)
         predicted = 1.0 / (1.0 + np.exp(-scores))
-        truth = curve_value(curves[s], grid) if curves is not None else None
+        truth = curve_value(curves[s], grid)
         for i, z in enumerate(grid):
-            rec = {"segment": s, "z": float(z), "predicted": float(predicted[i])}
-            if truth is not None:
-                rec["truth"] = float(truth[i])
-            records.append(rec)
+            records.append({"segment": s, "z": float(z), "predicted": float(predicted[i]),
+                            "truth": float(truth[i])})
     return records

@@ -246,26 +246,25 @@ def train(
     schema: DatasetSchema,
     interaction,
     data: PackedData,
-    holdout: PackedData | None = None,
     init_seed: int | None = None,
     progress=None,
 ) -> tuple[ModelParams, Metrics]:
     """Train a model; deterministic given config seeds (single worker).
 
-    `holdout` overrides splitting by `holdout_fraction`; when neither is
-    present the final epoch's parameters are returned. `progress`, if
-    given, receives one dict per epoch.
+    `holdout_fraction` of the rows are set aside as the holdout; without
+    one the final epoch's parameters are returned. `progress`, if given,
+    receives one dict per epoch.
     """
     config.validate()
     if data.n == 0:
         raise DataError("cannot train on an empty dataset")
     _check_labels(schema.label_kind, data.y)
 
-    if holdout is None and config.holdout_fraction > 0.0:
-        rng = np.random.default_rng(config.seed)
-        perm = rng.permutation(data.n)
+    holdout = None
+    if config.holdout_fraction > 0.0:
+        perm = np.random.default_rng(config.seed).permutation(data.n)
         n_hold = int(round(config.holdout_fraction * data.n))
-        holdout = data.subset(perm[:n_hold])
+        holdout = data.subset(perm[:n_hold]) if n_hold else None
         data = data.subset(perm[n_hold:])
         if data.n == 0:
             raise DataError("holdout_fraction leaves no training rows")
@@ -295,7 +294,7 @@ def train(
             epoch_loss += loss * batch.n
             opt.step(model, _batch_backward(model, batch, P, d_score / batch.n))
         record = {"epoch": epoch, "train_loss": epoch_loss / data.n}
-        if holdout is not None and holdout.n > 0:
+        if holdout is not None:
             h_scores = predict_scores(model, holdout)
             h_loss, _ = _loss_and_dscore(schema.label_kind, h_scores, holdout.y)
             record["holdout_loss"] = h_loss
@@ -308,7 +307,7 @@ def train(
     if best_snap is not None:
         _restore(model, best_snap)
 
-    final = evaluate(model, holdout if holdout is not None and holdout.n else data)
+    final = evaluate(model, data if holdout is None else holdout)
     metrics.cross_entropy = final.cross_entropy
     metrics.rmse = final.rmse
     return model, metrics

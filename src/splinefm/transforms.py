@@ -67,10 +67,6 @@ class QuantileTransform:
         if not ((np.diff(levels) > 0).all() and levels[0] == 0.0 and levels[-1] == 1.0):
             raise ConfigError("quantile levels must increase strictly from 0 to 1")
 
-    @property
-    def resolution(self) -> int:
-        return len(self.reference_points) - 1
-
     def apply(self, z: float) -> float:
         """Map a raw value into [0, 1]; out-of-range values clamp to 0/1."""
         z = _check_finite_scalar(z, "transform input")
@@ -81,12 +77,8 @@ class QuantileTransform:
         z = _check_finite_array(z)
         return np.interp(z, self.reference_points, self.levels)
 
-    def inverse(self, u: float) -> float:
-        """Piecewise-linear inverse of apply, defined for u in [0, 1]."""
-        return float(self.inverse_many(u))
-
     def inverse_many(self, u) -> np.ndarray:
-        """`inverse` over an array."""
+        """Piecewise-linear inverse of `apply` at each u, which must lie in [0, 1]."""
         return np.interp(_check_unit_array(u), self.levels, self.reference_points)
 
     def to_dict(self) -> dict:
@@ -126,11 +118,8 @@ class AffineTransform:
         u = np.where(u < 0.0, 0.0, u)
         return np.where(u > 1.0, 1.0, u)
 
-    def inverse(self, u: float) -> float:
-        return float(self.inverse_many(u))
-
     def inverse_many(self, u) -> np.ndarray:
-        """`inverse` over an array."""
+        """Inverse of `apply` at each u, which must lie in [0, 1]."""
         return self.low + _check_unit_array(u) * (self.high - self.low)
 
     def to_dict(self) -> dict:

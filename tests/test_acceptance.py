@@ -40,7 +40,7 @@ from splinefm.schema import (
     infer_schema,
 )
 from splinefm.splines import build_uniform
-from splinefm.synthetic import DEFAULT_CURVES, run_comparison
+from splinefm.synthetic import DEFAULT_CURVES, generate, run_comparison
 from splinefm.training import TrainConfig, evaluate, pack, train
 from splinefm.transforms import AffineTransform
 
@@ -302,13 +302,14 @@ def test_acceptance_6_export_fidelity(capsys):
 
 def test_acceptance_7_synthetic_experiment(capsys):
     start = time.time()
+    # 25,000 training and 75,000 test rows, drawn with seeds 0 and 1.
+    rows_tr, y_tr, _, _ = generate(DEFAULT_CURVES, 25_000, 0)
+    rows_te, y_te, _, _ = generate(DEFAULT_CURVES, 75_000, 1)
     records = run_comparison(
-        DEFAULT_CURVES,
+        (rows_tr, y_tr, rows_te, y_te),
         interval_counts=[5, 6, 12, 120],
         repeats=15,
         seed=0,
-        n_train=25_000,
-        n_test=75_000,
         train_config=TrainConfig(step_size=0.05, epochs=12),
         block_dim=4,
     )

@@ -23,6 +23,7 @@ from splinefm import synthetic
 from splinefm.cli import _read_table, main
 from splinefm.errors import DataError
 from splinefm.model import load_model
+from splinefm.training import TrainConfig
 
 
 def write_dataset(path, n=300, seed=0):
@@ -178,16 +179,16 @@ def test_export_bins_geometric_ladder(trained, tmp_path):
         table = np.array([row[:2] for row in list(csv.reader(fh, delimiter="\t"))[1:]], float)
     bounds = np.append(table[:, 0], table[-1, 1])
     transform = load_model(model).schema.field_named("x").kind.transform
-    assert len(bounds) == 9 and transform.inverse(0.0) > 0.0
-    npt.assert_allclose(bounds[[0, -1]], [transform.inverse(0.0), transform.inverse(1.0)],
-                        rtol=1e-12)
+    ends = transform.inverse_many([0.0, 1.0])
+    assert len(bounds) == 9 and ends[0] > 0.0
+    npt.assert_allclose(bounds[[0, -1]], ends, rtol=1e-12)
     ratios = bounds[1:] / bounds[:-1]
     npt.assert_allclose(ratios, ratios[0], rtol=1e-12)
     assert ratios[0] > 1.0
 
 
 def test_export_bins_geometric_needs_a_positive_domain(trained, tmp_path, capsys):
-    # The quantile transform's first reference point is inverse(0).
+    # The quantile transform's first reference point is its inverse at 0.
     def zero_low(doc):
         doc["schema"]["fields"][1]["transform"]["reference_points"][0] = 0.0
 
@@ -274,8 +275,8 @@ def test_synth_verb_small(tmp_path):
                     "repeats": 1,
                     "seed": 5,
                     "interval_counts": [4, 6],
-                    "block_dim": 2,
                 },
+                "model": {"dim": 2},
                 "train": {"epochs": 1, "batch_size": 128},
                 "output": {"directory": str(out)},
             },
@@ -312,6 +313,45 @@ def test_synth_draws_its_data_once(tmp_path, monkeypatch):
     cfg.write_text(yaml.safe_dump({"synth": synth, "train": {"epochs": 1}}))
     assert main(["synth", str(cfg), "--output", str(tmp_path / "out")]) == 0
     assert drawn == [(300, 5), (200, 6)]
+
+
+def test_synth_block_dim_is_model_dim(tmp_path):
+    # `synth` trains its FFMs with block dim `model.dim`, not the default 4.
+    synth = {"n_train": 300, "n_test": 200, "repeats": 1, "seed": 5, "interval_counts": [4]}
+    train_cfg = {"epochs": 1, "batch_size": 64}
+    cfg = tmp_path / "synth.yaml"
+    cfg.write_text(yaml.safe_dump({"synth": synth, "model": {"dim": 2}, "train": train_cfg}))
+    assert main(["synth", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "results.tsv", newline="") as fh:
+        written = list(csv.reader(fh, delimiter="\t"))[1:]
+    data = (*synthetic.generate(synthetic.DEFAULT_CURVES, 300, 5)[:2],
+            *synthetic.generate(synthetic.DEFAULT_CURVES, 200, 6)[:2])
+
+    def expected(block_dim):
+        records = synthetic.run_comparison(data, [4], 1, 5, TrainConfig(**train_cfg), block_dim)
+        return [[r["strategy"], str(r["intervals"]), str(r["repeat"]), repr(r["test_loss"]),
+                 repr(r["train_loss"])] for r in records]
+
+    assert written == expected(2)
+    assert written != expected(4)  # the default block dim gives other losses
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"model": {"variant": "fwfm"}}, "model.variant must be 'ffm', got 'fwfm'"),
+        ({"synth": {"block_dim": 2}}, "unknown key 'block_dim' in section 'synth'"),
+        ({"model": {"dim": -1}}, "model.dim must be >= 0"),
+    ],
+    ids=["fwfm_variant", "synth_block_dim", "negative_dim"],
+)
+def test_synth_model_section_errors(tmp_path, capsys, doc, message):
+    synth = {"n_train": 100, "n_test": 100, "repeats": 1, "interval_counts": [4]}
+    cfg = tmp_path / "synth.yaml"
+    cfg.write_text(yaml.safe_dump({"synth": synth, **doc}))
+    capsys.readouterr()
+    assert main(["synth", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +920,8 @@ def _reject(*args, **kwargs):
          "cli.run_comparison"),
         ("synth", lambda d: d["synth"].__setitem__("interval_counts", [5, 1e300]),
          "synth.interval_counts", "cli.run_comparison"),
-        ("synth", lambda d: d["synth"].__setitem__("block_dim", 1e300), "synth.block_dim",
+        # The FFM block dim of `synth`.
+        ("synth", lambda d: d["model"].__setitem__("dim", 1e300), "model.dim",
          "cli.run_comparison"),
     ],
     ids=["epochs", "dim", "num_functions", "resolution", "field_bins", "export_bins",
@@ -1168,9 +1209,9 @@ def _capped_synth(doc):
 @_FUZZ
 @given(data=st.data())
 def test_fuzz_synth(data):
-    doc = {"synth": {**_SYNTH_CAPS, "seed": 1, "interval_counts": [5], "block_dim": 2,
+    doc = {"synth": {**_SYNTH_CAPS, "seed": 1, "interval_counts": [5],
                      "curves": copy.deepcopy(synthetic.DEFAULT_CURVES)},
-           "train": {"epochs": 1, "batch_size": 64}}
+           "model": {"dim": 2}, "train": {"epochs": 1, "batch_size": 64}}
     text = yaml.safe_dump(_capped_synth(data.draw(_mutated(doc))))
     with _in_directory({"synth.yaml": text}):
         assert _exit_code(["synth", "synth.yaml", "--output", "out"]) in _EXIT_CODES

@@ -8,6 +8,7 @@ from oracles import binary_cat, entries, offsets
 from splinefm.errors import ConfigError, DataError
 from splinefm.schema import (
     BinnedNumerical,
+    Categorical,
     ContinuousNumerical,
     DatasetSchema,
     build_schema,
@@ -50,6 +51,14 @@ def test_unknown_slot_convention():
     assert field.width == 6
     idx, val = encode_row(schema, {"color": "mauve"})
     assert idx[0].tolist() == [[field.kind.unknown_index]] and val[0].tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("vocabulary", [{0: 0, 1: 1}, {"0": 0, 1: 1}, {None: 0}])
+def test_categorical_vocabulary_keys_must_be_strings(vocabulary):
+    # Cells are looked up as text, and a model file keeps its keys as text:
+    # a key of another type would score one way here and another once loaded.
+    with pytest.raises(ConfigError, match="must be a string"):
+        Categorical(vocabulary)
 
 
 def test_quantile_binning_matches_sort_oracle():

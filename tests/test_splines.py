@@ -43,7 +43,7 @@ def oracle_eval(basis, z):
 
 def test_build_uniform_clamped_knot_layout():
     basis = build_uniform(8, 3)
-    assert basis.num_intervals == 5
+    assert basis.num_functions - basis.degree == 5  # sub-intervals
     npt.assert_allclose(
         np.unique(basis.knots), [0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15
     )
@@ -52,7 +52,7 @@ def test_build_uniform_clamped_knot_layout():
 
 def test_build_uniform_minimal_is_bernstein():
     basis = build_uniform(4, 3)
-    assert basis.num_intervals == 1
+    assert basis.num_functions - basis.degree == 1
     # Bernstein cubic at 0.5: (1/8, 3/8, 3/8, 1/8)
     npt.assert_allclose(basis.eval_many([0.5])[0], [0.125, 0.375, 0.375, 0.125], atol=1e-15)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,25 @@ def test_curve_leaving_unit_interval_rejected():
     bad = {"family": "logistic", "base": 0.5, "amplitude": 0.7, "center": 20.0, "scale": 3.0}
     with pytest.raises(ConfigError):
         curve_value(bad, np.linspace(0, 40, 401))
+
+
+@pytest.mark.parametrize(
+    "family, params, expected",
+    [
+        ("logistic", {"scale": 0}, None),  # divides by zero, and 0 / 0 at the center
+        ("logistic", {"scale": 1e-300}, [0.2, 0.45, 0.7, 0.7, 0.7]),  # exp overflows
+        ("gaussian", {"width": 1e-200}, None),  # the squared width underflows to 0
+    ],
+)
+def test_curve_value_extreme_parameters_warn_nothing(family, params, expected):
+    curve = {"family": family, "base": 0.2, "amplitude": 0.5, "center": 10.0, **params}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            with pytest.raises(ConfigError, match=r"leaves \(0, 1\)"):
+                curve_value(curve, np.linspace(0.0, 40.0, 5))
+        else:
+            npt.assert_array_equal(curve_value(curve, np.linspace(0.0, 40.0, 5)), expected)
 
 
 def test_generate_is_deterministic():
@@ -102,20 +122,22 @@ def test_schema_strategies():
         build_synthetic_schema("binned", 0)
 
 
+def small_data(seed: int, n: int = 600) -> tuple:
+    """(train rows, train labels, test rows, test labels): n rows each, as
+    `generate` draws them with `seed` and `seed + 1`."""
+    rows_tr, y_tr, _, _ = generate(DEFAULT_CURVES, n, seed)
+    rows_te, y_te, _, _ = generate(DEFAULT_CURVES, n, seed + 1)
+    return rows_tr, y_tr, rows_te, y_te
+
+
 def test_run_comparison_record_layout_and_determinism():
     cfg = TrainConfig(epochs=1, batch_size=512)
-    recs = run_comparison(
-        DEFAULT_CURVES, [5], repeats=2, seed=9, n_train=600, n_test=600,
-        train_config=cfg, block_dim=2,
-    )
+    recs = run_comparison(small_data(9), [5], repeats=2, seed=9, train_config=cfg, block_dim=2)
     assert len(recs) == 4  # 2 strategies x 1 count x 2 repeats
     assert {r["strategy"] for r in recs} == {"binned", "spline"}
     for r in recs:
         assert math.isfinite(r["test_loss"]) and math.isfinite(r["train_loss"])
-    recs2 = run_comparison(
-        DEFAULT_CURVES, [5], repeats=2, seed=9, n_train=600, n_test=600,
-        train_config=cfg, block_dim=2,
-    )
+    recs2 = run_comparison(small_data(9), [5], repeats=2, seed=9, train_config=cfg, block_dim=2)
     assert recs == recs2
     # Repeats differ only in initialization, and do differ.
     by_rep = {r["repeat"]: r["test_loss"] for r in recs if r["strategy"] == "spline"}
@@ -132,14 +154,13 @@ def test_emit_curves_identity_for_perfect_spline_model():
     coef = rng.normal(size=fld.width)
     model.w[fld.field_id] = coef
     grid = np.linspace(0.0, 40.0, 81)
-    records = emit_curves(model, grid)
+    records = emit_curves(model, grid, DEFAULT_CURVES)
     basis = fld.kind.basis
     for rec in records:
         u = rec["z"] / 40.0
         expected = 1.0 / (1.0 + math.exp(-float(basis.eval_many([u])[0] @ coef)))
         assert rec["predicted"] == pytest.approx(expected, rel=1e-12)
     assert len(records) == 8 * len(grid)
-    assert "truth" not in records[0]
 
 
 def test_emit_curves_truth_column():
@@ -158,4 +179,5 @@ def test_generate_input_validation():
     with pytest.raises(ConfigError):
         generate(DEFAULT_CURVES[:3], 10, seed=0)
     with pytest.raises(ConfigError):
-        run_comparison(DEFAULT_CURVES, [5], repeats=0, seed=0, n_train=10, n_test=10)
+        run_comparison(small_data(0, 10), [5], repeats=0, seed=0, train_config=TrainConfig(),
+                       block_dim=4)

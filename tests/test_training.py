@@ -138,13 +138,18 @@ def test_same_seed_bit_identical():
 def test_holdout_rows_never_influence_parameters():
     schema = mixed_schema()
     rows, labels = random_rows(300, 6)
-    h1_rows, h1_labels = random_rows(50, 7)
-    h2_rows, h2_labels = random_rows(120, 8)
-    data = pack(schema, rows, labels)
-    cfg = TrainConfig(epochs=3, seed=1, select_best=False)
+    cfg = TrainConfig(epochs=3, seed=1, holdout_fraction=0.2, select_best=False)
+    # The rows `train` sets aside: the first fifth of its permutation.
+    held = np.random.default_rng(cfg.seed).permutation(300)[:60]
+    other_rows, other_labels = random_rows(60, 7)
+    changed_rows, changed_labels = list(rows), labels.copy()
+    for i, row, label in zip(held, other_rows, other_labels):
+        changed_rows[i], changed_labels[i] = row, 1.0 - label
     inter = make_interaction("fm", schema, 2)
-    m1, _ = train(cfg, schema, inter, data, holdout=pack(schema, h1_rows, h1_labels))
-    m2, _ = train(cfg, schema, inter, data, holdout=pack(schema, h2_rows, h2_labels))
+    m1, h1 = train(cfg, schema, inter, pack(schema, rows, labels))
+    m2, h2 = train(cfg, schema, inter, pack(schema, changed_rows, changed_labels))
+    # The holdout did change, and the parameters did not.
+    assert h1.history[0]["holdout_loss"] != h2.history[0]["holdout_loss"]
     assert m1.w0 == m2.w0
     for a, b in zip([*m1.w, *m1.V], [*m2.w, *m2.V], strict=True):
         npt.assert_array_equal(a, b)
