@@ -42,15 +42,14 @@ class BinnedExport:
         return ["\t".join(map(repr, row)) for chunk in chunks for row in chunk]
 
 
-def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf", explicit=None):
+def make_boundaries(transform, num_bins: int, mode: str = "inverse_cdf"):
     """Bin boundaries for export.
 
     Modes: "inverse_cdf" places boundaries at transform.inverse_many(j/N);
     "geometric" builds a geometric ladder over the transform's range
-    (positive domain required); "explicit" validates user boundaries.
+    (positive domain required). Explicit boundaries go to `export_binned`
+    as they are; it validates them.
     """
-    if mode == "explicit":
-        return BinnedNumerical(explicit).boundaries
     if num_bins < 1:
         raise ConfigError(f"need at least 1 bin, got {num_bins}")
     if mode == "inverse_cdf":

@@ -246,21 +246,18 @@ def cmd_export_bins(args) -> None:
     field_name = export_cfg.get("field")
     if field_name is None:
         raise ConfigError("export.field is required")
-    mode, explicit = export_cfg.get("mode", "inverse_cdf"), export_cfg.get("boundaries")
-    if mode == "explicit" and explicit is None:
+    mode, boundaries = export_cfg.get("mode", "inverse_cdf"), export_cfg.get("boundaries")
+    if mode == "explicit" and boundaries is None:
         raise ConfigError("export.mode explicit needs export.boundaries")
-    if mode != "explicit" and explicit is not None:
+    if mode != "explicit" and boundaries is not None:
         raise ConfigError(f"export.boundaries is read only by export.mode explicit, not {mode!r}")
     if mode == "explicit" and "bins" in export_cfg:
         raise ConfigError("export.bins is not read by export.mode explicit; the boundaries set it")
     model = load_model(args.model)
-    kind = _continuous_kind(model, field_name)
-    boundaries = make_boundaries(
-        kind.transform,
-        _config_int(export_cfg.get("bins", 200), "export.bins", maximum=MAX_BINS),
-        mode,
-        explicit=explicit,
-    )
+    transform = _continuous_kind(model, field_name).transform
+    if mode != "explicit":  # `export_binned` validates explicit boundaries
+        num_bins = _config_int(export_cfg.get("bins", 200), "export.bins", maximum=MAX_BINS)
+        boundaries = make_boundaries(transform, num_bins, mode)
     exported, export = export_binned(model, field_name, boundaries)
     out = _out_dir(config, args.output)
     _write_export(out, exported, export)
@@ -293,7 +290,7 @@ def cmd_synth(args) -> None:
     n_train = _config_int(synth_cfg.get("n_train", 25_000), "synth.n_train",
                           maximum=MAX_SYNTH_ROWS)
     n_test = _config_int(synth_cfg.get("n_test", 75_000), "synth.n_test", maximum=MAX_SYNTH_ROWS)
-    repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats", maximum=MAX_REPEATS)
+    repeats = _config_int(synth_cfg.get("repeats", 15), "synth.repeats", 1, MAX_REPEATS)
     counts = [_config_int(c, "synth.interval_counts", maximum=MAX_FUNCTIONS) for c in counts]
     if not counts:
         raise ConfigError("synth.interval_counts must not be empty")

@@ -85,10 +85,9 @@ class BinnedNumerical:
     def width(self) -> int:
         return len(self.boundaries) - 1
 
-    def bin_of(self, z: float) -> int:
-        """Right-open interval lookup; out-of-range clamps to outer bins."""
-        j = int(np.searchsorted(self.boundaries, z, side="right")) - 1
-        return min(max(j, 0), self.width - 1)
+    def bin_of(self, z):
+        """Right-open interval lookup of each `z`; out-of-range clamps to outer bins."""
+        return np.clip(np.searchsorted(self.boundaries, z, side="right") - 1, 0, self.width - 1)
 
 
 @dataclass(frozen=True)
@@ -181,12 +180,25 @@ class DatasetSchema:
             elif fdoc["kind"] == "continuous":
                 kind = ContinuousNumerical(
                     transform=transform_from_dict(fdoc["transform"]),
-                    basis=SplineBasis.from_dict(fdoc["basis"]),
+                    basis=_basis_from_doc(fdoc["name"], fdoc["basis"]),
                 )
             else:
                 raise ConfigError(f"unknown field kind {fdoc['kind']!r}")
             kinds.append((fdoc["name"], kind))
         return build_schema(kinds, label_kind=doc["label_kind"])
+
+
+def _basis_from_doc(name: str, doc: dict) -> SplineBasis:
+    """The basis a model file gives the field `name`. Its `num_functions`
+    and `degree` must be ints, and `num_functions` at most `MAX_FUNCTIONS`,
+    or it is a DataError naming them, raised before any array is built."""
+    for key in ("num_functions", "degree"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise DataError(f"field {name!r}: basis {key} must be an integer, got {doc[key]!r}")
+    if doc["num_functions"] > MAX_FUNCTIONS:
+        raise DataError(f"field {name!r}: basis num_functions must be <= {MAX_FUNCTIONS}, "
+                        f"got {doc['num_functions']}")
+    return SplineBasis.from_dict(doc)
 
 
 def build_schema(named_kinds, label_kind: str = "binary") -> DatasetSchema:
@@ -442,9 +454,8 @@ def _encode_columns(schema: DatasetSchema, columns: dict, n) -> tuple[list, list
                 codes[unseen] = k.unknown_index
         elif isinstance(k, BinnedNumerical):
             z = _parse_column(column, f.name)
-            b = k.boundaries
-            z[np.isnan(z)] = 0.5 * (b[0] + b[-1])
-            codes = np.clip(np.searchsorted(b, z, side="right") - 1, 0, k.width - 1)
+            z[np.isnan(z)] = 0.5 * (k.boundaries[0] + k.boundaries[-1])
+            codes = k.bin_of(z)
         else:
             z = _parse_column(column, f.name)
             missing = np.isnan(z)

@@ -1,15 +1,14 @@
 """Clamped uniform B-spline basis on the unit interval.
 
-Evaluation uses the local triangular (de Boor) scheme over the degree+1
-functions active at a point, so the cost per point is O(degree^2)
-regardless of the basis size. `eval_batch` runs the same scheme over a
-whole array of points at once, row by row, so a point's values do not
-depend on the points evaluated with it: `schema.encode_columns` evaluates
-the points of several fields that share a basis in one call.
+`eval_batch` is the one evaluation: the local triangular (de Boor) scheme
+over the degree+1 functions active at each point of an array, so the cost
+per point is O(degree^2) regardless of the basis size. It runs row by row,
+so a point's values do not depend on the points evaluated with it:
+`schema.encode_columns` evaluates the points of several fields that share
+a basis in one call. `eval_sparse` and `eval_many` are views of its result.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,61 +48,34 @@ class SplineBasis:
         object.__setattr__(self, "knots", knots)
 
     def eval_sparse(self, z: float) -> tuple[int, np.ndarray]:
-        """Evaluate the degree+1 functions active at `z`.
-
-        Returns (first_index, values) such that values[i] is basis
-        function first_index+i evaluated at `z`; all other functions
-        vanish there. Out-of-range `z` is clamped to [0, 1].
-        """
-        if not math.isfinite(z):
-            raise ConfigError(f"cannot evaluate basis at non-finite point {z!r}")
-        z = min(max(float(z), 0.0), 1.0)
-        d = self.degree
-        t = self.knots
-        # Knot span: largest s with t[s] <= z < t[s+1]; z == 1 uses the
-        # last non-empty span so the clamped end stays well defined.
-        s = int(np.searchsorted(t, z, side="right")) - 1
-        s = min(max(s, d), self.num_functions - 1)
-
-        # Triangular scheme ("BasisFuns"): builds degrees 0..d in place.
-        values = np.empty(d + 1)
-        left = np.empty(d + 1)
-        right = np.empty(d + 1)
-        values[0] = 1.0
-        for j in range(1, d + 1):
-            left[j] = z - t[s + 1 - j]
-            right[j] = t[s + j] - z
-            saved = 0.0
-            for r in range(j):
-                denom = right[r + 1] + left[j - r]
-                term = values[r] / denom
-                values[r] = saved + right[r + 1] * term
-                saved = left[j - r] * term
-            values[j] = saved
-        return s - d, values
+        """`eval_batch` at the one point `z`: (first_index, values)."""
+        first, values = self.eval_batch(z)
+        return int(first[0]), values[0]
 
     def eval_batch(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the degree+1 active functions at every point of `z`.
 
-        Returns (first[n], values[n, degree+1]) with the meaning of
-        `eval_sparse` row by row. The recurrence is the same, with the
-        same operations in the same order, vectorized over points, so
-        each row equals `eval_sparse` of that point bit for bit.
+        Returns (first[n], values[n, degree+1]) such that values[r, i] is
+        basis function first[r]+i evaluated at z[r]; all other functions
+        vanish there. Out-of-range points are clamped to [0, 1]. Each row
+        depends on its own point only.
         """
         z = np.asarray(z, dtype=float).ravel()
         if not np.isfinite(z).all():
             bad = float(z[~np.isfinite(z)][0])
             raise ConfigError(f"cannot evaluate basis at non-finite point {bad!r}")
-        # min(max(z, 0), 1) as the scalar path computes it (keeps -0.0).
+        # Clamp to [0, 1], keeping -0.0 as min(max(z, 0.0), 1.0) does.
         z = np.where(z < 0.0, 0.0, z)
         z = np.where(z > 1.0, 1.0, z)
         d = self.degree
         t = self.knots
+        # Knot span: largest s with t[s] <= z < t[s+1]; z == 1 takes the last non-empty one.
         s = np.searchsorted(t, z, side="right") - 1
         s = np.minimum(np.maximum(s, d), self.num_functions - 1)
 
-        # One contiguous row per function while the recurrence runs: a
-        # column of an (n, d+1) array is strided, which slows large batches.
+        # Triangular scheme ("BasisFuns"), one contiguous row per function
+        # while it runs: a column of an (n, d+1) array is strided, which
+        # slows large batches.
         values = np.empty((d + 1, z.size))
         left = np.empty((d + 1, z.size))
         right = np.empty((d + 1, z.size))

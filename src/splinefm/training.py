@@ -183,20 +183,15 @@ class _Optimizer:
         self.config = config
         # AdaGrad keeps one accumulator per parameter array; SGD keeps None.
         acc = np.zeros_like if config.optimizer == "adagrad" else (lambda a: None)
-        self.acc_w0 = 0.0
+        self.acc_w0 = acc(np.zeros(1))
         self.acc_w = [acc(w) for w in model.w]
         self.acc_V = [acc(v) for v in model.V]
         self.tensors = {name: (t, acc(t)) for name, t in model.interaction.tensors().items()}
 
     def step(self, model: ModelParams, g: _BatchGrads) -> None:
-        cfg = self.config
-        lr = cfg.step_size
-        g_w0 = g.w0 + cfg.l2 * model.w0 if cfg.l2 > 0.0 else g.w0
-        if cfg.optimizer == "adagrad":
-            self.acc_w0 += g_w0 * g_w0
-            model.w0 -= lr * g_w0 / (math.sqrt(self.acc_w0) + cfg.adagrad_eps)
-        else:
-            model.w0 -= lr * g_w0
+        w0 = np.array([model.w0])  # steps as a one-row table
+        self._update(w0, self.acc_w0, slice(None), np.array([g.w0]))
+        model.w0 = float(w0[0])
         for fid, rows in enumerate(g.rows):
             self._update(model.w[fid], self.acc_w[fid], rows, g.w[fid])
             self._update(model.V[fid], self.acc_V[fid], rows, g.V[fid])

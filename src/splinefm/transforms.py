@@ -4,6 +4,8 @@ The default is an empirical quantile transform: piecewise-linear
 interpolation through (quantile, level) pairs, which roughly follows the
 field's CDF and therefore spreads the data evenly over [0, 1]. An affine
 min-max transform is provided for fields that are already well behaved.
+Each transform maps arrays (`apply_many`, `inverse_many`); `apply` maps
+one value through `apply_many`.
 """
 from __future__ import annotations
 
@@ -18,13 +20,6 @@ __all__ = ["Transform", "QuantileTransform", "AffineTransform", "fit_quantile"]
 
 DEFAULT_RESOLUTION = 1000
 FIT_SAMPLE_CAP = 100_000
-
-
-def _check_finite_scalar(z: float, name: str) -> float:
-    z = float(z)
-    if not math.isfinite(z):
-        raise ConfigError(f"{name} must be finite, got {z!r}")
-    return z
 
 
 def _check_finite_array(z) -> np.ndarray:
@@ -68,17 +63,16 @@ class QuantileTransform:
             raise ConfigError("quantile levels must increase strictly from 0 to 1")
 
     def apply(self, z: float) -> float:
-        """Map a raw value into [0, 1]; out-of-range values clamp to 0/1."""
-        z = _check_finite_scalar(z, "transform input")
-        return float(np.interp(z, self.reference_points, self.levels))
+        """`apply_many` of the one value `z`."""
+        return float(self.apply_many(z))
 
     def apply_many(self, z) -> np.ndarray:
-        """`apply` over an array; each element equals `apply` bit for bit."""
+        """Map raw values into [0, 1]; out-of-range values clamp to 0/1."""
         z = _check_finite_array(z)
         return np.interp(z, self.reference_points, self.levels)
 
     def inverse_many(self, u) -> np.ndarray:
-        """Piecewise-linear inverse of `apply` at each u, which must lie in [0, 1]."""
+        """Piecewise-linear inverse of `apply_many` at each u, which must lie in [0, 1]."""
         return np.interp(_check_unit_array(u), self.levels, self.reference_points)
 
     def to_dict(self) -> dict:
@@ -107,19 +101,18 @@ class AffineTransform:
             )
 
     def apply(self, z: float) -> float:
-        z = _check_finite_scalar(z, "transform input")
-        u = (z - self.low) / (self.high - self.low)
-        return min(max(u, 0.0), 1.0)
+        """`apply_many` of the one value `z`."""
+        return float(self.apply_many(z))
 
     def apply_many(self, z) -> np.ndarray:
-        """`apply` over an array; each element equals `apply` bit for bit."""
+        """Map raw values onto [0, 1], clamping outside [low, high]."""
         u = (_check_finite_array(z) - self.low) / (self.high - self.low)
-        # min(max(u, 0), 1) as `apply` computes it (keeps -0.0).
+        # Clamp to [0, 1], keeping -0.0 as min(max(u, 0.0), 1.0) does.
         u = np.where(u < 0.0, 0.0, u)
         return np.where(u > 1.0, 1.0, u)
 
     def inverse_many(self, u) -> np.ndarray:
-        """Inverse of `apply` at each u, which must lie in [0, 1]."""
+        """Inverse of `apply_many` at each u, which must lie in [0, 1]."""
         return self.low + _check_unit_array(u) * (self.high - self.low)
 
     def to_dict(self) -> dict:

@@ -5,9 +5,11 @@ of their own: field after field in schema order, each taking as many
 indices as its width. They read the linear weights as one flat vector,
 `np.concatenate(model.w)`. So they borrow no layout from splinefm, which
 keeps its parameters in per-field tables. `read_table` reads a data file
-one dict per row, where splinefm reads it column by column, and
-`scalar_inverse` inverts a transform one Python float at a time.
+one dict per row, where splinefm reads it column by column.
+`scalar_apply`, `scalar_inverse` and `scalar_basis` map one Python float
+at a time, where splinefm maps arrays.
 """
+import bisect
 import collections
 import copy
 import csv
@@ -104,11 +106,40 @@ def read_table(path, delimiter=",", label="label"):
     return {name: [row[name] for row in rows] for name in names}, np.array(labels)
 
 
+def scalar_apply(transform, z: float) -> float:
+    """A transform at one point, computed on Python floats."""
+    if isinstance(transform, AffineTransform):
+        u = (float(z) - transform.low) / (transform.high - transform.low)
+        return min(max(u, 0.0), 1.0)
+    return float(np.interp(float(z), transform.reference_points, transform.levels))
+
+
 def scalar_inverse(transform, u: float) -> float:
     """A transform's inverse at one point, computed on Python floats."""
     if isinstance(transform, AffineTransform):
         return transform.low + float(u) * (transform.high - transform.low)
     return float(np.interp(float(u), transform.levels, transform.reference_points))
+
+
+def scalar_basis(basis, z: float) -> tuple[int, np.ndarray]:
+    """(first index, values) of the degree+1 functions of `basis` active at
+    `z`, clamped to [0, 1]: the triangular (de Boor) recurrence run on
+    Python floats, one point at a time."""
+    z = min(max(float(z), 0.0), 1.0)
+    d, t = basis.degree, basis.knots.tolist()
+    # Knot span: largest s with t[s] <= z < t[s+1]; z == 1 takes the last non-empty one.
+    s = min(max(bisect.bisect_right(t, z) - 1, d), basis.num_functions - 1)
+    values, left, right = [1.0] + [0.0] * d, [0.0] * (d + 1), [0.0] * (d + 1)
+    for j in range(1, d + 1):
+        left[j] = z - t[s + 1 - j]
+        right[j] = t[s + j] - z
+        saved = 0.0
+        for r in range(j):
+            term = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * term
+            saved = left[j - r] * term
+        values[j] = saved
+    return s - d, np.array(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -89,14 +90,17 @@ def test_geometric_requires_positive_domain():
 
 
 def test_explicit_boundaries_validated():
-    npt.assert_array_equal(
-        make_boundaries(None, 0, "explicit", explicit=[0.0, 1.0, 5.0]),
-        [0.0, 1.0, 5.0],
-    )
-    with pytest.raises(ConfigError):
-        make_boundaries(None, 0, "explicit", explicit=[0.0, 1.0, 1.0])
-    with pytest.raises(ConfigError):
-        make_boundaries(None, 0, "explicit", explicit=[3.0])
+    # `export_binned` takes explicit boundaries as given and validates them
+    # once; these cover the field's range [0, 10], so none warns.
+    model = make_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, export = export_binned(model, "z", [0.0, 1.0, 10.0])
+    npt.assert_array_equal(export.boundaries, [0.0, 1.0, 10.0])
+    with pytest.raises(ConfigError, match="boundaries"):
+        export_binned(model, "z", [0.0, 10.0, 10.0])
+    with pytest.raises(ConfigError, match="boundaries"):
+        export_binned(model, "z", [3.0])
 
 
 def test_unknown_mode_and_bad_count():

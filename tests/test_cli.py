@@ -354,6 +354,16 @@ def test_synth_model_section_errors(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+def test_synth_zero_repeats_fails_before_writing(tmp_path, capsys):
+    synth = {"n_train": 100, "n_test": 100, "repeats": 0, "interval_counts": [4]}
+    cfg = tmp_path / "synth.yaml"
+    cfg.write_text(yaml.safe_dump({"synth": synth}))
+    capsys.readouterr()
+    assert main(["synth", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "synth.repeats must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 def test_label_only_csv_trains_a_bias_only_model(tmp_path, capsys):
     # A file with no feature column still has its rows.
@@ -722,6 +732,8 @@ def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, ed
     [
         ("export", {"bins": "abc"}, "export.bins"),
         ("export", {"mode": "explicit", "boundaries": ["a", "b"]}, "boundaries"),
+        ("export", {"mode": "explicit", "boundaries": [0, 5, 5]}, "boundaries"),
+        ("export", {"mode": "explicit", "boundaries": [3]}, "boundaries"),
         ("model", {"dim": "abc"}, "model.dim"),
         ("train", {"epochs": "x"}, "train.epochs"),
         ("train", {"batch_size": 2.5}, "train.batch_size"),
@@ -730,8 +742,8 @@ def test_eval_invalid_schema_section_is_data_error(trained, tmp_path, capsys, ed
         ("model", {"dim": True}, "model.dim"),
         ("field", {"num_functions": "3"}, "num_functions"),
     ],
-    ids=["bins", "boundaries", "dim", "epochs", "batch_size", "num_functions",
-         "fractional_bins", "bool_dim", "string_num_functions"],
+    ids=["bins", "boundaries", "repeated_boundary", "one_boundary", "dim", "epochs",
+         "batch_size", "num_functions", "fractional_bins", "bool_dim", "string_num_functions"],
 )
 def test_config_number_of_wrong_type_is_config_error(
     trained, tmp_path, capsys, section, entries, key

@@ -674,6 +674,14 @@ def _doc(variant="fmfm"):
          "interaction block_dim must"),
         ("fmfm", lambda d: d["interaction"]["dims"].__setitem__(0, 3.0),
          "interaction dims must"),
+        # A basis is checked before any array is built: one numpy cannot
+        # allocate, a float size and a bool degree are DataErrors naming them.
+        ("fm", lambda d: d["schema"]["fields"][2]["basis"].__setitem__("num_functions", 10**15),
+         "field 'z': basis num_functions must be <= 10000, got 1000000000000000"),
+        ("fm", lambda d: d["schema"]["fields"][2]["basis"].__setitem__("num_functions", 6.0),
+         "field 'z': basis num_functions must be an integer, got 6.0"),
+        ("fm", lambda d: d["schema"]["fields"][2]["basis"].__setitem__("degree", True),
+         "field 'z': basis degree must be an integer, got True"),
         # What format 1 held and format 2 dropped is not read silently.
         ("fwfm", lambda d: d["interaction"].__setitem__("learn", False), "unknown entries learn"),
     ],

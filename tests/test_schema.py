@@ -139,6 +139,11 @@ def test_binned_interval_membership():
     assert kind.bin_of(2.0) == 1  # last interval closed
     assert kind.bin_of(-3.0) == 0
     assert kind.bin_of(9.0) == 1
+    # One rule for arrays, which `encode_columns` looks up: element by element
+    # the cases above, on boundaries, below the first and above the last.
+    points = [0.5, 1.0, 2.0, -3.0, 9.0, 0.0]
+    assert kind.bin_of(np.array(points)).tolist() == [kind.bin_of(z) for z in points]
+    assert kind.bin_of(np.array(points)).tolist() == [0, 1, 1, 0, 1, 0]
 
 
 def test_continuous_entries_match_basis_eval():

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_basis
 
 from splinefm.errors import ConfigError
 from splinefm.splines import build_uniform
@@ -100,25 +101,28 @@ def test_eval_sparse_endpoint():
     npt.assert_array_equal(values, [1, 0, 0, 0])
 
 
+def scattered(basis, first, values):
+    """The dense rows of the sparse (first, values) rows of `eval_batch`."""
+    out = np.zeros((first.size, basis.num_functions))
+    for row, (f, v) in enumerate(zip(first, values)):
+        out[row, f : f + basis.degree + 1] = v
+    return out
+
+
 def test_eval_sparse_reconstruction_bit_identical():
     basis = build_uniform(8, 3)
     grid = np.linspace(0.0, 1.0, 10_000)
-    for z, dense in zip(grid, basis.eval_many(grid)):
-        first, values = basis.eval_sparse(z)
-        scattered = np.zeros(8)
-        scattered[first : first + 4] = values
-        npt.assert_array_equal(scattered, dense)
+    npt.assert_array_equal(scattered(basis, *basis.eval_batch(grid)), basis.eval_many(grid))
 
 
 @pytest.mark.parametrize("ell", [4, 8, 9, 16])
 def test_partition_of_unity_and_locality(ell):
     basis = build_uniform(ell, 3)
     rng = np.random.default_rng(42)
-    for z in rng.random(10_000):
-        first, values = basis.eval_sparse(z)
-        assert abs(values.sum() - 1.0) < 1e-12
-        assert (values >= 0.0).all()
-        assert np.count_nonzero(values) <= 4
+    _, values = basis.eval_batch(rng.random(10_000))
+    assert (np.abs(values.sum(axis=1) - 1.0) < 1e-12).all()
+    assert (values >= 0.0).all()
+    assert (np.count_nonzero(values, axis=1) <= 4).all()
 
 
 def test_cubic_continuity_on_fine_grid():
@@ -177,6 +181,7 @@ def bits(a):
     ),
 )
 def test_property_eval_batch_equals_eval_sparse_bitwise(degree, extra, points):
+    # The reference is `oracles.scalar_basis`, one Python float at a time.
     basis = build_uniform(degree + 1 + extra, degree)
     # Every break-point, so points exactly on knots are always covered.
     points = points + np.unique(basis.knots).tolist()
@@ -184,7 +189,7 @@ def test_property_eval_batch_equals_eval_sparse_bitwise(degree, extra, points):
     assert first.shape == (len(points),)
     assert values.shape == (len(points), degree + 1)
     for z, f, v in zip(points, first, values):
-        f_ref, v_ref = basis.eval_sparse(z)
+        f_ref, v_ref = scalar_basis(basis, z)
         assert f == f_ref
         npt.assert_array_equal(bits(v), bits(v_ref))
 
@@ -204,8 +209,4 @@ def test_eval_many_rows_equal_dense_eval():
     basis = build_uniform(9, 2)
     grid = np.concatenate([np.linspace(-0.1, 1.1, 257), np.unique(basis.knots)])
     dense = basis.eval_many(grid)
-    for z, row in zip(grid, dense):
-        first, values = basis.eval_sparse(z)
-        scattered = np.zeros(basis.num_functions)
-        scattered[first : first + basis.degree + 1] = values
-        npt.assert_array_equal(bits(row), bits(scattered))
+    npt.assert_array_equal(bits(dense), bits(scattered(basis, *basis.eval_batch(grid))))

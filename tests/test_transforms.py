@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scalar_inverse
+from oracles import scalar_apply, scalar_inverse
 from scipy.stats import kstest
 
 from splinefm.errors import ConfigError, DataError
@@ -127,13 +127,14 @@ def test_serialization_round_trip_bit_exact():
     points=st.lists(st.floats(min_value=-100, max_value=100), max_size=30),
 )
 def test_property_apply_many_equals_apply_bitwise(sample, resolution, points):
+    # The reference is `oracles.scalar_apply`, one Python float at a time.
     quantile = fit_quantile(sample, resolution)
     affine = AffineTransform(float(min(sample)), float(max(sample)))
     # Reference points and bounds exactly, plus -0.0 at the clamp.
     points = points + quantile.reference_points.tolist() + [-0.0, affine.low, affine.high]
     for t in (quantile, affine):
         batch = t.apply_many(points)
-        single = np.array([t.apply(z) for z in points])
+        single = np.array([scalar_apply(t, z) for z in points])
         npt.assert_array_equal(batch.view(np.uint64), single.view(np.uint64))
 
 
@@ -143,6 +144,8 @@ def test_apply_many_rejects_non_finite():
             t.apply_many([0.5, float("inf")])
         with pytest.raises(ConfigError):
             t.apply_many([float("nan")])
+        with pytest.raises(ConfigError, match=r"^transform input must be finite, got inf$"):
+            t.apply(float("inf"))
 
 
 @settings(max_examples=200, deadline=None)
