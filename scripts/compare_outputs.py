@@ -24,15 +24,18 @@ curve file must be equal byte for byte. Once per invocation, each side also runs
 FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data, a
 small `synth` (`SYNTH`), a `train` of the `SWEEP_SYNTH_INPUTS` config
 with `schema.label_kind: real`, which trains and scores by squared error,
-followed by an `eval` of that model on the workload's `test.csv`, and a
+followed by an `eval` of that model on the workload's `test.csv`, a
 `train` of that config with `SGD_TRAIN` (SGD with an L2 penalty, the
-optimizer branches no other output runs); `sweep.tsv`, `results.tsv`,
-`train.csv`, `test.csv`, `curves.tsv`, the real model's `model.json`,
-`metrics.json` and printed `eval` metrics, and the SGD model's
-`model.json` and `metrics.json` must be equal byte for byte. Prints one
-line per workload and seed and one for `sweep`, `synth`, the real label
-kind and SGD; exits 1 when any output
-differs. For a model file that differs, the line also names the
+optimizer branches no other output runs), and, for each of `BINNINGS`, a
+`train` and an `eval` of that config with its field `BINNED_FIELD`
+declared binned (`BINNED_BINS` bins), the only trained binned fields;
+`sweep.tsv`, `results.tsv`, `train.csv`, `test.csv`, `curves.tsv`, the
+real model's `model.json`, `metrics.json` and printed `eval` metrics, the
+SGD model's `model.json` and `metrics.json`, and each binned model's
+`model.json`, `metrics.json` and printed `eval` metrics must be equal byte
+for byte. Prints one line per workload and seed and one for `sweep`,
+`synth`, the real label kind, SGD and the binned fields; exits 1 when any
+output differs. For a model file that differs, the line also names the
 top-level entries that differ and the largest absolute gap over `w0`, `w`,
 `V` and the interaction's arrays, which tells a change of the file format
 from a change of the numbers.
@@ -59,22 +62,27 @@ from workloads import WORKLOADS, write_inputs  # noqa: E402
 SEEDS = (1, 7)
 CUT_ROWS = (1, 1_025)  # data rows of the cuts of `test.csv` that `eval` also scores
 EXPORTS = ("export", "export_explicit")  # output directories of the two exports
+# The field that the binned trains declare binned, its bin count, and their binnings.
+BINNED_FIELD, BINNED_BINS, BINNINGS = "z", 40, ("uniform", "quantile")
 EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
          *(f"eval_{rows}.json" for rows in CUT_ROWS),
          *(f"{d}/{name}" for d in EXPORTS
            for name in ("model_binned.json", "bins.tsv", "eval.json", "eval_malformed.json"))]
 MODELS = {"model.json", "real/model.json", "sgd/model.json",
-          *(f"{d}/model_binned.json" for d in EXPORTS)}
+          *(f"{d}/model_binned.json" for d in EXPORTS),
+          *(f"binned_{mode}/model.json" for mode in BINNINGS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
 SWEEP_SYNTH_INPUTS = ("paper_synth", 1)
 SWEEP_GRID = {"step_size": [0.05, 0.1], "l2": [0.0, 0.001]}
 SGD_TRAIN = {"optimizer": "sgd", "l2": 0.001}  # train settings of the SGD model
 SYNTH = {"n_train": 2_000, "n_test": 2_000, "repeats": 1, "interval_counts": [5, 12], "seed": 1}
-SWEEP_SYNTH = "sweep-synth"  # the case name of `sweep`, `synth`, the real label kind and SGD
+SWEEP_SYNTH = "sweep-synth"  # the case of `sweep`, `synth`, the real label kind, SGD, binned
 SWEEP_SYNTH_EXACT = ["sweep/sweep.tsv", "synth/results.tsv", "synth/train.csv", "synth/test.csv",
                      "real/model.json", "real/metrics.json", "real/eval.json",
-                     "sgd/model.json", "sgd/metrics.json"]
+                     "sgd/model.json", "sgd/metrics.json",
+                     *(f"binned_{mode}/{name}" for mode in BINNINGS
+                       for name in ("model.json", "metrics.json", "eval.json"))]
 
 
 def write_case(workload: str, seed: int, inputs: Path) -> None:
@@ -129,8 +137,9 @@ def write_malformed(inputs: Path) -> None:
 def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
     """Write the `sweep` and `synth` configs, `real.yaml` (the config of the
     workload inputs `workload_inputs` with `schema.label_kind: real`),
-    `sgd.yaml` (that config with `SGD_TRAIN`) and a copy of their
-    `test.csv`; the sweep trains an FwFM on their training data, for 2
+    `sgd.yaml` (that config with `SGD_TRAIN`), `binned_<binning>.yaml` for
+    each of `BINNINGS` (that config with `BINNED_FIELD` binned) and a copy of
+    their `test.csv`; the sweep trains an FwFM on their training data, for 2
     epochs."""
     config = yaml.safe_load((workload_inputs / "config.yaml").read_text())
     inputs.mkdir(parents=True, exist_ok=True)
@@ -138,6 +147,12 @@ def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
     (inputs / "real.yaml").write_text(yaml.safe_dump(real))
     sgd = {**config, "train": {**config["train"], **SGD_TRAIN}}
     (inputs / "sgd.yaml").write_text(yaml.safe_dump(sgd))
+    binned = {"name": BINNED_FIELD, "kind": "binned", "bins": BINNED_BINS}
+    for mode in BINNINGS:
+        fields = [{**binned, "binning": mode} if d["name"] == BINNED_FIELD else d
+                  for d in config["schema"]["fields"]]
+        doc = {**config, "schema": {**config["schema"], "fields": fields}}
+        (inputs / f"binned_{mode}.yaml").write_text(yaml.safe_dump(doc))
     shutil.copyfile(workload_inputs / "test.csv", inputs / "test.csv")
     config["model"]["variant"] = "fwfm"
     config["train"]["epochs"] = 2
@@ -171,6 +186,11 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
         printed = verb(["eval", out / "real" / "model.json", inputs / "test.csv"])
         (out / "real" / "eval.json").write_text(printed)
         verb(["train", inputs / "sgd.yaml", "--output", out / "sgd"])
+        for mode in BINNINGS:
+            trained = out / f"binned_{mode}"
+            verb(["train", inputs / f"binned_{mode}.yaml", "--output", trained])
+            printed = verb(["eval", trained / "model.json", inputs / "test.csv"])
+            (trained / "eval.json").write_text(printed)
         return
     w = WORKLOADS[case]
     segments = json.loads((inputs / "segments.json").read_text())
@@ -275,7 +295,7 @@ def main(argv=None) -> int:
         run(SWEEP_SYNTH, case)
         diffs = compare(case / "base", case / "head", SWEEP_SYNTH_EXACT, "synth/curves.tsv")
         failed |= bool(diffs)
-        print(f"sweep, synth, real label kind and SGD on {name} seed {seed}: "
+        print(f"sweep, synth, real label kind, SGD and binned fields on {name} seed {seed}: "
               + ("; ".join(diffs) or "identical"), flush=True)
     return 1 if failed else 0
 

@@ -8,6 +8,7 @@ next to its outputs so it can be re-run exactly. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -167,6 +168,16 @@ def _out_dir(config: dict, override=None) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Yield `path`; an OSError while it is written, such as a directory
+    already at that name, is a ConfigError naming it."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {_reason(exc)}") from None
+
+
 def _write_manifest(out: Path, command: list, config: dict, started: float, extra=None) -> None:
     manifest = {
         "command": command,
@@ -178,13 +189,13 @@ def _write_manifest(out: Path, command: list, config: dict, started: float, extr
     }
     if extra:
         manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
+    with _writing(out / "manifest.json") as path, open(path, "w") as fh:
         # str() for what YAML reads beyond JSON's types, such as a date.
         json.dump(manifest, fh, indent=2, default=str)
 
 
 def _write_tsv(path: Path, header, rows, delimiter="\t") -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(header)
         writer.writerows(rows)
@@ -217,8 +228,9 @@ def cmd_train(args) -> None:
 
     model, metrics = train(train_cfg, schema, interaction, data, progress=progress)
     out = _out_dir(config, args.output)
-    save_model(model, out / "model.json")
-    with open(out / "metrics.json", "w") as fh:
+    with _writing(out / "model.json") as path:
+        save_model(model, path)
+    with _writing(out / "metrics.json") as path, open(path, "w") as fh:
         json.dump(dataclasses.asdict(metrics), fh, indent=2)
     _write_manifest(out, args.argv, config, started)
     print(f"model written to {out / 'model.json'}")
@@ -235,7 +247,7 @@ def cmd_eval(args) -> None:
     print(json.dumps(doc, indent=2))
     if args.output:
         out = _out_dir({}, args.output)
-        with open(out / "metrics.json", "w") as fh:
+        with _writing(out / "metrics.json") as path, open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
 
 
@@ -270,10 +282,12 @@ def _write_export(out: Path, exported, export) -> None:
     floats: for a finite float, the text both `json` and `csv.writer` write."""
     lines = export.lines()
     v_text = {export.field_id: ("[" + ", ".join(s.split("\t")[4:]) + "]" for s in lines)}
-    save_model(exported, out / "model_binned.json", v_text=v_text)
+    with _writing(out / "model_binned.json") as path:
+        save_model(exported, path, v_text=v_text)
     k_f = export.bin_embeddings.shape[1]
     header = "\t".join(["low", "high", "midpoint", "linear"] + [f"e{i}" for i in range(k_f)])
-    with open(out / "bins.tsv", "w", newline="") as fh:  # csv.writer's "\r\n" line ends
+    # csv.writer's "\r\n" line ends
+    with _writing(out / "bins.tsv") as path, open(path, "w", newline="") as fh:
         fh.writelines(s + "\r\n" for s in [header, *lines])
 
 
@@ -380,7 +394,7 @@ def cmd_curves(args) -> None:
     out_rows = list(zip(grid.tolist(), scores.tolist()))
     if args.output:
         out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        _out_dir({}, str(out.parent))
         _write_tsv(out, ["z", "score"], out_rows)
         print(f"curve written to {out}")
     else:
@@ -397,8 +411,8 @@ def cmd_sweep(args) -> None:
     for key, values in grid.items():
         if key not in _TRAIN_KEYS:
             raise ConfigError(f"sweep.grid key {key!r} is not a train parameter")
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep.grid.{key} must be a list, got {values!r}")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.grid.{key} must be a non-empty list, got {values!r}")
     table, labels = _read_table(config.get("data", {}))
     schema = infer_schema(table, config.get("schema", {}))
     interaction = _interaction(config, schema)

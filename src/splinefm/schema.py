@@ -1,13 +1,15 @@
-"""Per-field encoding rules, and encoding of raw rows into sparse features,
-one row (`encode_row`) or one field column (`encode_columns`) at a time;
-both give per-field index/value arrays of one layout. `encode_columns`
-evaluates each distinct spline basis once, over the transformed values of
-every continuous field that uses it.
+"""Field kinds, and encoding of raw rows into sparse features, one row
+(`encode_row`) or one field column (`encode_columns`) at a time; both give
+per-field index/value arrays of one layout. `encode_columns` evaluates each
+distinct spline basis once, over the transformed values of every continuous
+field that uses it.
 
 A field is either categorical (one-hot with a reserved unknown slot),
 binned numerical (one-hot over intervals), or continuous numerical
 (basis-function values of the transformed value, consumed downstream
-with a per-field sum reduction).
+with a per-field sum reduction). Each kind owns its model-file document
+(`to_doc`) and its rule for turning cells into one-hot codes (`codes`) or
+transformed points (`points`), missing and unseen values included.
 """
 from __future__ import annotations
 
@@ -66,6 +68,23 @@ class Categorical:
             raise ConfigError("field has no reserved unknown slot")
         return len(self.vocabulary)
 
+    def to_doc(self) -> dict:
+        return {"kind": "categorical", "vocabulary": dict(self.vocabulary),
+                "unknown_slot": self.unknown_slot}
+
+    def codes(self, name: str, cells) -> np.ndarray:
+        """The vocabulary index of each cell's text. An unseen value takes
+        the unknown slot; with none it is a DataError naming the field."""
+        lookup = self.vocabulary.get
+        codes = np.array([lookup(str(v), -1) for v in cells], dtype=np.intp)
+        if codes.min(initial=0) < 0:
+            unseen = codes < 0
+            if not self.unknown_slot:
+                key = str(cells[int(np.argmax(unseen))])
+                raise DataError(f"field {name!r}: unseen value {key!r} and no unknown slot")
+            codes[unseen] = self.unknown_index
+        return codes
+
 
 @dataclass(frozen=True)
 class BinnedNumerical:
@@ -89,6 +108,16 @@ class BinnedNumerical:
         """Right-open interval lookup of each `z`; out-of-range clamps to outer bins."""
         return np.clip(np.searchsorted(self.boundaries, z, side="right") - 1, 0, self.width - 1)
 
+    def to_doc(self) -> dict:
+        return {"kind": "binned", "boundaries": self.boundaries.tolist()}
+
+    def codes(self, name: str, cells) -> np.ndarray:
+        """The bin of each parsed cell; a missing value falls in the bin
+        that holds the midpoint of the boundary range."""
+        z = _parse_column(cells, name)
+        z[np.isnan(z)] = 0.5 * (self.boundaries[0] + self.boundaries[-1])
+        return self.bin_of(z)
+
 
 @dataclass(frozen=True)
 class ContinuousNumerical:
@@ -98,6 +127,20 @@ class ContinuousNumerical:
     @property
     def width(self) -> int:
         return self.basis.num_functions
+
+    def to_doc(self) -> dict:
+        return {"kind": "continuous", "transform": self.transform.to_dict(),
+                "basis": self.basis.to_dict()}
+
+    def points(self, name: str, cells) -> np.ndarray:
+        """The transformed value u of each parsed cell. A missing value is
+        u = 0.5: the median under the quantile transform, the range
+        midpoint under `minmax`."""
+        z = _parse_column(cells, name)
+        missing = np.isnan(z)
+        u = np.full(len(z), 0.5)
+        u[~missing] = self.transform.apply_many(z[~missing])
+        return u
 
 
 FieldKind = Categorical | BinnedNumerical | ContinuousNumerical
@@ -151,23 +194,8 @@ class DatasetSchema:
         raise ConfigError(f"no field named {name!r}")
 
     def to_dict(self) -> dict:
-        out = []
-        for f in self.fields:
-            doc = {"name": f.name}
-            k = f.kind
-            if isinstance(k, Categorical):
-                doc["kind"] = "categorical"
-                doc["vocabulary"] = dict(k.vocabulary)
-                doc["unknown_slot"] = k.unknown_slot
-            elif isinstance(k, BinnedNumerical):
-                doc["kind"] = "binned"
-                doc["boundaries"] = k.boundaries.tolist()
-            else:
-                doc["kind"] = "continuous"
-                doc["transform"] = k.transform.to_dict()
-                doc["basis"] = k.basis.to_dict()
-            out.append(doc)
-        return {"fields": out, "label_kind": self.label_kind}
+        fields = [{"name": f.name, **f.kind.to_doc()} for f in self.fields]
+        return {"fields": fields, "label_kind": self.label_kind}
 
     @staticmethod
     def from_dict(doc: dict) -> "DatasetSchema":
@@ -190,14 +218,14 @@ class DatasetSchema:
 
 def _basis_from_doc(name: str, doc: dict) -> SplineBasis:
     """The basis a model file gives the field `name`. Its `num_functions`
-    and `degree` must be ints, and `num_functions` at most `MAX_FUNCTIONS`,
-    or it is a DataError naming them, raised before any array is built."""
-    for key in ("num_functions", "degree"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise DataError(f"field {name!r}: basis {key} must be an integer, got {doc[key]!r}")
-    if doc["num_functions"] > MAX_FUNCTIONS:
-        raise DataError(f"field {name!r}: basis num_functions must be <= {MAX_FUNCTIONS}, "
-                        f"got {doc['num_functions']}")
+    and `degree` must be ints, at most `MAX_FUNCTIONS` and `MAX_DEGREE`, or
+    it is a DataError naming them, raised before any array is built."""
+    for key, most in (("num_functions", MAX_FUNCTIONS), ("degree", MAX_DEGREE)):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DataError(f"field {name!r}: basis {key} must be an integer, got {value!r}")
+        if value > most:
+            raise DataError(f"field {name!r}: basis {key} must be <= {most}, got {value}")
     return SplineBasis.from_dict(doc)
 
 
@@ -281,6 +309,7 @@ def _config_int(value, key: str, minimum=None, maximum=None) -> int:
 # so that a value such as `1e300` fails before anything is built.
 MAX_BINS = 1_000_000
 MAX_FUNCTIONS = 10_000
+MAX_DEGREE = 20  # basis evaluation costs O(degree**2) per point
 MAX_RESOLUTION = 1_000_000
 
 
@@ -352,7 +381,8 @@ def infer_schema(table, config: dict) -> DatasetSchema:
                 basis = build_uniform(
                     _config_int(decl.get("num_functions", 8), f"field {name!r}: num_functions",
                                 maximum=MAX_FUNCTIONS),
-                    _config_int(decl.get("degree", 3), f"field {name!r}: degree"),
+                    _config_int(decl.get("degree", 3), f"field {name!r}: degree",
+                                maximum=MAX_DEGREE),
                 )
                 tmode = decl.get("transform", "quantile")
                 if tmode == "quantile":
@@ -373,10 +403,9 @@ def encode_row(schema: DatasetSchema, raw: dict) -> tuple[list, list]:
     """Encode one raw row (dict of field name -> raw value).
 
     Returns per-field (1, c_f) arrays `idx` and `val`, laid out as
-    `encode_columns` lays out one row. A missing binned value falls in
-    the bin holding the midpoint of the boundary range. A missing
-    continuous value is encoded at u = 0.5: the median under the quantile
-    transform, the range midpoint under `minmax`.
+    `encode_columns` lays out one row. A one-hot field takes its kind's
+    `codes`; a continuous field is evaluated at one point, by the rule of
+    `ContinuousNumerical.points`.
     """
     idx, val = [], []
     for f in schema.fields:
@@ -385,29 +414,14 @@ def encode_row(schema: DatasetSchema, raw: dict) -> tuple[list, list]:
             value = raw[f.name]
         except KeyError:
             raise _missing_column(f.name) from None
-        if isinstance(k, Categorical):
-            key = str(value)
-            local = k.vocabulary.get(key)
-            if local is None:
-                if not k.unknown_slot:
-                    raise DataError(
-                        f"field {f.name!r}: unseen value {key!r} and no unknown slot"
-                    )
-                local = k.unknown_index
-        elif isinstance(k, BinnedNumerical):
+        if isinstance(k, ContinuousNumerical):
             z = _parse_number(value, f.name)
-            if math.isnan(z):
-                z = 0.5 * (k.boundaries[0] + k.boundaries[-1])
-            local = k.bin_of(z)
-        else:
-            z = _parse_number(value, f.name)
-            # Missing: the quantile median, or the minmax range midpoint.
             first, values = k.basis.eval_sparse(0.5 if math.isnan(z) else k.transform.apply(z))
             idx.append(first + np.arange(values.size)[None, :])
             val.append(values[None, :])
-            continue
-        idx.append(np.array([[local]], dtype=np.intp))
-        val.append(np.array([[1.0]]))
+        else:
+            idx.append(k.codes(f.name, [value])[:, None])
+            val.append(np.array([[1.0]]))
     return idx, val
 
 
@@ -419,9 +433,10 @@ def encode_columns(schema: DatasetSchema, table) -> tuple[list, list]:
     Row r holds the arrays `encode_row` gives for row r, bit for bit: a
     continuous field's degree+1 active functions at their own indices
     (`first + arange(degree+1)`; at a knot some of the values are 0.0).
-    Missing values are encoded as in `encode_row`. Invalid values raise
-    the same errors as `encode_row`; when several fields hold one, the
-    first field in schema order is reported.
+    Each field's kind turns its cells into one-hot `codes` or continuous
+    `points`, missing and unseen values included. Invalid values raise the
+    same errors as `encode_row`; when several fields hold one, the first
+    field in schema order is reported.
 
     Continuous fields are parsed and transformed field by field, then
     the basis is evaluated once per group of `schema.basis_groups`, over
@@ -437,36 +452,16 @@ def _encode_columns(schema: DatasetSchema, columns: dict, n) -> tuple[list, list
     `pack` calls it directly, so that a table is turned into columns once."""
     idx, val, u = [], [], {}
     for f in schema.fields:
-        k = f.kind
-        column = columns.get(f.name)
+        k, column = f.kind, columns.get(f.name)
         if column is None:
             raise _missing_column(f.name)
-        if isinstance(k, Categorical):
-            lookup = k.vocabulary.get
-            codes = np.array([lookup(str(v), -1) for v in column], dtype=np.intp)
-            unseen = codes < 0
-            if unseen.any():
-                if not k.unknown_slot:
-                    key = str(column[int(np.argmax(unseen))])
-                    raise DataError(
-                        f"field {f.name!r}: unseen value {key!r} and no unknown slot"
-                    )
-                codes[unseen] = k.unknown_index
-        elif isinstance(k, BinnedNumerical):
-            z = _parse_column(column, f.name)
-            z[np.isnan(z)] = 0.5 * (k.boundaries[0] + k.boundaries[-1])
-            codes = k.bin_of(z)
-        else:
-            z = _parse_column(column, f.name)
-            missing = np.isnan(z)
-            # Missing: u = 0.5, the quantile median or the minmax range midpoint.
-            u[f.field_id] = np.full(n, 0.5)
-            u[f.field_id][~missing] = k.transform.apply_many(z[~missing])
+        if isinstance(k, ContinuousNumerical):
+            u[f.field_id] = k.points(f.name, column)
             idx.append(None)  # set below, from the field's basis group
             val.append(None)
-            continue
-        idx.append(codes[:, None])
-        val.append(np.ones((n, 1)))
+        else:
+            idx.append(k.codes(f.name, column)[:, None])
+            val.append(np.ones((n, 1)))
     for basis, fids in schema.basis_groups.items():
         points = u[fids[0]] if len(fids) == 1 else np.concatenate([u[fid] for fid in fids])
         first, g_val = basis.eval_batch(points)

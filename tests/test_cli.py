@@ -864,6 +864,8 @@ def _synth_curves(edit):
     [
         (lambda d: d["data"].__setitem__("delimiter", ";;"), "data.delimiter"),
         (lambda d: d.__setitem__("sweep", {"grid": {"step_size": 0.1}}), "sweep.grid.step_size"),
+        # An empty list would sweep nothing and write a header-only sweep.tsv.
+        (lambda d: d.__setitem__("sweep", {"grid": {"seed": []}}), "sweep.grid.seed"),
         (lambda d: d["output"].__setitem__("directory", "FILE"), "output.directory"),
         (lambda d: d["train"].__setitem__("seed", -1), "train.seed"),
         (lambda d: d["model"].__setitem__("dim", -2), "model.dim"),
@@ -886,9 +888,9 @@ def _synth_curves(edit):
         (lambda d: d.__setitem__("synth", _synth_curves(lambda c: c[0].update(base=math.nan))),
          "leaves (0, 1)"),
     ],
-    ids=["delimiter", "sweep_grid", "output_file", "train_seed", "model_dim", "nan_l2",
-         "synth_seed", "field_name", "int_path", "unknown_slot", "list_label", "int_directory",
-         "synth_counts", "synth_curves", "synth_curve_kind", "synth_curve_key",
+    ids=["delimiter", "sweep_grid", "sweep_grid_empty", "output_file", "train_seed", "model_dim",
+         "nan_l2", "synth_seed", "field_name", "int_path", "unknown_slot", "list_label",
+         "int_directory", "synth_counts", "synth_curves", "synth_curve_kind", "synth_curve_key",
          "synth_curve_text", "synth_curve_nan"],
 )
 def test_config_value_that_fails_later_is_config_error(trained, tmp_path, capsys, edit, key):
@@ -920,6 +922,8 @@ def _reject(*args, **kwargs):
          "num_functions", "schema.build_uniform"),
         ("train", lambda d: _continuous_x(d).__setitem__("resolution", 1e300), "resolution",
          "schema.fit_quantile"),
+        ("train", lambda d: _continuous_x(d).update(degree=9999, num_functions=10_000), "degree",
+         "schema.build_uniform"),
         ("train", lambda d: _continuous_x(d).update(kind="binned", bins=1e300), "bins",
          "schema.BinnedNumerical"),
         ("export-bins", lambda d: d.__setitem__("export", {"field": "x", "bins": 1e300}),
@@ -936,7 +940,7 @@ def _reject(*args, **kwargs):
         ("synth", lambda d: d["model"].__setitem__("dim", 1e300), "model.dim",
          "cli.run_comparison"),
     ],
-    ids=["epochs", "dim", "num_functions", "resolution", "field_bins", "export_bins",
+    ids=["epochs", "dim", "num_functions", "resolution", "degree", "field_bins", "export_bins",
          "n_train", "n_test", "repeats", "interval_counts", "block_dim"],
 )
 def test_integer_setting_above_its_limit_is_config_error(
@@ -959,6 +963,40 @@ def test_integer_setting_above_its_limit_is_config_error(
     assert main(argv + ["--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "must be <=" in err
+
+
+def test_model_basis_degree_above_its_limit_is_data_error(trained, tmp_path, capsys, monkeypatch):
+    from splinefm import splines
+
+    monkeypatch.setattr(splines, "build_uniform", _reject)
+    basis = {"degree": 9999, "num_functions": 10_000}
+    path = _broken_model(tmp_path, trained, "deep.json", lambda d: _continuous_x(d)["basis"]
+                         .update(basis))
+    err = _eval_data_error(trained, path, capsys)
+    assert "basis degree must be <= 20, got 9999" in err
+
+
+@pytest.mark.parametrize("verb", ["train", "export-bins", "curves"])
+def test_unwritable_output_file_is_config_error(trained, tmp_path, capsys, verb):
+    # A directory where `train` or `export-bins` writes its file, or a file
+    # where `curves --output` needs its directory; the message names it.
+    out, model = tmp_path / "out", str(trained["out"] / "model.json")
+    export = tmp_path / "export.yaml"
+    export.write_text(yaml.safe_dump({"export": {"field": "x", "bins": 4}}))
+    blocked, output, argv = {
+        "train": (out / "model.json", out, ["train", str(trained["config"])]),
+        "export-bins": (out / "bins.tsv", out, ["export-bins", model, str(export)]),
+        "curves": (out, out / "curve.tsv",
+                   ["curves", model, "x", "--segment", "color=red", "--grid", "0:1:3"]),
+    }[verb]
+    if verb == "curves":
+        blocked.write_text("")
+    else:
+        blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv + ["--output", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(blocked) in err
 
 
 @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "0:inf:3", "nan:1:3", "-inf:inf:0"])

@@ -682,6 +682,8 @@ def _doc(variant="fmfm"):
          "field 'z': basis num_functions must be an integer, got 6.0"),
         ("fm", lambda d: d["schema"]["fields"][2]["basis"].__setitem__("degree", True),
          "field 'z': basis degree must be an integer, got True"),
+        ("fm", lambda d: d["schema"]["fields"][2]["basis"].update(degree=21, num_functions=22),
+         "field 'z': basis degree must be <= 20, got 21"),
         # What format 1 held and format 2 dropped is not read silently.
         ("fwfm", lambda d: d["interaction"].__setitem__("learn", False), "unknown entries learn"),
     ],
