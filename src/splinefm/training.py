@@ -2,10 +2,11 @@
 
 Rows are packed into per-field index/value arrays once, after which
 forward and backward passes are vectorized over the batch dimension.
-Scores come from `model.predict_scores`, the one scorer. It and the
-backward pass rely on schema-encoded rows contributing exactly one
-reduced slot per field (one-hot fields have a single entry; continuous
-fields are sum-reduced).
+Evaluation scores come from `model.predict_scores`, the one scorer;
+`train`'s own forward differs from it only in the order of its sums.
+Both rely on schema-encoded rows contributing exactly one reduced slot
+per field (one-hot fields have a single entry; continuous fields are
+sum-reduced) and on a row's entries naming distinct rows of its table.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .model import ModelParams, PackedData, _field_vectors, init_params, predict_scores
-from .schema import DatasetSchema, _config_int, _encode_columns, table_columns
+from .model import ModelParams, PackedData, init_params, predict_scores
+from .schema import ContinuousNumerical, DatasetSchema, _config_int, _encode_columns, table_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
 __all__ = [
@@ -94,7 +95,7 @@ def pack(schema: DatasetSchema, table, labels) -> PackedData:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized backward
+# The training step: forward and backward over each field's touched rows
 
 
 @dataclass
@@ -108,6 +109,17 @@ class _BatchGrads:
     tensors: dict  # dense gradients of the interaction's tensors, by name
 
 
+def _matrix_fields(schema: DatasetSchema, interaction) -> list:
+    """Per field, whether `train` runs it through S: only where its width is
+    at most c·k (c entries per row, k embedding columns), so that S, with
+    u <= width columns, is never larger than the (n, c, k) gather of V."""
+    out = []
+    for f in schema.fields:
+        c = f.kind.basis.degree + 1 if isinstance(f.kind, ContinuousNumerical) else 1
+        out.append(f.width <= c * interaction.embed_dim(f.field_id))
+    return out
+
+
 def _touched_rows(idx, width: int):
     """`np.unique(idx, return_inverse=True)`, inverse in idx's shape, from a
     count over the field's `width` rows instead of a sort."""
@@ -117,30 +129,57 @@ def _touched_rows(idx, width: int):
     return uniq, where[idx]
 
 
-def _batch_backward(model: ModelParams, data: PackedData, P, d_score) -> _BatchGrads:
+def _field_batches(schema: DatasetSchema, batch: PackedData, matrix: list) -> list:
+    """Per field of `batch`: (rows, inv, S), the u table rows it touches,
+    each entry's position among them, and, where `matrix` (from
+    `_matrix_fields`) says so, S (n, u), the entry values scattered over
+    those rows; else None."""
+    out = []
+    for fld, idx, val, use_s in zip(schema.fields, batch.idx, batch.val, matrix):
+        rows, inv = _touched_rows(idx, fld.width)
+        S = None
+        if use_s:
+            # A row's entries name distinct rows, so no two share a cell of S.
+            S = np.zeros((batch.n, rows.size))
+            S[np.arange(batch.n)[:, None], inv] = val
+        out.append((rows, inv, S))
+    return out
+
+
+def _forward(model: ModelParams, batch: PackedData, fbs: list):
+    """Per-field vectors P_f (n, k_f) and the linear term (n,): `S @ V[rows]`
+    on the matrix path, the gather of `model._field_vectors` on the other."""
+    P = []
+    linear = np.full(batch.n, model.w0)
+    for (rows, _, S), idx, val, w, V in zip(fbs, batch.idx, batch.val, model.w, model.V):
+        if S is None:
+            P.append(np.einsum("nc,nck->nk", val, V[idx]))
+            linear += np.einsum("nc,nc->n", val, w[idx])
+        else:
+            P.append(S @ V[rows])
+            linear += S @ w[rows]
+    return P, linear
+
+
+def _batch_backward(model: ModelParams, batch: PackedData, fbs: list, P, d_score) -> _BatchGrads:
+    """Gradients from `_forward`'s P and the score gradients: `Sᵀ @ G_f` and
+    `d_score @ S` on the matrix path, segment sums on the gather path."""
     G, d_tensors = model.interaction.grads(P, d_score)
-    rows, dw, dV = [], [], []
-    for fld in model.schema.fields:
-        fid = fld.field_id
-        idx, val = data.idx[fid], data.val[fid]
-        uniq, inv = _touched_rows(idx, fld.width)
-        # Touched rows come from a count, not a sort. In the segment sums,
-        # np.bincount adds its weights in input order: the (n, c) block in C
-        # order for w, column by column for V (G already carries d_score), so
-        # every sum is the same in bits as accumulating entries one by one.
-        dw.append(
-            np.bincount(inv.ravel(), (val * d_score[:, None]).ravel(), minlength=uniq.size)
-        )
-        k = G[fid].shape[1]
+    dw, dV = [], []
+    for (rows, inv, S), val, G_f in zip(fbs, batch.val, G):
+        if S is not None:
+            dw.append(d_score @ S)
+            dV.append(S.T @ G_f)
+            continue
+        # np.bincount adds its weights in input order: the (n, c) block in
+        # C order for w, column by column for V (G already carries d_score),
+        # so each sum equals accumulating the entries one by one.
+        u, k = rows.size, G_f.shape[1]
+        dw.append(np.bincount(inv.ravel(), (val * d_score[:, None]).ravel(), minlength=u))
         keys = np.ascontiguousarray(inv.T)[:, :, None] * k + np.arange(k)
-        weights = np.ascontiguousarray(val.T)[:, :, None] * G[fid]
-        dV.append(
-            np.bincount(keys.ravel(), weights.ravel(), minlength=uniq.size * k).reshape(
-                uniq.size, k
-            )
-        )
-        rows.append(uniq)
-    return _BatchGrads(w0=float(d_score.sum()), rows=rows, w=dw, V=dV, tensors=d_tensors)
+        weights = np.ascontiguousarray(val.T)[:, :, None] * G_f
+        dV.append(np.bincount(keys.ravel(), weights.ravel(), minlength=u * k).reshape(u, k))
+    return _BatchGrads(float(d_score.sum()), [fb[0] for fb in fbs], dw, dV, d_tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +307,20 @@ def train(
         schema, interaction, seed=config.seed if init_seed is None else init_seed
     )
     opt = _Optimizer(config, model)
+    matrix = _matrix_fields(schema, interaction)
     order_rng = np.random.default_rng(config.seed + 1)
 
     best_loss = math.inf
     best_snap = None
-    metrics = Metrics(sample_count=data.n)
+    history = []
     for epoch in range(config.epochs):
         # One gather per epoch; each batch is then a slice of it.
         shuffled = data.subset(order_rng.permutation(data.n)) if config.shuffle else data
         epoch_loss = 0.0
         for start in range(0, data.n, config.batch_size):
             batch = shuffled.subset(slice(start, start + config.batch_size))
-            P, linear = _field_vectors(model, batch)
+            fbs = _field_batches(schema, batch, matrix)
+            P, linear = _forward(model, batch, fbs)
             scores = model.interaction.scores(P, linear)
             loss, d_score = _loss_and_dscore(schema.label_kind, scores, batch.y)
             if not math.isfinite(loss):
@@ -287,7 +328,7 @@ def train(
                     f"non-finite loss in epoch {epoch}, batch starting at row {start}"
                 )
             epoch_loss += loss * batch.n
-            opt.step(model, _batch_backward(model, batch, P, d_score / batch.n))
+            opt.step(model, _batch_backward(model, batch, fbs, P, d_score / batch.n))
         record = {"epoch": epoch, "train_loss": epoch_loss / data.n}
         if holdout is not None:
             h_scores = predict_scores(model, holdout)
@@ -296,15 +337,15 @@ def train(
             if config.select_best and h_loss < best_loss:
                 best_loss = h_loss
                 best_snap = _snapshot(model)
-        metrics.history.append(record)
+        history.append(record)
         if progress is not None:
             progress(record)
     if best_snap is not None:
         _restore(model, best_snap)
 
-    final = evaluate(model, data if holdout is None else holdout)
-    metrics.cross_entropy = final.cross_entropy
-    metrics.rmse = final.rmse
+    # The loss, and `sample_count`, are over the holdout rows if there are any.
+    metrics = evaluate(model, data if holdout is None else holdout)
+    metrics.history = history
     return model, metrics
 
 

@@ -17,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 
+from splinefm import training
 from splinefm.errors import DataError
 from splinefm.model import FFMFieldConcat, FMIdentity, FwFMScalars, init_params, make_interaction
 from splinefm.schema import Categorical, encode_row
@@ -231,6 +232,20 @@ def perturb(model, kind, key, h):
     elif kind == "m":
         pair, r, c = key
         model.interaction.matrices[pair][r, c] += h
+
+
+def train_step(model, data, matrix=None):
+    """`train`'s forward over `data` as one batch, on the paths `train` picks
+    for the model or, if given, on `matrix` (one flag per field: True for
+    the touched-row matrix S). Returns (scores, backward), where
+    `backward(d_score)` is `train`'s backward: the batch's `_BatchGrads`."""
+    if matrix is None:
+        matrix = training._matrix_fields(model.schema, model.interaction)
+    fbs = training._field_batches(model.schema, data, matrix)
+    P, linear = training._forward(model, data, fbs)
+    return model.interaction.scores(P, linear), lambda d_score: training._batch_backward(
+        model, data, fbs, P, d_score
+    )
 
 
 def touched_params(grad):

@@ -20,6 +20,7 @@ from oracles import (
     random_model,
     sum_reduced_score,
     touched_params,
+    train_step,
 )
 
 from splinefm import training
@@ -189,9 +190,10 @@ def test_acceptance_3_bspline_correctness(capsys):
 
 
 def test_acceptance_4_gradient_check(capsys):
-    # The training backward pass (`_batch_backward`) on each row as a batch
-    # of one with d_score = 1, against central differences of the row's
-    # score under the shipped scorer.
+    # `train`'s forward and backward on each row as a batch of one with
+    # d_score = 1, against central differences of the row's score under the
+    # shipped scorer. Each row runs on the path `train` picks for this
+    # schema (the touched-row matrix, for every field) and on the gather path.
     start = time.time()
     h = 1e-5
     worst = 0.0
@@ -200,30 +202,31 @@ def test_acceptance_4_gradient_check(capsys):
     for i in range(100):
         schema = mixed_schema()
         model = random_model(schema, VARIANTS[i % 4], seed=4000 + i)
+        assert training._matrix_fields(schema, model.interaction) == [True] * 3
         raw = {
             "a": str(rng.integers(0, 2)),
             "b": ["p", "q", "r"][rng.integers(0, 3)],
             "z": float(rng.random()),
         }
         data = pack(schema, [raw], [0.0])
-        P, _ = training._field_vectors(model, data)
-        grad = training._batch_backward(model, data, P, np.ones(1))
-        for kind, key, g in touched_params(grad):
-            kinds.add(kind)
-            perturb(model, kind, key, h)
-            plus = predict_scores(model, data)[0]
-            perturb(model, kind, key, -2 * h)
-            minus = predict_scores(model, data)[0]
-            perturb(model, kind, key, h)
-            fd = (plus - minus) / (2 * h)
-            # Floor keeps roundoff noise in near-zero gradients from
-            # masquerading as relative error.
-            rel = abs(fd - g) / max(abs(fd), abs(g), 1e-6)
-            worst = max(worst, rel)
+        for matrix in (None, [False] * 3):
+            _, backward = train_step(model, data, matrix)
+            for kind, key, g in touched_params(backward(np.ones(1))):
+                kinds.add(kind)
+                perturb(model, kind, key, h)
+                plus = predict_scores(model, data)[0]
+                perturb(model, kind, key, -2 * h)
+                minus = predict_scores(model, data)[0]
+                perturb(model, kind, key, h)
+                fd = (plus - minus) / (2 * h)
+                # Floor keeps roundoff noise in near-zero gradients from
+                # masquerading as relative error.
+                rel = abs(fd - g) / max(abs(fd), abs(g), 1e-6)
+                worst = max(worst, rel)
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 30.0 and kinds == {"w0", "w", "v", "s", "m"}
     report(capsys, 4, "analytic gradients match finite differences", ok,
-           f"max relative error {worst:.2e} over 100 rows, {elapsed:.1f} s")
+           f"max relative error {worst:.2e} over 100 rows on both paths, {elapsed:.1f} s")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     sum_reduced_score,
     touched_params,
     traced_peak,
+    train_step,
 )
 
 from splinefm import model as model_module
@@ -218,10 +219,9 @@ def test_scoring_peak_memory_is_one_block_plus_the_scores():
 
 
 def batch_of_one(model, raw, d_score=1.0):
-    """The batched backward pass over the single packed row `raw`."""
-    data = pack(model.schema, [raw], [0.0])
-    P, _ = training._field_vectors(model, data)
-    return training._batch_backward(model, data, P, np.array([d_score]))
+    """`train`'s backward pass over the single packed row `raw`."""
+    _, backward = train_step(model, pack(model.schema, [raw], [0.0]))
+    return backward(np.array([d_score]))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -304,7 +304,7 @@ def test_sum_reduction_slot_equals_basis_combination():
     schema = small_schema()
     model = random_model(schema, "fm", seed=4)
     z = 0.41
-    P, _ = training._field_vectors(model, pack(schema, [{"a": "0", "b": "q", "z": z}], [0.0]))
+    P, _ = model_module._field_vectors(model, pack(schema, [{"a": "0", "b": "q", "z": z}], [0.0]))
     z_field = schema.field_named("z")
     basis_vals = z_field.kind.basis.eval_many([z])[0]
     expected = basis_vals @ model.V[z_field.field_id]
