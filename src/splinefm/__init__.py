@@ -9,8 +9,6 @@ from .model import (
     FmFMMatrices,
     FwFMScalars,
     ModelParams,
-    fit_pairwise_span,
-    fit_span,
     init_params,
     load_model,
     make_interaction,

@@ -4,8 +4,10 @@ Covers FM, FFM, FwFM, and the general field-matrixed variant through a
 single interaction specification. Continuous (basis-encoded) fields are
 collapsed to one vector per field by a sum reduction before pairwise
 interactions; one-hot fields pass through unchanged. Rows are scored in
-batches of packed per-field arrays (`predict_scores`), where a reduction
-is a sum over a field's entries, never a block reduction matrix.
+batches of packed per-field arrays (`predict_scores`). Scoring and training
+share one forward, `_field_vectors`, where a field's reduction is a sum
+over its entries: a gather of its embedding rows, or in training, for a
+narrow field, its touched-row matrix S times those rows.
 """
 from __future__ import annotations
 
@@ -29,8 +31,6 @@ __all__ = [
     "init_params",
     "predict_scores",
     "segmentized_curve",
-    "fit_span",
-    "fit_pairwise_span",
     "save_model",
     "load_model",
 ]
@@ -289,13 +289,22 @@ class PackedData:
         )
 
 
-def _field_vectors(model: ModelParams, data: PackedData):
-    """Reduced per-field vectors P_f (n, k_f) and the linear term (n,)."""
+def _field_vectors(model: ModelParams, data: PackedData, plan=None):
+    """Reduced per-field vectors P_f (n, k_f) and the linear term (n,): the
+    one forward, of scoring and of training alike. `plan` is `train`'s
+    touched-row plan (`training._field_batches`): a field whose entry holds
+    S (n, u) reads `S @ V[rows]`; every other field, and every field when
+    there is no plan, gathers `V[idx]` and sums over its entries."""
     P = []
     linear = np.full(data.n, model.w0)
-    for idx, val, w, V in zip(data.idx, data.val, model.w, model.V):
-        P.append(np.einsum("nc,nck->nk", val, V[idx]))
-        linear += np.einsum("nc,nc->n", val, w[idx])
+    plan = plan or [(None, None, None)] * len(data.idx)
+    for (rows, _, S), idx, val, w, V in zip(plan, data.idx, data.val, model.w, model.V):
+        if S is None:
+            P.append(np.einsum("nc,nck->nk", val, V[idx]))
+            linear += np.einsum("nc,nc->n", val, w[idx])
+        else:
+            P.append(S @ V[rows])
+            linear += S @ w[rows]
     return P, linear
 
 
@@ -319,30 +328,24 @@ def predict_scores(model: ModelParams, data: PackedData) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Segmentized curves and spanning-property fits
-
-
-def _score_grid(model: ModelParams, segment: dict, columns: dict) -> np.ndarray:
-    """Raw scores of the segment row with each field named in `columns` taking
-    its column's values in turn: the first point's row is encoded once with
-    `encode_row` and repeated, the varying fields as columns with
-    `encode_columns` (bit for bit `encode_row`'s arrays), all in one
-    `predict_scores` call."""
-    n = len(next(iter(columns.values())))
-    if not n:
-        return np.empty(0)
-    idx, val = encode_row(model.schema, {**segment, **{k: v[0] for k, v in columns.items()}})
-    idx, val = [np.repeat(a, n, axis=0) for a in idx], [np.repeat(a, n, axis=0) for a in val]
-    varying = [model.schema.field_named(name) for name in columns]
-    grid_schema = build_schema([(f.name, f.kind) for f in varying])
-    for f, i, v in zip(varying, *encode_columns(grid_schema, columns)):
-        idx[f.field_id], val[f.field_id] = i, v
-    return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(n)))
+# Segmentized curves
 
 
 def segmentized_curve(model: ModelParams, segment: dict, field_name: str, grid):
-    """Raw model scores as a function of one field, the rest held fixed."""
-    return _score_grid(model, segment, {field_name: grid})
+    """Raw model scores as a function of one field, the rest held fixed. The
+    first point's row is encoded once with `encode_row` and repeated, the
+    field's grid as one column with `encode_columns` (bit for bit
+    `encode_row`'s arrays), and all points are scored in one
+    `predict_scores` call."""
+    n = len(grid)
+    if not n:
+        return np.empty(0)
+    idx, val = encode_row(model.schema, {**segment, field_name: grid[0]})
+    idx, val = [np.repeat(a, n, axis=0) for a in idx], [np.repeat(a, n, axis=0) for a in val]
+    f = model.schema.field_named(field_name)
+    column_schema = build_schema([(f.name, f.kind)])
+    (idx[f.field_id],), (val[f.field_id],) = encode_columns(column_schema, {field_name: grid})
+    return predict_scores(model, PackedData(idx=idx, val=val, y=np.zeros(n)))
 
 
 def _continuous_kind(model: ModelParams, field_name: str) -> ContinuousNumerical:
@@ -350,94 +353,6 @@ def _continuous_kind(model: ModelParams, field_name: str) -> ContinuousNumerical
     if not isinstance(kind, ContinuousNumerical):
         raise ConfigError(f"field {field_name!r} is not continuous numerical")
     return kind
-
-
-def _lstsq_minnorm(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares with column scaling for conditioning."""
-    norms = np.linalg.norm(design, axis=0)
-    norms[norms == 0.0] = 1.0
-    coef, *_ = np.linalg.lstsq(design / norms, target, rcond=None)
-    return coef / norms
-
-
-# The span fits sample each field's u range at this many points per basis function.
-SPAN_GRID_FACTOR = 10
-
-
-def _span_grid(model: ModelParams, field_name: str):
-    """A continuous field's basis size, its span-fit grid (even in u) as raw
-    values, and its basis at the points the encoder sees there."""
-    kind = _continuous_kind(model, field_name)
-    ell = kind.basis.num_functions
-    raw = kind.transform.inverse_many(np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell))
-    return ell, raw, kind.basis.eval_many(kind.transform.apply_many(raw))
-
-
-def fit_span(model: ModelParams, segment: dict, field_name: str):
-    """Least-squares fit of a segmentized curve onto the field's basis.
-
-    Returns (alpha, beta, max_residual). The basis sums to one, so the
-    constant column is linearly dependent on it; the minimum-norm
-    solution is used and only the residual is meaningful, not the
-    individual coefficients.
-    """
-    ell, raw_grid, B = _span_grid(model, field_name)
-    curve = segmentized_curve(model, segment, field_name, raw_grid)
-    design = np.column_stack([B, np.ones(len(raw_grid))])
-    coef = _lstsq_minnorm(design, curve)
-    max_residual = float(np.max(np.abs(design @ coef - curve)))
-    return coef[:ell], float(coef[ell]), max_residual
-
-
-def fit_pairwise_span(model: ModelParams, segment: dict, field_e: str, field_f: str):
-    """Fit a two-field segmentized surface onto the tensor-product basis.
-
-    Returns (alpha, beta, max_residual) where alpha has shape
-    (l+1, kappa+1) with row/column 0 holding the coefficients of the
-    constant-extended bases (index 0 means the constant function). The
-    fit is hierarchical: the additive part (constant, pure-e, pure-f
-    columns) is fitted first and genuine cross terms only absorb the
-    remaining residual, so a surface with no interaction between the two
-    fields yields vanishing alpha[i, j] for i, j >= 1.
-    """
-    ell, raw_e, B = _span_grid(model, field_e)
-    kappa, raw_f, C = _span_grid(model, field_f)
-
-    # The surface, flattened row by row over (e, f).
-    n_e, n_f = len(raw_e), len(raw_f)
-    target = _score_grid(
-        model, segment, {field_e: np.repeat(raw_e, n_f), field_f: np.tile(raw_f, n_e)}
-    )
-
-    ones_e = np.ones((n_e, 1))
-    ones_f = np.ones((n_f, 1))
-
-    def outer_cols(A_e, A_f):
-        # Tensor-product columns on the flattened (e, f) grid.
-        return np.einsum("ip,jq->ijpq", A_e, A_f).reshape(
-            n_e * n_f, A_e.shape[1] * A_f.shape[1]
-        )
-
-    additive = np.column_stack(
-        [
-            np.ones(n_e * n_f),
-            outer_cols(B, ones_f),
-            outer_cols(ones_e, C),
-        ]
-    )
-    coef_add = _lstsq_minnorm(additive, target)
-    residual = target - additive @ coef_add
-
-    cross = outer_cols(B, C)
-    coef_cross = _lstsq_minnorm(cross, residual)
-    residual = residual - cross @ coef_cross
-
-    alpha = np.zeros((ell + 1, kappa + 1))
-    alpha[1:, 0] = coef_add[1 : 1 + ell]
-    alpha[0, 1:] = coef_add[1 + ell :]
-    alpha[1:, 1:] = coef_cross.reshape(ell, kappa)
-    beta = float(coef_add[0])
-    return alpha, beta, float(np.max(np.abs(residual)))
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def infer_schema(table, config: dict) -> DatasetSchema:
             if values.min() == values.max():
                 raise DataError(f"field {name!r} is constant: every value is {float(values[0])}")
             if kind == "binned":
-                nbins = _config_int(decl.get("bins"), f"field {name!r}: bins", maximum=MAX_BINS)
+                nbins = _config_int(decl.get("bins"), f"field {name!r}: bins", 1, MAX_BINS)
                 mode = decl.get("binning", "quantile")
                 if mode == "uniform":
                     bounds = np.linspace(values.min(), values.max(), nbins + 1)

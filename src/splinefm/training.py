@@ -2,11 +2,12 @@
 
 Rows are packed into per-field index/value arrays once, after which
 forward and backward passes are vectorized over the batch dimension.
-Evaluation scores come from `model.predict_scores`, the one scorer;
-`train`'s own forward differs from it only in the order of its sums.
-Both rely on schema-encoded rows contributing exactly one reduced slot
-per field (one-hot fields have a single entry; continuous fields are
-sum-reduced) and on a row's entries naming distinct rows of its table.
+Evaluation scores come from `model.predict_scores`, the one scorer, and
+`train` runs the same forward, `model._field_vectors`, with its touched-row
+plan, which moves only the order of a narrow field's sums. Both rely on
+schema-encoded rows contributing exactly one reduced slot per field
+(one-hot fields have a single entry; continuous fields are sum-reduced)
+and on a row's entries naming distinct rows of its table.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .model import ModelParams, PackedData, init_params, predict_scores
+from .model import ModelParams, PackedData, _field_vectors, init_params, predict_scores
 from .schema import ContinuousNumerical, DatasetSchema, _config_int, _encode_columns, table_columns
 from .schema import encode_row  # noqa: F401  re-exported; perfbench traces training.encode_row
 
@@ -66,12 +67,16 @@ class TrainConfig:
         if self.optimizer not in ("adagrad", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         # Written so that NaN fails each check.
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be > 0")
+        for key, ok, need in (
+            ("step_size", self.step_size > 0, "> 0"),
+            ("l2", self.l2 >= 0, ">= 0"),
+            ("adagrad_eps", self.adagrad_eps > 0, "> 0"),
+        ):
+            value = getattr(self, key)
+            if not (ok and math.isfinite(value)):
+                raise ConfigError(f"train.{key} must be finite and {need}, got {value!r}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in [0, 1)")
-        if not self.l2 >= 0:
-            raise ConfigError("l2 must be >= 0")
         return self
 
 
@@ -146,23 +151,8 @@ def _field_batches(schema: DatasetSchema, batch: PackedData, matrix: list) -> li
     return out
 
 
-def _forward(model: ModelParams, batch: PackedData, fbs: list):
-    """Per-field vectors P_f (n, k_f) and the linear term (n,): `S @ V[rows]`
-    on the matrix path, the gather of `model._field_vectors` on the other."""
-    P = []
-    linear = np.full(batch.n, model.w0)
-    for (rows, _, S), idx, val, w, V in zip(fbs, batch.idx, batch.val, model.w, model.V):
-        if S is None:
-            P.append(np.einsum("nc,nck->nk", val, V[idx]))
-            linear += np.einsum("nc,nc->n", val, w[idx])
-        else:
-            P.append(S @ V[rows])
-            linear += S @ w[rows]
-    return P, linear
-
-
 def _batch_backward(model: ModelParams, batch: PackedData, fbs: list, P, d_score) -> _BatchGrads:
-    """Gradients from `_forward`'s P and the score gradients: `Sᵀ @ G_f` and
+    """Gradients from the forward's P and the score gradients: `Sᵀ @ G_f` and
     `d_score @ S` on the matrix path, segment sums on the gather path."""
     G, d_tensors = model.interaction.grads(P, d_score)
     dw, dV = [], []
@@ -320,7 +310,7 @@ def train(
         for start in range(0, data.n, config.batch_size):
             batch = shuffled.subset(slice(start, start + config.batch_size))
             fbs = _field_batches(schema, batch, matrix)
-            P, linear = _forward(model, batch, fbs)
+            P, linear = _field_vectors(model, batch, fbs)
             scores = model.interaction.scores(P, linear)
             loss, d_score = _loss_and_dscore(schema.label_kind, scores, batch.y)
             if not math.isfinite(loss):

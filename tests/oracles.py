@@ -7,7 +7,9 @@ indices as its width. They read the linear weights as one flat vector,
 keeps its parameters in per-field tables. `read_table` reads a data file
 one dict per row, where splinefm reads it column by column.
 `scalar_apply`, `scalar_inverse` and `scalar_basis` map one Python float
-at a time, where splinefm maps arrays.
+at a time, where splinefm maps arrays. `fit_span` and `fit_pairwise_span`
+fit segmentized curves and surfaces onto the spline bases by least
+squares: the oracles of the spanning property.
 """
 import bisect
 import collections
@@ -17,9 +19,17 @@ import tracemalloc
 
 import numpy as np
 
+from splinefm import model as model_module
 from splinefm import training
 from splinefm.errors import DataError
-from splinefm.model import FFMFieldConcat, FMIdentity, FwFMScalars, init_params, make_interaction
+from splinefm.model import (
+    FFMFieldConcat,
+    FMIdentity,
+    FwFMScalars,
+    init_params,
+    make_interaction,
+    segmentized_curve,
+)
 from splinefm.schema import Categorical, encode_row
 from splinefm.transforms import AffineTransform
 
@@ -211,6 +221,94 @@ def sum_reduced_score(model, raw, field_name):
 
 
 # ---------------------------------------------------------------------------
+# The spanning property: least-squares fits onto the spline bases
+
+
+def _lstsq_minnorm(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares with column scaling for conditioning."""
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    coef, *_ = np.linalg.lstsq(design / norms, target, rcond=None)
+    return coef / norms
+
+
+# The span fits sample each field's u range at this many points per basis function.
+SPAN_GRID_FACTOR = 10
+
+
+def _span_grid(model, field_name: str):
+    """A continuous field's basis size, its span-fit grid (even in u) as raw
+    values, and its basis at the points the encoder sees there."""
+    kind = model.schema.field_named(field_name).kind
+    ell = kind.basis.num_functions
+    raw = kind.transform.inverse_many(np.linspace(0.0, 1.0, SPAN_GRID_FACTOR * ell))
+    return ell, raw, kind.basis.eval_many(kind.transform.apply_many(raw))
+
+
+def fit_span(model, segment: dict, field_name: str):
+    """Least-squares fit of a segmentized curve onto the field's basis.
+
+    Returns (alpha, beta, max_residual). The basis sums to one, so the
+    constant column is linearly dependent on it; the minimum-norm
+    solution is used and only the residual is meaningful, not the
+    individual coefficients.
+    """
+    ell, raw_grid, B = _span_grid(model, field_name)
+    curve = segmentized_curve(model, segment, field_name, raw_grid)
+    design = np.column_stack([B, np.ones(len(raw_grid))])
+    coef = _lstsq_minnorm(design, curve)
+    max_residual = float(np.max(np.abs(design @ coef - curve)))
+    return coef[:ell], float(coef[ell]), max_residual
+
+
+def span_surface(model, segment: dict, field_e: str, grid_e, field_f: str, grid_f):
+    """Raw scores over the grid of (e, f) points, flattened row by row over
+    e: one segmentized curve over `field_f` per point of `grid_e`."""
+    return np.concatenate(
+        [segmentized_curve(model, {**segment, field_e: z}, field_f, grid_f) for z in grid_e]
+    )
+
+
+def fit_pairwise_span(model, segment: dict, field_e: str, field_f: str):
+    """Fit a two-field segmentized surface onto the tensor-product basis.
+
+    Returns (alpha, beta, max_residual) where alpha has shape
+    (l+1, kappa+1) with row/column 0 holding the coefficients of the
+    constant-extended bases (index 0 means the constant function). The
+    fit is hierarchical: the additive part (constant, pure-e, pure-f
+    columns) is fitted first and genuine cross terms only absorb the
+    remaining residual, so a surface with no interaction between the two
+    fields yields vanishing alpha[i, j] for i, j >= 1.
+    """
+    ell, raw_e, B = _span_grid(model, field_e)
+    kappa, raw_f, C = _span_grid(model, field_f)
+    n_e, n_f = len(raw_e), len(raw_f)
+    target = span_surface(model, segment, field_e, raw_e, field_f, raw_f)
+
+    def outer_cols(A_e, A_f):
+        # Tensor-product columns on the flattened (e, f) grid.
+        return np.einsum("ip,jq->ijpq", A_e, A_f).reshape(
+            n_e * n_f, A_e.shape[1] * A_f.shape[1]
+        )
+
+    additive = np.column_stack(
+        [np.ones(n_e * n_f), outer_cols(B, np.ones((n_f, 1))), outer_cols(np.ones((n_e, 1)), C)]
+    )
+    coef_add = _lstsq_minnorm(additive, target)
+    residual = target - additive @ coef_add
+
+    cross = outer_cols(B, C)
+    coef_cross = _lstsq_minnorm(cross, residual)
+    residual = residual - cross @ coef_cross
+
+    alpha = np.zeros((ell + 1, kappa + 1))
+    alpha[1:, 0] = coef_add[1 : 1 + ell]
+    alpha[0, 1:] = coef_add[1 + ell :]
+    alpha[1:, 1:] = coef_cross.reshape(ell, kappa)
+    return alpha, float(coef_add[0]), float(np.max(np.abs(residual)))
+
+
+# ---------------------------------------------------------------------------
 # Finite differences over the parameters a batch gradient covers
 
 
@@ -242,7 +340,7 @@ def train_step(model, data, matrix=None):
     if matrix is None:
         matrix = training._matrix_fields(model.schema, model.interaction)
     fbs = training._field_batches(model.schema, data, matrix)
-    P, linear = training._forward(model, data, fbs)
+    P, linear = model_module._field_vectors(model, data, fbs)
     return model.interaction.scores(P, linear), lambda d_score: training._batch_backward(
         model, data, fbs, P, d_score
     )

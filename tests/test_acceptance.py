@@ -15,6 +15,8 @@ import yaml
 from oracles import (
     binary_cat,
     brute_force_score,
+    fit_pairwise_span,
+    fit_span,
     offsets,
     perturb,
     random_model,
@@ -28,8 +30,6 @@ from splinefm.bin_export import export_binned, make_boundaries
 from splinefm.cli import main as cli_main
 from splinefm.model import (
     PackedData,
-    fit_pairwise_span,
-    fit_span,
     make_interaction,
     predict_scores,
 )

@@ -870,6 +870,9 @@ def _synth_curves(edit):
         (lambda d: d["train"].__setitem__("seed", -1), "train.seed"),
         (lambda d: d["model"].__setitem__("dim", -2), "model.dim"),
         (lambda d: d["train"].__setitem__("l2", float("nan")), "l2"),
+        (lambda d: d["train"].__setitem__("adagrad_eps", float("inf")), "train.adagrad_eps"),
+        (lambda d: _continuous_x(d).update(kind="binned", bins=-2), "field 'x': bins"),
+        (lambda d: _continuous_x(d).update(kind="binned", bins=0), "field 'x': bins"),
         (lambda d: d.__setitem__("synth", {"seed": -1, "interval_counts": [4]}), "synth.seed"),
         (lambda d: _continuous_x(d).__setitem__("name", ["x"]), "'name'"),
         # An int path would open that file descriptor.
@@ -889,7 +892,7 @@ def _synth_curves(edit):
          "leaves (0, 1)"),
     ],
     ids=["delimiter", "sweep_grid", "sweep_grid_empty", "output_file", "train_seed", "model_dim",
-         "nan_l2", "synth_seed", "field_name", "int_path", "unknown_slot", "list_label",
+         "nan_l2", "inf_adagrad_eps", "negative_bins", "zero_bins", "synth_seed", "field_name", "int_path", "unknown_slot", "list_label",
          "int_directory", "synth_counts", "synth_curves", "synth_curve_kind", "synth_curve_key",
          "synth_curve_text", "synth_curve_nan"],
 )

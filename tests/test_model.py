@@ -8,9 +8,12 @@ from oracles import (
     binary_cat,
     brute_force_score,
     entries,
+    fit_pairwise_span,
+    fit_span,
     offsets,
     perturb,
     random_model,
+    span_surface,
     sum_reduced_score,
     touched_params,
     traced_peak,
@@ -27,8 +30,6 @@ from splinefm.model import (
     FwFMScalars,
     ModelParams,
     PackedData,
-    fit_pairwise_span,
-    fit_span,
     init_params,
     load_model,
     make_interaction,
@@ -36,7 +37,6 @@ from splinefm.model import (
     model_to_dict,
     predict_scores,
     save_model,
-    _score_grid,
     segmentized_curve,
 )
 from splinefm.schema import (
@@ -382,15 +382,16 @@ def test_curve_equals_batch_scores_of_its_rows(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_two_field_grid_equals_batch_scores_of_its_rows(variant):
+    # The surface the pairwise span oracle fits, one curve per point of z.
     model = random_model(curve_schema(), variant, seed=32)
     z, w = np.linspace(-0.5, 1.5, 7), np.linspace(-2.0, 2.0, 5)
     segment = {"a": "x", "b": "0.5"}
     points = [{**segment, "z": zv, "w": wv} for zv in z for wv in w]
-    grid = _score_grid(model, segment, {"z": np.repeat(z, w.size), "w": np.tile(w, z.size)})
+    grid = span_surface(model, segment, "z", z, "w", w)
     assert grid.tobytes() == full_row_scores(model, points).tobytes()
 
 
-def test_curves_and_span_fits_encode_one_row_per_call(monkeypatch):
+def test_curve_encodes_one_row_per_call(monkeypatch):
     calls = []
 
     def counted(schema, raw):
@@ -399,17 +400,11 @@ def test_curves_and_span_fits_encode_one_row_per_call(monkeypatch):
 
     monkeypatch.setattr(model_module, "encode_row", counted)
     model = random_model(two_continuous_schema(), "ffm", seed=33)
-    for fit in (
-        lambda: segmentized_curve(model, {"a": "1", "v": "0.5"}, "u", np.linspace(0, 1, 50)),
-        lambda: fit_span(model, {"a": "0", "v": "1.0"}, "u"),
-        lambda: fit_pairwise_span(model, {"a": "1"}, "u", "v"),
-    ):
-        calls.clear()
-        fit()
-        assert len(calls) == 1
+    segmentized_curve(model, {"a": "1", "v": "0.5"}, "u", np.linspace(0, 1, 50))
+    assert len(calls) == 1
 
 
-def test_curves_and_span_fits_encode_their_grid_columns_as_given(monkeypatch):
+def test_curve_encodes_its_grid_column_as_given(monkeypatch):
     # The grid reaches the column encoder as the one mapping of name -> values,
     # not as one dict per point.
     tables, encode = [], model_module.encode_columns
@@ -422,10 +417,8 @@ def test_curves_and_span_fits_encode_their_grid_columns_as_given(monkeypatch):
     model = random_model(two_continuous_schema(), "ffm", seed=34)
     grid = np.linspace(0, 1, 7)
     segmentized_curve(model, {"a": "1", "v": "0.5"}, "u", grid)
-    fit_pairwise_span(model, {"a": "1"}, "u", "v")
-    assert [list(t) for t in tables] == [["u"], ["u", "v"]]
+    assert [list(t) for t in tables] == [["u"]]
     assert tables[0]["u"] is grid
-    assert all(isinstance(c, np.ndarray) for c in tables[1].values())
 
 
 @pytest.mark.parametrize(

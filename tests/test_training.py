@@ -252,7 +252,9 @@ def test_config_validation_errors():
         TrainConfig(holdout_fraction=1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
-    for entries in ({"epochs": "x"}, {"batch_size": 2.5}, {"shuffle": 1}, {"step_size": True}):
+    for entries in ({"epochs": "x"}, {"batch_size": 2.5}, {"shuffle": 1}, {"step_size": True},
+                    {"step_size": math.inf}, {"l2": math.inf}, {"adagrad_eps": math.nan},
+                    {"adagrad_eps": -1.0}, {"adagrad_eps": math.inf}, {"adagrad_eps": 0.0}):
         with pytest.raises(ConfigError, match=f"train.{next(iter(entries))}"):
             TrainConfig(**entries).validate()
     TrainConfig(step_size=1, l2=0).validate()
@@ -763,6 +765,8 @@ def test_matrix_and_gather_paths_agree_on_one_batch(variant):
             _, d_score = training._loss_and_dscore("binary", scores, batch.y)
             got[use_s] = scores, backward(d_score / batch.n)
         (s_scores, s_g), (g_scores, g_g) = got[True], got[False]
+        # With every field on the gather path, `train`'s forward is the scorer's.
+        assert g_scores.tobytes() == predict_scores(model, batch).tobytes()
         npt.assert_allclose(s_scores, g_scores, rtol=0, atol=STEP_ATOL)
         assert s_g.w0 == pytest.approx(g_g.w0, rel=0, abs=STEP_ATOL)
         for a, b in zip((*s_g.rows, *s_g.w, *s_g.V), (*g_g.rows, *g_g.w, *g_g.V), strict=True):
@@ -894,7 +898,7 @@ def test_batch_backward_equals_unique_and_pair_loop_oracle_bitwise(variant):
     assert matrix == [False, True, True]
     for batch in (data, data.subset(slice(0, 7)), data.subset(slice(7, 8))):
         fbs = training._field_batches(schema, batch, matrix)
-        P, linear = training._forward(model, batch, fbs)
+        P, linear = _field_vectors(model, batch, fbs)
         scores = model.interaction.scores(P, linear)
         _, d_score = training._loss_and_dscore("binary", scores, batch.y)
         d_score[::3] = 0.0
