@@ -20,9 +20,13 @@ curve field is not its exported field, one `curves` call on the first
 segment, which holds a value of the binned field. `model.json`,
 `metrics.json`, the four printed `eval` metrics, `model_binned.json`,
 `bins.tsv` and the two printed `eval` metrics of both exports, and every
-curve file must be equal byte for byte. Once per invocation, each side also runs an
-FwFM `sweep` (`SWEEP_GRID`) on the `SWEEP_SYNTH_INPUTS` training data, a
-small `synth` (`SYNTH`), a `train` of the `SWEEP_SYNTH_INPUTS` config
+curve file must be equal byte for byte. Then both sides score the base
+side's trained `model.json` with the same `eval`, `export-bins` and
+`curves` calls, and every output of those must be equal byte for byte
+too: a change that moves trained bits cannot hide a change of scoring.
+Once per invocation, each side also runs an FwFM `sweep` (`SWEEP_GRID`)
+on the `SWEEP_SYNTH_INPUTS` training data, a small `synth` (`SYNTH`), a
+`train` of the `SWEEP_SYNTH_INPUTS` config
 with `schema.label_kind: real`, which trains and scores by squared error,
 followed by an `eval` of that model on the workload's `test.csv`, a
 `train` of that config with `SGD_TRAIN` (SGD with an L2 penalty, the
@@ -33,9 +37,10 @@ declared binned (`BINNED_BINS` bins), the only trained binned fields;
 real model's `model.json`, `metrics.json` and printed `eval` metrics, the
 SGD model's `model.json` and `metrics.json`, and each binned model's
 `model.json`, `metrics.json` and printed `eval` metrics must be equal byte
-for byte. Prints one line per workload and seed and one for `sweep`,
-`synth`, the real label kind, SGD and the binned fields; exits 1 when any
-output differs. For a model file that differs, the line also names the
+for byte. Prints two lines per workload and seed (its outputs, and the
+base model scored) and one for `sweep`, `synth`, the real label kind, SGD
+and the binned fields; exits 1 when any output differs. For a model file
+that differs, the line also names the
 top-level entries that differ and the largest absolute gap over `w0`, `w`,
 `V` and the interaction's arrays, which tells a change of the file format
 from a change of the numbers.
@@ -68,6 +73,8 @@ EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
          *(f"eval_{rows}.json" for rows in CUT_ROWS),
          *(f"{d}/{name}" for d in EXPORTS
            for name in ("model_binned.json", "bins.tsv", "eval.json", "eval_malformed.json"))]
+# What scoring the base side's model writes: every output but train's.
+SCORED_EXACT = [name for name in EXACT if name not in ("model.json", "metrics.json")]
 MODELS = {"model.json", "real/model.json", "sgd/model.json",
           *(f"{d}/model_binned.json" for d in EXPORTS),
           *(f"binned_{mode}/model.json" for mode in BINNINGS)}
@@ -160,10 +167,12 @@ def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
     (inputs / "synth.yaml").write_text(yaml.safe_dump({"synth": SYNTH, "train": {"epochs": 2}}))
 
 
-def run_side(src: str, inputs: str, out: str, case: str) -> None:
+def run_side(src: str, inputs: str, out: str, case: str, model: str | None = None) -> None:
     """Run the verbs of one case with the package under `src`: a workload's
     on the inputs `write_case` wrote to `inputs`, or `SWEEP_SYNTH`'s on the
-    configs `write_sweep_synth` wrote there. The outputs go to `out`."""
+    configs `write_sweep_synth` wrote there. The outputs go to `out`. Given
+    `model`, a workload's case scores a copy of that model file in place of
+    the one its `train` writes."""
     sys.path.insert(0, src)
     from splinefm import cli
 
@@ -208,7 +217,11 @@ def run_side(src: str, inputs: str, out: str, case: str) -> None:
         verb(["curves", model, w.curve_field, "--segment", spec,
               "--grid", f"{lo}:{hi}:{points}", "--output", output])
 
-    verb(["train", inputs / "config.yaml", "--output", out])
+    if model is None:
+        verb(["train", inputs / "config.yaml", "--output", out])
+    else:
+        out.mkdir(parents=True)
+        shutil.copyfile(model, out / "model.json")
     evaluate(out / "model.json")
     for rows in CUT_ROWS:
         cut = verb(["eval", out / "model.json", inputs / f"test_{rows}.csv"])
@@ -272,11 +285,11 @@ def main(argv=None) -> int:
     with contextlib.ExitStack() as stack:
         work = Path(args.work or stack.enter_context(tempfile.TemporaryDirectory()))
 
-        def run(case: str, directory: Path) -> None:
+        def run(case: str, inputs: Path, directory: Path, *model: Path) -> None:
             for side, src in (("base", args.base), ("head", args.head)):
                 subprocess.run(
                     [sys.executable, __file__, "--side", str(Path(src).resolve()),
-                     str(directory / "inputs"), str(directory / side), case],
+                     str(inputs), str(directory / side), case, *map(str, model)],
                     check=True,
                 )
 
@@ -285,14 +298,20 @@ def main(argv=None) -> int:
             for seed in SEEDS:
                 case = work / f"{name}-{seed}"
                 write_case(name, seed, case / "inputs")
-                run(name, case)
+                run(name, case / "inputs", case)
                 diffs = compare(case / "base", case / "head")
                 failed |= bool(diffs)
                 print(f"{name} seed {seed}: " + ("; ".join(diffs) or "identical"), flush=True)
+                scored = case / "scored"
+                run(name, case / "inputs", scored, case / "base" / "model.json")
+                diffs = compare(scored / "base", scored / "head", SCORED_EXACT)
+                failed |= bool(diffs)
+                print(f"{name} seed {seed}, the base model scored by both trees: "
+                      + ("; ".join(diffs) or "identical"), flush=True)
         name, seed = SWEEP_SYNTH_INPUTS
         case = work / SWEEP_SYNTH
         write_sweep_synth(work / f"{name}-{seed}" / "inputs", case / "inputs")
-        run(SWEEP_SYNTH, case)
+        run(SWEEP_SYNTH, case / "inputs", case)
         diffs = compare(case / "base", case / "head", SWEEP_SYNTH_EXACT, "synth/curves.tsv")
         failed |= bool(diffs)
         print(f"sweep, synth, real label kind, SGD and binned fields on {name} seed {seed}: "

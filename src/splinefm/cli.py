@@ -329,24 +329,15 @@ def cmd_synth(args) -> None:
 
     records = run_comparison((rows_tr, y_tr, rows_te, y_te), counts, repeats, seed, train_cfg,
                              block_dim)
-    _write_tsv(
-        out / "results.tsv",
-        ["strategy", "intervals", "repeat", "test_loss", "train_loss"],
-        [
-            (r["strategy"], r["intervals"], r["repeat"], r["test_loss"], r["train_loss"])
-            for r in records
-        ],
-    )
+    keys = ["strategy", "intervals", "repeat", "test_loss", "train_loss"]
+    _write_tsv(out / "results.tsv", keys, [[r[key] for key in keys] for r in records])
 
     interaction = make_interaction("ffm", schema, block_dim)
     model, _ = train(train_cfg, schema, interaction, pack(schema, rows_tr, y_tr))
     grid = np.linspace(0.0, 40.0, 161)
-    curve_rows = emit_curves(model, grid, curves)
-    _write_tsv(
-        out / "curves.tsv",
-        ["segment", "z", "predicted", "truth"],
-        [(r["segment"], r["z"], r["predicted"], r["truth"]) for r in curve_rows],
-    )
+    keys = ["segment", "z", "predicted", "truth"]
+    curve_rows = [[r[key] for key in keys] for r in emit_curves(model, grid, curves)]
+    _write_tsv(out / "curves.tsv", keys, curve_rows)
     _write_manifest(out, args.argv, config, started, {"seed": seed})
     print(f"results written to {out / 'results.tsv'}")
 

@@ -6,8 +6,8 @@ collapsed to one vector per field by a sum reduction before pairwise
 interactions; one-hot fields pass through unchanged. Rows are scored in
 batches of packed per-field arrays (`predict_scores`). Scoring and training
 share one forward, `_field_vectors`, where a field's reduction is a sum
-over its entries: a gather of its embedding rows, or in training, for a
-narrow field, its touched-row matrix S times those rows.
+over its entries: a gather of its embedding rows (a lookup for a one-hot
+field), or in training, for a narrow field, S times its whole table.
 """
 from __future__ import annotations
 
@@ -291,20 +291,23 @@ class PackedData:
 
 def _field_vectors(model: ModelParams, data: PackedData, plan=None):
     """Reduced per-field vectors P_f (n, k_f) and the linear term (n,): the
-    one forward, of scoring and of training alike. `plan` is `train`'s
-    touched-row plan (`training._field_batches`): a field whose entry holds
-    S (n, u) reads `S @ V[rows]`; every other field, and every field when
-    there is no plan, gathers `V[idx]` and sums over its entries."""
+    one forward, of scoring and of training alike. A field whose entry in
+    `plan` (`training._field_batches`) holds S reads `S @ V[rows]`; any other
+    sums the rows its entries name by value, a lookup where each row has one
+    entry of 1.0, as packed one-hot fields have (+ 0.0 makes -0.0 the sum's 0.0)."""
     P = []
     linear = np.full(data.n, model.w0)
     plan = plan or [(None, None, None)] * len(data.idx)
     for (rows, _, S), idx, val, w, V in zip(plan, data.idx, data.val, model.w, model.V):
-        if S is None:
-            P.append(np.einsum("nc,nck->nk", val, V[idx]))
-            linear += np.einsum("nc,nc->n", val, w[idx])
-        else:
+        if S is not None:
             P.append(S @ V[rows])
             linear += S @ w[rows]
+        elif val.shape[1] == 1 and (val == 1.0).all():
+            P.append(V[idx[:, 0]] + 0.0)
+            linear += w[idx[:, 0]] + 0.0
+        else:
+            P.append(np.einsum("nc,nck->nk", val, V[idx]))
+            linear += np.einsum("nc,nc->n", val, w[idx])
     return P, linear
 
 

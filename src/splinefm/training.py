@@ -3,9 +3,10 @@
 Rows are packed into per-field index/value arrays once, after which
 forward and backward passes are vectorized over the batch dimension.
 Evaluation scores come from `model.predict_scores`, the one scorer, and
-`train` runs the same forward, `model._field_vectors`, with its touched-row
-plan, which moves only the order of a narrow field's sums. Both rely on
-schema-encoded rows contributing exactly one reduced slot per field
+`train` runs the same forward, `model._field_vectors`, with a per-batch
+plan: a narrow field trains dense, through S over its whole table (which
+moves only the order of its sums), a wide one over its touched rows. Both
+rely on schema-encoded rows contributing exactly one reduced slot per field
 (one-hot fields have a single entry; continuous fields are sum-reduced)
 and on a row's entries naming distinct rows of its table.
 """
@@ -100,28 +101,29 @@ def pack(schema: DatasetSchema, table, labels) -> PackedData:
 
 
 # ---------------------------------------------------------------------------
-# The training step: forward and backward over each field's touched rows
+# The training step: forward and backward over each field's whole table or touched rows
 
 
 @dataclass
 class _BatchGrads:
-    """Gradients of one batch: per field, only the rows the batch touches."""
+    """Gradients of one batch: per field, of its whole table or its touched rows."""
 
     w0: float
-    rows: list  # per field: sorted unique field-local rows
-    w: list  # per field: (u,) linear-weight gradients of those rows
-    V: list  # per field: (u, k_f) embedding gradients of those rows
+    rows: list  # per field: slice(None) if dense, else sorted unique field-local rows
+    w: list  # per field: linear-weight gradients of those rows
+    V: list  # per field: embedding gradients of those rows, one row each
     tensors: dict  # dense gradients of the interaction's tensors, by name
 
 
 def _matrix_fields(schema: DatasetSchema, interaction) -> list:
-    """Per field, whether `train` runs it through S: only where its width is
-    at most c·k (c entries per row, k embedding columns), so that S, with
-    u <= width columns, is never larger than the (n, c, k) gather of V."""
+    """Per field, whether `train` runs it dense: where its width is at most
+    3·c·k (c entries per row, k embedding columns), so that S (n, width) is
+    at most the gather path's three (n, c, k) arrays (`V[idx]` and the
+    backward's keys and weights), and where the paths were timed even."""
     out = []
     for f in schema.fields:
         c = f.kind.basis.degree + 1 if isinstance(f.kind, ContinuousNumerical) else 1
-        out.append(f.width <= c * interaction.embed_dim(f.field_id))
+        out.append(f.width <= 3 * c * interaction.embed_dim(f.field_id))
     return out
 
 
@@ -135,25 +137,26 @@ def _touched_rows(idx, width: int):
 
 
 def _field_batches(schema: DatasetSchema, batch: PackedData, matrix: list) -> list:
-    """Per field of `batch`: (rows, inv, S), the u table rows it touches,
-    each entry's position among them, and, where `matrix` (from
-    `_matrix_fields`) says so, S (n, u), the entry values scattered over
-    those rows; else None."""
+    """Per field of `batch`: (rows, inv, S). A dense field (`matrix`, from
+    `_matrix_fields`) has rows `slice(None)`, its whole table, no inv, and
+    S (n, width), its entry values scattered over the table's rows. Any
+    other field has the u table rows it touches, each entry's position
+    among them, and no S."""
     out = []
-    for fld, idx, val, use_s in zip(schema.fields, batch.idx, batch.val, matrix):
-        rows, inv = _touched_rows(idx, fld.width)
-        S = None
-        if use_s:
+    for fld, idx, val, dense in zip(schema.fields, batch.idx, batch.val, matrix):
+        if dense:
             # A row's entries name distinct rows, so no two share a cell of S.
-            S = np.zeros((batch.n, rows.size))
-            S[np.arange(batch.n)[:, None], inv] = val
-        out.append((rows, inv, S))
+            S = np.zeros((batch.n, fld.width))
+            S[np.arange(batch.n)[:, None], idx] = val
+            out.append((slice(None), None, S))
+        else:
+            out.append((*_touched_rows(idx, fld.width), None))
     return out
 
 
 def _batch_backward(model: ModelParams, batch: PackedData, fbs: list, P, d_score) -> _BatchGrads:
     """Gradients from the forward's P and the score gradients: `Sᵀ @ G_f` and
-    `d_score @ S` on the matrix path, segment sums on the gather path."""
+    `d_score @ S` for a dense field, segment sums on the gather path."""
     G, d_tensors = model.interaction.grads(P, d_score)
     dw, dV = [], []
     for (rows, inv, S), val, G_f in zip(fbs, batch.val, G):

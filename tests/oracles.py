@@ -335,7 +335,7 @@ def perturb(model, kind, key, h):
 def train_step(model, data, matrix=None):
     """`train`'s forward over `data` as one batch, on the paths `train` picks
     for the model or, if given, on `matrix` (one flag per field: True for
-    the touched-row matrix S). Returns (scores, backward), where
+    the dense path, through S). Returns (scores, backward), where
     `backward(d_score)` is `train`'s backward: the batch's `_BatchGrads`."""
     if matrix is None:
         matrix = training._matrix_fields(model.schema, model.interaction)
@@ -346,11 +346,40 @@ def train_step(model, data, matrix=None):
     )
 
 
-def touched_params(grad):
-    """(kind, key, gradient) for every parameter the batch gradient covers.
-    A strength s[e, f] is one parameter stored at (e, f) and (f, e)."""
+def dense_grads(model, grad) -> list:
+    """Per field, (dw, dV): the batch gradient `grad` (a `_BatchGrads`) as
+    whole tables, 0.0 at every row its `rows` do not name. A dense field's
+    rows are `slice(None)`, so its gradients are whole tables already."""
+    out = []
+    for f, rows, dw, dv in zip(model.schema.fields, grad.rows, grad.w, grad.V, strict=True):
+        w, V = np.zeros(f.width), np.zeros((f.width, dv.shape[1]))
+        w[rows], V[rows] = dw, dv
+        out.append((w, V))
+    return out
+
+
+def touched_grads(model, data, grad) -> list:
+    """Per field, (rows, dw, dV): the rows the batch `data` names (sorted,
+    unique) and `dense_grads` at those rows. Asserts that a gather-path
+    field's rows are those and that the gradient is exactly 0.0 at every
+    other row."""
+    out = []
+    for f, rows, (w, V), idx in zip(model.schema.fields, grad.rows, dense_grads(model, grad),
+                                    data.idx, strict=True):
+        touched = np.unique(idx)
+        assert isinstance(rows, slice) or np.array_equal(rows, touched), f.name
+        rest = np.setdiff1d(np.arange(f.width), touched)
+        assert not w[rest].any() and not V[rest].any(), f.name
+        out.append((touched, w[touched], V[touched]))
+    return out
+
+
+def touched_params(model, data, grad):
+    """(kind, key, gradient) for every parameter that the batch `data` reads
+    and its gradient `grad` covers (`touched_grads`). A strength s[e, f] is
+    one parameter stored at (e, f) and (f, e)."""
     out = [("w0", None, grad.w0)]
-    for fid, (rows, dw, dv) in enumerate(zip(grad.rows, grad.w, grad.V)):
+    for fid, (rows, dw, dv) in enumerate(touched_grads(model, data, grad)):
         for local, gw, gv in zip(rows, dw, dv):
             out.append(("w", (fid, local), gw))
             for comp, gc in enumerate(gv):

@@ -193,7 +193,7 @@ def test_acceptance_4_gradient_check(capsys):
     # `train`'s forward and backward on each row as a batch of one with
     # d_score = 1, against central differences of the row's score under the
     # shipped scorer. Each row runs on the path `train` picks for this
-    # schema (the touched-row matrix, for every field) and on the gather path.
+    # schema (dense, through S, for every field) and on the gather path.
     start = time.time()
     h = 1e-5
     worst = 0.0
@@ -211,7 +211,7 @@ def test_acceptance_4_gradient_check(capsys):
         data = pack(schema, [raw], [0.0])
         for matrix in (None, [False] * 3):
             _, backward = train_step(model, data, matrix)
-            for kind, key, g in touched_params(backward(np.ones(1))):
+            for kind, key, g in touched_params(model, data, backward(np.ones(1))):
                 kinds.add(kind)
                 perturb(model, kind, key, h)
                 plus = predict_scores(model, data)[0]

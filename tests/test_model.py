@@ -98,6 +98,35 @@ def test_forward_matches_brute_force_identity_reductions(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_one_hot_lookup_equals_the_sum_over_entries_bitwise(variant):
+    # The forward looks a packed one-hot field's rows up; the sum over its
+    # one entry of value 1.0, the form of every other field, gives the same
+    # bits, -0.0 in w0, w and V included.
+    schema = small_schema()
+    model = random_model(schema, variant, seed=9)
+    model.w0 = -0.0
+    for w, V in zip(model.w[:2], model.V[:2]):
+        w[:] = -0.0
+        V[0, ::2] = -0.0
+    rng = np.random.default_rng(9)
+    n = 40
+    data = pack(schema, {"a": rng.choice(["0", "1"], size=n).tolist(),
+                         "b": rng.choice(["p", "q", "r"], size=n).tolist(),
+                         "z": rng.uniform(size=n).tolist()}, np.zeros(n))
+    assert all((data.val[fid] == 1.0).all() for fid in (0, 1))
+    want_P = [np.einsum("nc,nck->nk", val, V[idx])
+              for idx, val, V in zip(data.idx, data.val, model.V)]
+    want_linear = np.full(n, model.w0)
+    for idx, val, w in zip(data.idx, data.val, model.w):
+        want_linear += np.einsum("nc,nc->n", val, w[idx])
+    P, linear = model_module._field_vectors(model, data)
+    for got, want in zip((*P, linear), (*want_P, want_linear), strict=True):
+        assert got.tobytes() == want.tobytes()
+    want = model.interaction.scores(want_P, want_linear)
+    assert predict_scores(model, data).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_matches_brute_force_with_sum_reduction(variant):
     schema = small_schema()
     model = random_model(schema, variant, seed=3)
@@ -219,9 +248,11 @@ def test_scoring_peak_memory_is_one_block_plus_the_scores():
 
 
 def batch_of_one(model, raw, d_score=1.0):
-    """`train`'s backward pass over the single packed row `raw`."""
-    _, backward = train_step(model, pack(model.schema, [raw], [0.0]))
-    return backward(np.array([d_score]))
+    """`touched_params` of `train`'s backward pass over the single packed
+    row `raw`."""
+    data = pack(model.schema, [raw], [0.0])
+    _, backward = train_step(model, data)
+    return touched_params(model, data, backward(np.array([d_score])))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -231,8 +262,7 @@ def test_gradients_match_finite_differences(variant):
     for seed in range(5):
         model = random_model(schema, variant, seed=seed)
         raw = {"a": "1", "b": ["p", "q", "r"][seed % 3], "z": 0.2 + 0.1 * seed}
-        grad = batch_of_one(model, raw)
-        touched = touched_params(grad)
+        touched = batch_of_one(model, raw)
         assert {kind for kind, _, _ in touched} >= {"w0", "w", "v"}
         for kind, key, g in touched:
             perturb(model, kind, key, h)
@@ -249,8 +279,8 @@ def test_zero_upstream_gradient_is_empty():
     schema = small_schema()
     for variant in VARIANTS:
         model = random_model(schema, variant, seed=0)
-        grad = batch_of_one(model, {"a": "0", "b": "p", "z": 0.5}, d_score=0.0)
-        assert all(g == 0.0 for _, _, g in touched_params(grad))
+        touched = batch_of_one(model, {"a": "0", "b": "p", "z": 0.5}, d_score=0.0)
+        assert all(g == 0.0 for _, _, g in touched)
 
 
 def test_linear_weight_gradient_is_entry_value():
@@ -258,10 +288,9 @@ def test_linear_weight_gradient_is_entry_value():
     model = random_model(schema, "ffm", seed=2)
     raw = {"a": "1", "b": "r", "z": 0.44}
     d = 0.7
-    grad = batch_of_one(model, raw, d_score=d)
     values = {idx: x for idx, x, _ in entries(schema, raw)}
     starts = offsets(schema)
-    for kind, key, g in touched_params(grad):
+    for kind, key, g in batch_of_one(model, raw, d_score=d):
         if kind == "w":
             fid, local = key
             assert g == pytest.approx(values.get(starts[fid] + local, 0.0) * d, rel=1e-12)

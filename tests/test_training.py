@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binary_cat, traced_peak, train_step
+from oracles import binary_cat, dense_grads, touched_grads, traced_peak, train_step
 
 from splinefm import training
 from splinefm.errors import ConfigError, DataError, NumericalError
@@ -608,11 +608,11 @@ def _parameters(model):
 
 
 def _dense(model, g):
-    """The sparse batch gradient scattered onto zero tables."""
-    out = {name: np.zeros_like(a) for name, a in _parameters(model).items()}
-    for f, (rows, dw, dv) in enumerate(zip(g.rows, g.w, g.V)):
-        out[f"w{f}"][rows] = dw
-        out[f"V{f}"][rows] = dv
+    """The batch gradient as whole tables (`dense_grads`), by the names of
+    `_parameters`."""
+    out = {}
+    for f, (dw, dv) in enumerate(dense_grads(model, g)):
+        out[f"w{f}"], out[f"V{f}"] = dw, dv
     out.update(g.tensors)
     if "strengths" in out:
         # Pairs e < f read strengths[e, f] only.
@@ -623,8 +623,8 @@ def _dense(model, g):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_backward_matches_finite_differences_of_mean_loss(variant):
     # `train`'s step on the paths it picks: every field of `mixed_schema`
-    # through the touched-row matrix, and `wide_schema`'s 41-row id field,
-    # wider than c·k, through the gather.
+    # dense, through S, and `wide_schema`'s 41-row id field, wider than
+    # 3·c·k, through the gather.
     rows, labels = wide_rows(24, 13, ids=["0", "3", "7", "unseen"])
     mixed_rows = [{"a": r["b"], "b": str(int(r["id"] == "3")), "z": r["z"]} for r in rows]
     for schema, paths, table in (
@@ -720,7 +720,7 @@ def reference_train(cfg, schema, interaction, data):
 
 
 # The largest parameter gap between `train` and the dense reference: the
-# matrix path's BLAS products sum in an order of their own (4.4e-16 seen).
+# dense path's BLAS products sum in an order of their own (4.4e-16 seen).
 STEP_ATOL = 1e-13
 
 
@@ -729,8 +729,8 @@ STEP_ATOL = 1e-13
 @pytest.mark.parametrize("l2", (0.0, 0.01))
 def test_sparse_step_bit_identical_to_dense_reference(variant, optimizer, l2):
     # 501 id rows, batches of 16 over 40 ids: most rows go untouched. The id
-    # field takes the gather path, `b` and `z` the touched-row matrix. With
-    # l2 = 0 the rows no batch touches keep their initial bits.
+    # field takes the gather path, `b` and `z` the dense path. With l2 = 0
+    # the rows no batch touches keep their initial bits.
     schema = wide_schema(vocab=500)
     rows, labels = wide_rows(96, 17, ids=[str(i) for i in range(0, 500, 13)])
     data = pack(schema, rows, labels)
@@ -769,8 +769,11 @@ def test_matrix_and_gather_paths_agree_on_one_batch(variant):
         assert g_scores.tobytes() == predict_scores(model, batch).tobytes()
         npt.assert_allclose(s_scores, g_scores, rtol=0, atol=STEP_ATOL)
         assert s_g.w0 == pytest.approx(g_g.w0, rel=0, abs=STEP_ATOL)
-        for a, b in zip((*s_g.rows, *s_g.w, *s_g.V), (*g_g.rows, *g_g.w, *g_g.V), strict=True):
-            npt.assert_allclose(a, b, rtol=0, atol=STEP_ATOL)
+        # Both at the batch's rows, and exactly 0.0 at every other row.
+        s_fields, g_fields = touched_grads(model, batch, s_g), touched_grads(model, batch, g_g)
+        for s_f, g_f in zip(s_fields, g_fields, strict=True):
+            for a, b in zip(s_f, g_f, strict=True):
+                npt.assert_allclose(a, b, rtol=0, atol=STEP_ATOL)
         assert s_g.tensors.keys() == g_g.tensors.keys()
         for name, t in s_g.tensors.items():
             npt.assert_allclose(t, g_g.tensors[name], rtol=0, atol=STEP_ATOL, err_msg=name)
@@ -778,28 +781,74 @@ def test_matrix_and_gather_paths_agree_on_one_batch(variant):
 
 def test_fields_at_the_config_limits_take_the_gather_path():
     # A 10,000-function spline and a 100,000-value vocabulary are wider
-    # than c·k, so a batch of 4,096 builds no n × u matrix: the peak stays
-    # within the model's tables, their AdaGrad accumulators and eight
-    # (n, c, k) gathers (26 MB; 21 MB seen). An S would be n × u: 131 MB
-    # for the id field, 320 MB for the spline.
-    vocab = 100_000
+    # than 3·c·k, so a batch of 4,096 builds no n × width matrix: the peak
+    # stays within the model's tables, their AdaGrad accumulators and eight
+    # (n, c, k) gathers (26 MB; 21 MB seen). An S would be n × width: 3.3 GB
+    # for the id field, 328 MB for the spline. A spline exactly 3·c·k wide
+    # trains dense: its S is three of its gathers (25 MB; 20 MB seen).
+    vocab, n = 100_000, 4096
+    rng = np.random.default_rng(8)
+    for functions, dense in ((10_000, False), (3 * 4 * 8, True)):
+        schema = build_schema(
+            [
+                ("id", Categorical({str(i): i for i in range(vocab)}, unknown_slot=False)),
+                ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(functions, 3))),
+            ]
+        )
+        inter = make_interaction("ffm", schema, 4)
+        assert training._matrix_fields(schema, inter) == [False, dense]
+        data = pack(schema, {"id": rng.integers(0, vocab, size=n).astype(str).tolist(),
+                             "z": rng.random(n).tolist()},
+                    rng.integers(0, 2, size=n).astype(float))
+        cfg = TrainConfig(batch_size=n, epochs=1, seed=3)
+        peak = traced_peak(lambda: train(cfg, schema, inter, data))
+        tables = sum(8 * f.width * (inter.embed_dim(f.field_id) + 1) for f in schema.fields)
+        gathers = sum(8 * n * c * inter.embed_dim(fid) for fid, c in enumerate((1, 4)))
+        assert peak <= 2 * tables + 8 * gathers, (functions, peak, tables, gathers)
+
+
+@pytest.mark.parametrize("over", (0, 1))
+def test_fields_up_to_three_c_k_wide_train_dense(over):
+    # FM with k = 4: a one-hot field (c = 1) is dense up to 12 rows, a
+    # cubic spline (c = 4) up to 48 functions; one row more takes the gather.
+    k = 4
     schema = build_schema(
         [
-            ("id", Categorical({str(i): i for i in range(vocab)}, unknown_slot=False)),
-            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(10_000, 3))),
+            ("id", Categorical({str(i): i for i in range(3 * k + over)}, unknown_slot=False)),
+            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(3 * 4 * k + over, 3))),
         ]
     )
-    inter = make_interaction("ffm", schema, 4)
-    assert training._matrix_fields(schema, inter) == [False, False]
-    n = 4096
-    rng = np.random.default_rng(8)
-    data = pack(schema, {"id": rng.integers(0, vocab, size=n).astype(str).tolist(),
-                         "z": rng.random(n).tolist()}, rng.integers(0, 2, size=n).astype(float))
-    cfg = TrainConfig(batch_size=n, epochs=1, seed=3)
-    peak = traced_peak(lambda: train(cfg, schema, inter, data))
-    tables = sum(8 * f.width * (inter.embed_dim(f.field_id) + 1) for f in schema.fields)
-    gathers = sum(8 * n * c * inter.embed_dim(fid) for fid, c in enumerate((1, 4)))
-    assert peak <= 2 * tables + 8 * gathers, (peak, tables, gathers)
+    assert training._matrix_fields(schema, make_interaction("fm", schema, k)) == [not over] * 2
+
+
+@pytest.mark.parametrize("optimizer", ("adagrad", "sgd"))
+def test_dense_field_leaves_untouched_rows_bitwise(optimizer):
+    # An 11-row categorical field trains dense, but its batches name only
+    # 3 of its rows: with l2 = 0 the other rows keep their initial V bytes,
+    # and their w stays +0.0.
+    schema = build_schema(
+        [
+            ("c", Categorical({str(i): i for i in range(10)}, unknown_slot=True)),
+            ("b", binary_cat()),
+        ]
+    )
+    inter = make_interaction("ffm", schema, 2)
+    assert schema.fields[0].width == 11
+    assert training._matrix_fields(schema, inter) == [True, True]
+    rng = np.random.default_rng(21)
+    n = 64
+    data = pack(schema, {"c": rng.choice(["1", "4", "8"], size=n).tolist(),
+                         "b": rng.choice(["0", "1"], size=n).tolist()},
+                rng.integers(0, 2, size=n).astype(float))
+    cfg = TrainConfig(optimizer=optimizer, l2=0.0, batch_size=16, epochs=3, seed=5)
+    model, _ = train(cfg, schema, inter, data)
+    start = init_params(schema, inter, seed=cfg.seed)
+    touched = [1, 4, 8]
+    untouched = np.setdiff1d(np.arange(11), touched)
+    assert model.V[0][untouched].tobytes() == start.V[0][untouched].tobytes()
+    assert (model.w[0][untouched] == 0.0).all() and not np.signbit(model.w[0][untouched]).any()
+    assert (model.w[0][touched] != 0.0).all()
+    assert (model.V[0][touched] != start.V[0][touched]).any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +938,8 @@ def test_ffm_grads_equal_pair_loop_bitwise(m, n):
 def test_batch_backward_equals_unique_and_pair_loop_oracle_bitwise(variant):
     # For the same P: the touched rows, w0, the interaction's tensor
     # gradients and the gather path's id field match the oracle bit for bit;
-    # the matrix path's `b` and `z` sum in BLAS order, so within STEP_ATOL.
+    # the dense path's `b` and `z` sum in BLAS order, so within STEP_ATOL at
+    # the touched rows, and are exactly 0.0 at every other row.
     schema = wide_schema()
     rows, labels = wide_rows(64, 5, ids=["0", "3", "7", "unseen"])
     data = pack(schema, rows, labels)
@@ -907,10 +957,12 @@ def test_batch_backward_equals_unique_and_pair_loop_oracle_bitwise(variant):
             model, batch, P, d_score / batch.n
         )
         assert g.w0 == w0
-        for a, b in zip(g.rows, want_rows, strict=True):
-            assert_same_bits(a, b)
-        for use_s, *pairs in zip(matrix, g.w, want_w, g.V, want_V, strict=True):
-            for a, b in zip(pairs[::2], pairs[1::2]):
+        got = touched_grads(model, batch, g)
+        for use_s, (rows, *arrays), *want in zip(
+            matrix, got, want_rows, want_w, want_V, strict=True
+        ):
+            assert_same_bits(rows, want[0])
+            for a, b in zip(arrays, want[1:], strict=True):
                 if use_s:
                     npt.assert_allclose(a, b, rtol=0, atol=STEP_ATOL)
                 else:
