@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -42,12 +43,25 @@ __all__ = [
 
 class _Interaction:
     """Every variant scores a pair of reduced field vectors as <P_e, M_ef P_f>
-    and differs only in M_ef. The batched kernels take one (n, k_f) array
-    P[f] per field and run over the pairs e < f in order: `scores(P,
-    total)` adds each pair's scores to `total` (n,) and returns it;
+    and differs only in M_ef. The batched kernels take P as one (m, n, k)
+    array when all m fields share the width k = `stack_dim` (None where they
+    do not), else as a list of m (n, k_f) arrays. `scores(P, total)` adds
+    each pair's scores to `total` (n,) in pair order, e < f, and returns it;
     `grads(P, d_score)` returns the per-field G[f] = d_score * d score /
     d P[f] and the gradients of `tensors()`.
     """
+
+    @property
+    def stack_dim(self):
+        return self.embed_dim(0)
+
+    def scores(self, P, total):
+        # Field e's (m - e - 1, n) scores against every later field go in row
+        # by row: np.add.reduce sums 8 or more rows pairwise at n = 1.
+        for pair_scores in self._field_pair_scores(P, total.size):
+            for row in pair_scores:
+                total += row
+        return total
 
     def tensors(self) -> dict:
         """The arrays the spec learns, by name; empty when it learns none."""
@@ -71,10 +85,9 @@ class FMIdentity(_Interaction):
     def embed_dim(self, field_id: int) -> int:
         return self.dim
 
-    def scores(self, P, total):
-        for e, f in _pairs(len(P)):
-            total += np.einsum("nk,nk->n", P[e], P[f])
-        return total
+    def _field_pair_scores(self, P, n):
+        for e in range(len(P) - 1):
+            yield np.einsum("nk,fnk->fn", P[e], P[e + 1 :])
 
     def grads(self, P, d_score):
         G = [np.zeros_like(p) for p in P]
@@ -102,15 +115,12 @@ class FFMFieldConcat(_Interaction):
     def embed_dim(self, field_id: int) -> int:
         return self.num_fields * self.block_dim
 
-    def _block(self, vec, fid):
-        """Block `fid` of the last axis of every row."""
-        k = self.block_dim
-        return vec[..., fid * k : (fid + 1) * k]
-
-    def scores(self, P, total):
-        for e, f in _pairs(len(P)):
-            total += np.einsum("nk,nk->n", self._block(P[e], f), self._block(P[f], e))
-        return total
+    def _field_pair_scores(self, P, n):
+        # Q[e, :, f] is block f of P[e]; both operands are views of a stacked P.
+        m = len(P)
+        Q = np.reshape(P, (m, n, m, self.block_dim))
+        for e in range(m - 1):
+            yield np.einsum("nfk,fnk->fn", Q[e, :, e + 1 :], Q[e + 1 :, :, e])
 
     def grads(self, P, d_score):
         # Block f of G[e] is d_score * block e of P[f] (a swap of the field
@@ -136,10 +146,9 @@ class FwFMScalars(_Interaction):
     def embed_dim(self, field_id: int) -> int:
         return self.dim
 
-    def scores(self, P, total):
-        for e, f in _pairs(len(P)):
-            total += self.strengths[e, f] * np.einsum("nk,nk->n", P[e], P[f])
-        return total
+    def _field_pair_scores(self, P, n):
+        for e in range(len(P) - 1):
+            yield self.strengths[e, e + 1 :, None] * np.einsum("nk,fnk->fn", P[e], P[e + 1 :])
 
     def grads(self, P, d_score):
         G = [np.zeros_like(p) for p in P]
@@ -178,6 +187,10 @@ class FmFMMatrices(_Interaction):
 
     def embed_dim(self, field_id: int) -> int:
         return self.dims[field_id]
+
+    @cached_property
+    def stack_dim(self):
+        return max(self.dims, default=0) if len(set(self.dims)) < 2 else None
 
     def scores(self, P, total):
         for e, f in _pairs(len(P)):
@@ -290,23 +303,25 @@ class PackedData:
 
 
 def _field_vectors(model: ModelParams, data: PackedData, plan=None):
-    """Reduced per-field vectors P_f (n, k_f) and the linear term (n,): the
-    one forward, of scoring and of training alike. A field whose entry in
-    `plan` (`training._field_batches`) holds S reads `S @ V[rows]`; any other
-    sums the rows its entries name by value, a lookup where each row has one
-    entry of 1.0, as packed one-hot fields have (+ 0.0 makes -0.0 the sum's 0.0)."""
-    P = []
-    linear = np.full(data.n, model.w0)
-    plan = plan or [(None, None, None)] * len(data.idx)
-    for (rows, _, S), idx, val, w, V in zip(plan, data.idx, data.val, model.w, model.V):
+    """Reduced field vectors P, stacked unless `stack_dim` is None, and the
+    linear term (n,): the one forward, of scoring and training alike. Into
+    P[f], a field whose entry in `plan` (`training._field_batches`) holds S
+    writes `S @ V[rows]`; any other the sum of the rows its entries name by
+    value, a lookup where each row has one entry of 1.0, as packed one-hot
+    fields have (+ 0.0 makes -0.0 the sum's 0.0)."""
+    m, n, k = len(data.idx), data.n, model.interaction.stack_dim
+    P = np.empty((m, n, k)) if k is not None else [np.empty((n, V.shape[1])) for V in model.V]
+    linear = np.full(n, model.w0)
+    plan = plan or [(None, None, None)] * m
+    for (rows, _, S), idx, val, w, V, p in zip(plan, data.idx, data.val, model.w, model.V, P):
         if S is not None:
-            P.append(S @ V[rows])
+            np.matmul(S, V[rows], out=p)
             linear += S @ w[rows]
         elif val.shape[1] == 1 and (val == 1.0).all():
-            P.append(V[idx[:, 0]] + 0.0)
+            np.add(V[idx[:, 0]], 0.0, out=p)
             linear += w[idx[:, 0]] + 0.0
         else:
-            P.append(np.einsum("nc,nck->nk", val, V[idx]))
+            np.einsum("nc,nck->nk", val, V[idx], out=p)
             linear += np.einsum("nc,nc->n", val, w[idx])
     return P, linear
 

@@ -9,12 +9,15 @@ one dict per row, where splinefm reads it column by column.
 `scalar_apply`, `scalar_inverse` and `scalar_basis` map one Python float
 at a time, where splinefm maps arrays. `fit_span` and `fit_pairwise_span`
 fit segmentized curves and surfaces onto the spline bases by least
-squares: the oracles of the spanning property.
+squares: the oracles of the spanning property. `pair_loop_scores` scores
+one pair of fields at a time, where splinefm scores a field against every
+later one at once.
 """
 import bisect
 import collections
 import copy
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -171,6 +174,24 @@ def explicit_pair_matrix(inter, e, f):
         P_f[:, f * k : (f + 1) * k] = np.eye(k)
         return P_f.T @ P_e  # block f of x against block e of y
     return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
+
+
+def pair_loop_scores(inter, P, total):
+    """`total` plus the score of every pair e < f, added pair by pair in
+    order, each pair read from the two (n, k) field vectors it names: the
+    loop every variant's `scores` must equal bit for bit."""
+    for e, f in itertools.combinations(range(len(P)), 2):
+        if isinstance(inter, FFMFieldConcat):
+            k = inter.block_dim
+            block_f, block_e = slice(f * k, (f + 1) * k), slice(e * k, (e + 1) * k)
+            total += np.einsum("nk,nk->n", P[e][:, block_f], P[f][:, block_e])
+        elif isinstance(inter, FMIdentity):
+            total += np.einsum("nk,nk->n", P[e], P[f])
+        elif isinstance(inter, FwFMScalars):
+            total += inter.strengths[e, f] * np.einsum("nk,nk->n", P[e], P[f])
+        else:
+            total += np.einsum("nk,kl,nl->n", P[e], inter.matrices[(e, f)], P[f])
+    return total
 
 
 def brute_force_score(model, entries):

@@ -11,6 +11,7 @@ from oracles import (
     fit_pairwise_span,
     fit_span,
     offsets,
+    pair_loop_scores,
     perturb,
     random_model,
     span_surface,
@@ -177,14 +178,14 @@ def test_ffm_against_textbook_block_oracle():
 
 def _block_models():
     """Every variant at dims 0 and 3, and an FmFM with unequal dims, on a
-    categorical, a binned and a continuous field."""
-    schema = build_schema(
-        [
-            ("a", Categorical({"p": 0, "q": 1, "r": 2}, unknown_slot=True)),
-            ("b", BinnedNumerical(np.array([0.0, 0.3, 0.6, 1.0]))),
-            ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
-        ]
-    )
+    categorical, a binned and a continuous field; then every variant at
+    dim 3 on 9 fields, three of each kind, as many as `spline_ctr` has."""
+    kinds = [
+        ("a", Categorical({"p": 0, "q": 1, "r": 2}, unknown_slot=True)),
+        ("b", BinnedNumerical(np.array([0.0, 0.3, 0.6, 1.0]))),
+        ("z", ContinuousNumerical(AffineTransform(0, 1), build_uniform(6, 3))),
+    ]
+    schema = build_schema(kinds)
     models = [random_model(schema, v, seed=s, dim=d)
               for s, (v, d) in enumerate((v, d) for v in VARIANTS for d in (0, 3))]
     rng = np.random.default_rng(8)
@@ -192,13 +193,20 @@ def _block_models():
     matrices = {(e, f): rng.normal(size=(dims[e], dims[f])) for e, f in ((0, 1), (0, 2), (1, 2))}
     unequal = init_params(schema, FmFMMatrices(dims=dims, matrices=matrices), seed=9)
     unequal.w0, unequal.w = 0.3, [rng.normal(size=f.width) for f in schema.fields]
-    return models + [unequal]
+    wide = build_schema([(f"{name}{i}", kind) for i in range(3) for name, kind in kinds])
+    return models + [unequal] + [random_model(wide, v, seed=10 + s) for s, v in enumerate(VARIANTS)]
+
+
+_BLOCK_VALUES = {  # a field's value, by the first letter of its name
+    "a": lambda rng: str(rng.choice(["p", "q", "r", "s"])),
+    "b": lambda rng: float(rng.uniform(-0.2, 1.2)),
+    "z": lambda rng: float(rng.uniform()),
+}
 
 
 def _block_rows(schema, n, seed):
     rng = np.random.default_rng(seed)
-    rows = [{"a": str(rng.choice(["p", "q", "r", "s"])), "b": float(rng.uniform(-0.2, 1.2)),
-             "z": float(rng.uniform())} for _ in range(n)]
+    rows = [{f.name: _BLOCK_VALUES[f.name[0]](rng) for f in schema.fields} for _ in range(n)]
     return pack(schema, rows, rng.integers(0, 2, size=n).astype(float))
 
 
@@ -207,11 +215,14 @@ def test_scoring_in_blocks_changes_no_bit(monkeypatch, n):
     # Blocks of 3 rows: one partial block, one whole block, several blocks
     # with a one-row last block. `evaluate` refuses 0 rows; it scores the
     # model by logloss and its twin with a real label kind by squared error.
+    # On 9 fields, field 0 scores 8 pairs at once, also in one-row blocks.
     for i, model in enumerate(_block_models()):
         real = dataclasses.replace(model.schema, label_kind="real")
         scored = (model, dataclasses.replace(model, schema=real)) if n else ()
         data = _block_rows(model.schema, n, seed=i)
         P, linear = model_module._field_vectors(model, data)
+        stacked = model.interaction.stack_dim is not None
+        assert isinstance(P, np.ndarray) == stacked and (not stacked or P.flags.c_contiguous), i
         unblocked = model.interaction.scores(P, linear)
         metrics = [training.evaluate(m, data) for m in scored]
         with monkeypatch.context() as patch:
@@ -221,6 +232,37 @@ def test_scoring_in_blocks_changes_no_bit(monkeypatch, n):
                                for r in range(n)])
             assert got.tobytes() == unblocked.tobytes() == by_row.tobytes(), i
             assert [training.evaluate(m, data) for m in scored] == metrics, i
+
+
+def _pair_interactions(m, dim, rng):
+    """(interaction, width of each field's vector) for every variant over m
+    fields of embedding dim `dim`."""
+    s = rng.normal(size=(m, m))
+    matrices = {(e, f): rng.normal(size=(dim, dim)) for e in range(m) for f in range(e + 1, m)}
+    return [
+        (FMIdentity(dim=dim), dim),
+        (FFMFieldConcat(num_fields=m, block_dim=dim), m * dim),
+        (FwFMScalars(strengths=s + s.T, dim=dim), dim),
+        (FmFMMatrices(dims=(dim,) * m, matrices=matrices), dim),
+    ]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 1025])
+def test_scores_equal_the_pair_loop_bitwise(m, n):
+    # `scores` on the stacked (m, n, k) P and on a list of (n, k) arrays, -0.0
+    # planted in both P and the total, equals adding pair after pair.
+    rng = np.random.default_rng([m, n])
+    for dim in (0, 3):
+        for inter, width in _pair_interactions(m, dim, rng):
+            P = rng.normal(size=(m, n, width)) * (rng.random((m, n, width)) < 0.7)
+            P[rng.random(P.shape) < 0.1] = -0.0
+            total = rng.normal(size=n)
+            total[::3] = -0.0
+            want = pair_loop_scores(inter, [p.copy() for p in P], total.copy())
+            for given in (P, [p.copy() for p in P]):
+                got = inter.scores(given, total.copy())
+                assert got.tobytes() == want.tobytes(), (type(inter).__name__, dim)
 
 
 def test_scoring_peak_memory_is_one_block_plus_the_scores():
