@@ -30,16 +30,18 @@ on the `SWEEP_SYNTH_INPUTS` training data, a small `synth` (`SYNTH`), a
 with `schema.label_kind: real`, which trains and scores by squared error,
 followed by an `eval` of that model on the workload's `test.csv`, a
 `train` of that config with `SGD_TRAIN` (SGD with an L2 penalty, the
-optimizer branches no other output runs), and, for each of `BINNINGS`, a
+optimizer branches no other output runs), for each of `BINNINGS`, a
 `train` and an `eval` of that config with its field `BINNED_FIELD`
-declared binned (`BINNED_BINS` bins), the only trained binned fields;
-`sweep.tsv`, `results.tsv`, `train.csv`, `test.csv`, `curves.tsv`, the
-real model's `model.json`, `metrics.json` and printed `eval` metrics, the
-SGD model's `model.json` and `metrics.json`, and each binned model's
+declared binned (`BINNED_BINS` bins), the only trained binned fields, and,
+for each of `VARIANTS` (the variants no workload trains), a `train` and an
+`eval` of that config with that model variant; `sweep.tsv`, `results.tsv`,
+`train.csv`, `test.csv`, `curves.tsv`, the real model's `model.json`,
+`metrics.json` and printed `eval` metrics, the SGD model's `model.json`
+and `metrics.json`, and each binned and each variant's model's
 `model.json`, `metrics.json` and printed `eval` metrics must be equal byte
 for byte. Prints two lines per workload and seed (its outputs, and the
-base model scored) and one for `sweep`, `synth`, the real label kind, SGD
-and the binned fields; exits 1 when any output differs. For a model file
+base model scored) and one for `sweep`, `synth`, the real label kind, SGD,
+the binned fields and the variants; exits 1 when any output differs. For a model file
 that differs, the line also names the
 top-level entries that differ and the largest absolute gap over `w0`, `w`,
 `V` and the interaction's arrays, which tells a change of the file format
@@ -75,20 +77,23 @@ EXACT = ["model.json", "metrics.json", "eval.json", "eval_malformed.json",
            for name in ("model_binned.json", "bins.tsv", "eval.json", "eval_malformed.json"))]
 # What scoring the base side's model writes: every output but train's.
 SCORED_EXACT = [name for name in EXACT if name not in ("model.json", "metrics.json")]
+VARIANTS = ("fm", "fmfm")  # the model variants trained besides the workloads' FFM and FwFM
 MODELS = {"model.json", "real/model.json", "sgd/model.json",
           *(f"{d}/model_binned.json" for d in EXPORTS),
-          *(f"binned_{mode}/model.json" for mode in BINNINGS)}
+          *(f"binned_{mode}/model.json" for mode in BINNINGS),
+          *(f"{variant}/model.json" for variant in VARIANTS)}
 # The workload and seed (one of `SEEDS`) whose inputs `sweep` runs on, and
 # what it sweeps.
 SWEEP_SYNTH_INPUTS = ("paper_synth", 1)
 SWEEP_GRID = {"step_size": [0.05, 0.1], "l2": [0.0, 0.001]}
 SGD_TRAIN = {"optimizer": "sgd", "l2": 0.001}  # train settings of the SGD model
 SYNTH = {"n_train": 2_000, "n_test": 2_000, "repeats": 1, "interval_counts": [5, 12], "seed": 1}
-SWEEP_SYNTH = "sweep-synth"  # the case of `sweep`, `synth`, the real label kind, SGD, binned
+# The case of `sweep`, `synth`, the real label kind, SGD, binned fields and `VARIANTS`.
+SWEEP_SYNTH = "sweep-synth"
 SWEEP_SYNTH_EXACT = ["sweep/sweep.tsv", "synth/results.tsv", "synth/train.csv", "synth/test.csv",
                      "real/model.json", "real/metrics.json", "real/eval.json",
                      "sgd/model.json", "sgd/metrics.json",
-                     *(f"binned_{mode}/{name}" for mode in BINNINGS
+                     *(f"{run}/{name}" for run in (*(f"binned_{m}" for m in BINNINGS), *VARIANTS)
                        for name in ("model.json", "metrics.json", "eval.json"))]
 
 
@@ -145,9 +150,10 @@ def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
     """Write the `sweep` and `synth` configs, `real.yaml` (the config of the
     workload inputs `workload_inputs` with `schema.label_kind: real`),
     `sgd.yaml` (that config with `SGD_TRAIN`), `binned_<binning>.yaml` for
-    each of `BINNINGS` (that config with `BINNED_FIELD` binned) and a copy of
-    their `test.csv`; the sweep trains an FwFM on their training data, for 2
-    epochs."""
+    each of `BINNINGS` (that config with `BINNED_FIELD` binned),
+    `<variant>.yaml` for each of `VARIANTS` (that config with that model
+    variant) and a copy of their `test.csv`; the sweep trains an FwFM on
+    their training data, for 2 epochs."""
     config = yaml.safe_load((workload_inputs / "config.yaml").read_text())
     inputs.mkdir(parents=True, exist_ok=True)
     real = {**config, "schema": {**config["schema"], "label_kind": "real"}}
@@ -160,6 +166,9 @@ def write_sweep_synth(workload_inputs: Path, inputs: Path) -> None:
                   for d in config["schema"]["fields"]]
         doc = {**config, "schema": {**config["schema"], "fields": fields}}
         (inputs / f"binned_{mode}.yaml").write_text(yaml.safe_dump(doc))
+    for variant in VARIANTS:
+        doc = {**config, "model": {**config["model"], "variant": variant}}
+        (inputs / f"{variant}.yaml").write_text(yaml.safe_dump(doc))
     shutil.copyfile(workload_inputs / "test.csv", inputs / "test.csv")
     config["model"]["variant"] = "fwfm"
     config["train"]["epochs"] = 2
@@ -195,11 +204,10 @@ def run_side(src: str, inputs: str, out: str, case: str, model: str | None = Non
         printed = verb(["eval", out / "real" / "model.json", inputs / "test.csv"])
         (out / "real" / "eval.json").write_text(printed)
         verb(["train", inputs / "sgd.yaml", "--output", out / "sgd"])
-        for mode in BINNINGS:
-            trained = out / f"binned_{mode}"
-            verb(["train", inputs / f"binned_{mode}.yaml", "--output", trained])
-            printed = verb(["eval", trained / "model.json", inputs / "test.csv"])
-            (trained / "eval.json").write_text(printed)
+        for run in (*(f"binned_{mode}" for mode in BINNINGS), *VARIANTS):
+            verb(["train", inputs / f"{run}.yaml", "--output", out / run])
+            printed = verb(["eval", out / run / "model.json", inputs / "test.csv"])
+            (out / run / "eval.json").write_text(printed)
         return
     w = WORKLOADS[case]
     segments = json.loads((inputs / "segments.json").read_text())
@@ -314,8 +322,8 @@ def main(argv=None) -> int:
         run(SWEEP_SYNTH, case / "inputs", case)
         diffs = compare(case / "base", case / "head", SWEEP_SYNTH_EXACT, "synth/curves.tsv")
         failed |= bool(diffs)
-        print(f"sweep, synth, real label kind, SGD and binned fields on {name} seed {seed}: "
-              + ("; ".join(diffs) or "identical"), flush=True)
+        print(f"sweep, synth, real label kind, SGD, binned fields, FM and FmFM on {name} "
+              f"seed {seed}: " + ("; ".join(diffs) or "identical"), flush=True)
     return 1 if failed else 0
 
 

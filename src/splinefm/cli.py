@@ -84,6 +84,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {_reason(exc)}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"cannot parse config {path}: it nests too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
     for section, body in doc.items():

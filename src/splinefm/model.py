@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -43,22 +42,22 @@ __all__ = [
 
 class _Interaction:
     """Every variant scores a pair of reduced field vectors as <P_e, M_ef P_f>
-    and differs only in M_ef. The batched kernels take P as one (m, n, k)
-    array when all m fields share the width k = `stack_dim` (None where they
-    do not), else as a list of m (n, k_f) arrays. `scores(P, total)` adds
-    each pair's scores to `total` (n,) in pair order, e < f, and returns it;
-    `grads(P, d_score)` returns the per-field G[f] = d_score * d score /
-    d P[f] and the gradients of `tensors()`.
+    and differs only in M_ef. Every field's vector has the one `width`, so
+    the batched kernels take P as one (m, n, width) array. `scores(P, total)`
+    adds each pair's scores to `total` (n,) in pair order, e < f, and returns
+    it; `grads(P, d_score)` returns G (m, n, width), G[f] = d_score * d score
+    / d P[f], and the gradients of `tensors()`.
     """
 
     @property
-    def stack_dim(self):
-        return self.embed_dim(0)
+    def width(self) -> int:
+        """The embedding width of every field."""
+        return self.dim
 
     def scores(self, P, total):
         # Field e's (m - e - 1, n) scores against every later field go in row
         # by row: np.add.reduce sums 8 or more rows pairwise at n = 1.
-        for pair_scores in self._field_pair_scores(P, total.size):
+        for pair_scores in self._field_pair_scores(P):
             for row in pair_scores:
                 total += row
         return total
@@ -82,15 +81,12 @@ class FMIdentity(_Interaction):
 
     dim: int
 
-    def embed_dim(self, field_id: int) -> int:
-        return self.dim
-
-    def _field_pair_scores(self, P, n):
+    def _field_pair_scores(self, P):
         for e in range(len(P) - 1):
             yield np.einsum("nk,fnk->fn", P[e], P[e + 1 :])
 
     def grads(self, P, d_score):
-        G = [np.zeros_like(p) for p in P]
+        G = np.zeros_like(P)
         for e, f in _pairs(len(P)):
             G[e] += d_score[:, None] * P[f]
             G[f] += d_score[:, None] * P[e]
@@ -112,12 +108,13 @@ class FFMFieldConcat(_Interaction):
     num_fields: int
     block_dim: int
 
-    def embed_dim(self, field_id: int) -> int:
+    @property
+    def width(self) -> int:
         return self.num_fields * self.block_dim
 
-    def _field_pair_scores(self, P, n):
-        # Q[e, :, f] is block f of P[e]; both operands are views of a stacked P.
-        m = len(P)
+    def _field_pair_scores(self, P):
+        # Q[e, :, f] is block f of P[e]; both operands are views of P.
+        m, n = P.shape[:2]
         Q = np.reshape(P, (m, n, m, self.block_dim))
         for e in range(m - 1):
             yield np.einsum("nfk,fnk->fn", Q[e, :, e + 1 :], Q[e + 1 :, :, e])
@@ -129,7 +126,7 @@ class FFMFieldConcat(_Interaction):
         blocks = np.reshape(P, (m, n, m, k)) * d_score[:, None, None]
         G = np.add(blocks.transpose(2, 1, 0, 3), 0.0, order="C")
         G[np.arange(m), :, np.arange(m)] = 0.0
-        return list(G.reshape(m, n, m * k)), {}
+        return G.reshape(m, n, m * k), {}
 
     def to_doc(self) -> dict:
         return {"variant": "ffm", "block_dim": self.block_dim}
@@ -143,15 +140,12 @@ class FwFMScalars(_Interaction):
     strengths: np.ndarray = field(repr=False)  # (m, m) symmetric
     dim: int = 4
 
-    def embed_dim(self, field_id: int) -> int:
-        return self.dim
-
-    def _field_pair_scores(self, P, n):
+    def _field_pair_scores(self, P):
         for e in range(len(P) - 1):
             yield self.strengths[e, e + 1 :, None] * np.einsum("nk,fnk->fn", P[e], P[e + 1 :])
 
     def grads(self, P, d_score):
-        G = [np.zeros_like(p) for p in P]
+        G = np.zeros_like(P)
         ds = np.zeros_like(self.strengths)
         for e, f in _pairs(len(P)):
             s_ef = self.strengths[e, f]
@@ -176,45 +170,44 @@ class FwFMScalars(_Interaction):
 
 @dataclass(frozen=True)
 class FmFMMatrices(_Interaction):
-    """General variant: an explicit matrix per pair of distinct fields.
-
-    `matrices[(e, f)]` with e < f has shape (k_e, k_f). Per-field dims may
-    differ. The learned tensors are named "e,f", as in the model document.
+    """General variant: an explicit (dim, dim) matrix per pair of distinct
+    fields, stacked in `matrices` (m(m-1)/2, dim, dim) in pair order: (0, 1),
+    (0, 2), ..., (m-2, m-1). The model document names pair (e, f)'s matrix
+    "e,f" and repeats `dim` once per field as `dims`.
     """
 
-    dims: tuple  # per-field embedding dims
-    matrices: dict = field(repr=False)  # (e, f) with e < f -> ndarray
-
-    def embed_dim(self, field_id: int) -> int:
-        return self.dims[field_id]
-
-    @cached_property
-    def stack_dim(self):
-        return max(self.dims, default=0) if len(set(self.dims)) < 2 else None
+    num_fields: int
+    dim: int
+    matrices: np.ndarray = field(repr=False)
 
     def scores(self, P, total):
-        for e, f in _pairs(len(P)):
-            total += np.einsum("nk,kl,nl->n", P[e], self.matrices[(e, f)], P[f])
+        # A row's terms (P[e]_k M_kl) P[f]_l go onto 0.0 in order, k then l,
+        # as np.einsum("nk,kl,nl->n") adds them but at k = 2 for n <= 2 rows:
+        # its order there would move a row's bits with the size of its block.
+        m, n, k = P.shape
+        terms = np.zeros((n, k * k + 1))
+        for M, (e, f) in zip(self.matrices, _pairs(m)):
+            terms[:, 1:] = ((P[e][:, :, None] * M) * P[f][:, None, :]).reshape(n, k * k)
+            total += np.cumsum(terms, axis=1)[:, -1]
         return total
 
     def grads(self, P, d_score):
-        G = [np.zeros_like(p) for p in P]
-        dM = {name: np.zeros_like(M) for name, M in self.tensors().items()}
-        for e, f in _pairs(len(P)):
-            M = self.matrices[(e, f)]
+        G, dM = np.zeros_like(P), np.zeros_like(self.matrices)
+        for M, dM_ef, (e, f) in zip(self.matrices, dM, _pairs(len(P))):
             G[e] += d_score[:, None] * (P[f] @ M.T)
             G[f] += d_score[:, None] * (P[e] @ M)
-            dM[f"{e},{f}"] += P[e].T @ (d_score[:, None] * P[f])
-        return G, dM
+            dM_ef += P[e].T @ (d_score[:, None] * P[f])
+        return G, {"matrices": dM}
 
     def tensors(self) -> dict:
-        return {f"{e},{f}": M for (e, f), M in self.matrices.items()}
+        return {"matrices": self.matrices}
 
     def to_doc(self) -> dict:
+        pairs = _pairs(self.num_fields)
         return {
             "variant": "fmfm",
-            "dims": list(self.dims),
-            "matrices": {f"{e},{f}": M.tolist() for (e, f), M in sorted(self.matrices.items())},
+            "dims": [self.dim] * self.num_fields,
+            "matrices": {f"{e},{f}": M.tolist() for M, (e, f) in zip(self.matrices, pairs)},
         }
 
 
@@ -248,11 +241,9 @@ def init_params(
     it leaves `interaction` as it was."""
     interaction = copy.deepcopy(interaction)
     rng = np.random.default_rng(seed)
-    V = []
-    for f in schema.fields:
-        k = interaction.embed_dim(f.field_id)
-        std = 1.0 / np.sqrt(k) if k > 0 else 0.0
-        V.append(rng.normal(0.0, std, size=(f.width, k)))
+    k = interaction.width
+    std = 1.0 / np.sqrt(k) if k > 0 else 0.0
+    V = [rng.normal(0.0, std, size=(f.width, k)) for f in schema.fields]
     return ModelParams(
         schema=schema,
         interaction=interaction,
@@ -272,9 +263,8 @@ def make_interaction(variant: str, schema: DatasetSchema, dim: int) -> Interacti
     if variant == "fwfm":
         return FwFMScalars(strengths=np.ones((m, m)), dim=dim)
     if variant == "fmfm":
-        dims = tuple(dim for _ in range(m))
-        matrices = {pair: np.eye(dim) for pair in _pairs(m)}
-        return FmFMMatrices(dims=dims, matrices=matrices)
+        matrices = np.tile(np.eye(dim), (m * (m - 1) // 2, 1, 1))
+        return FmFMMatrices(num_fields=m, dim=dim, matrices=matrices)
     raise ConfigError(f"unknown model variant {variant!r}")
 
 
@@ -303,16 +293,15 @@ class PackedData:
 
 
 def _field_vectors(model: ModelParams, data: PackedData, plan=None):
-    """Reduced field vectors P, stacked unless `stack_dim` is None, and the
-    linear term (n,): the one forward, of scoring and training alike. Into
-    P[f], a field whose entry in `plan` (`training._field_batches`) holds S
-    writes `S @ V[rows]`; any other the sum of the rows its entries name by
-    value, a lookup where each row has one entry of 1.0, as packed one-hot
-    fields have (+ 0.0 makes -0.0 the sum's 0.0)."""
-    m, n, k = len(data.idx), data.n, model.interaction.stack_dim
-    P = np.empty((m, n, k)) if k is not None else [np.empty((n, V.shape[1])) for V in model.V]
-    linear = np.full(n, model.w0)
-    plan = plan or [(None, None, None)] * m
+    """Reduced field vectors P (m, n, width) and the linear term (n,): the
+    one forward, of scoring and training alike. Into P[f], a field whose
+    entry in `plan` (`training._field_batches`) holds S writes `S @ V[rows]`;
+    any other the sum of the rows its entries name by value, a lookup where
+    each row has one entry of 1.0, as packed one-hot fields have (+ 0.0 makes
+    -0.0 the sum's 0.0)."""
+    P = np.empty((len(data.idx), data.n, model.interaction.width))
+    linear = np.full(data.n, model.w0)
+    plan = plan or [(None, None, None)] * len(P)
     for (rows, _, S), idx, val, w, V, p in zip(plan, data.idx, data.val, model.w, model.V, P):
         if S is not None:
             np.matmul(S, V[rows], out=p)
@@ -453,17 +442,18 @@ def _model_from_doc(doc: dict) -> ModelParams:
         strengths = _array(idoc["strengths"], "interaction strengths", (m, m))
         inter = FwFMScalars(strengths=strengths, dim=_count(idoc["dim"], "dim"))
     elif variant == "fmfm":
-        dims = tuple(_count(d, "dims") for d in idoc["dims"])
+        dims = [_count(d, "dims") for d in idoc["dims"]]
         if len(dims) != m:
             raise DataError(f"FmFM has {len(dims)} dims, the schema has {m} fields")
-        keys = {f"{e},{f}": (e, f) for e, f in _pairs(m)}
+        if len(set(dims)) > 1:
+            raise DataError(f"FmFM dims {dims} differ; every field has one embedding width")
+        dim = dims[0] if dims else 0
+        keys = [f"{e},{f}" for e, f in _pairs(m)]
         if set(idoc["matrices"]) != set(keys):
             raise DataError("FmFM pair matrices do not cover exactly the pairs e < f")
-        matrices = {
-            (e, f): _array(idoc["matrices"][key], f"pair matrix {key}", (dims[e], dims[f]))
-            for key, (e, f) in keys.items()
-        }
-        inter = FmFMMatrices(dims=dims, matrices=matrices)
+        # The stack is built from the checked matrices, never sized by dims alone.
+        matrices = [_array(idoc["matrices"][key], f"pair matrix {key}", (dim, dim)) for key in keys]
+        inter = FmFMMatrices(m, dim, np.reshape(matrices, (len(keys), dim, dim)))
     else:
         raise DataError(f"unknown model variant {variant!r}")
     unknown = set(idoc) - set(inter.to_doc())
@@ -475,7 +465,7 @@ def _model_from_doc(doc: dict) -> ModelParams:
     if len(doc["V"]) != m:
         raise DataError(f"{len(doc['V'])} V tables for {m} fields")
     V = [
-        _array(v, f"V table of field {f.name!r}", (f.width, inter.embed_dim(f.field_id)))
+        _array(v, f"V table of field {f.name!r}", (f.width, inter.width))
         for f, v in zip(schema.fields, doc["V"])
     ]
     w = _array(doc["w"], "w", (schema.total_features,))
@@ -524,6 +514,8 @@ def load_model(path) -> ModelParams:
         raise DataError(f"cannot read model file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # invalid JSON or text encoding
         raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DataError(f"model file {path} nests JSON too deeply to parse") from None
     try:
         return model_from_dict(doc)
     except DataError as exc:

@@ -123,7 +123,7 @@ def _matrix_fields(schema: DatasetSchema, interaction) -> list:
     out = []
     for f in schema.fields:
         c = f.kind.basis.degree + 1 if isinstance(f.kind, ContinuousNumerical) else 1
-        out.append(f.width <= 3 * c * interaction.embed_dim(f.field_id))
+        out.append(f.width <= 3 * c * interaction.width)
     return out
 
 

@@ -78,8 +78,7 @@ def random_model(schema, variant, seed, dim=3):
         s = rng.normal(size=inter.strengths.shape)
         inter.strengths[:] = 0.5 * (s + s.T)
     elif variant == "fmfm":
-        for key in inter.matrices:
-            inter.matrices[key] = rng.normal(size=inter.matrices[key].shape)
+        inter.matrices[:] = rng.normal(size=inter.matrices.shape)
     model = init_params(schema, inter, seed=seed + 1)
     model.w0 = float(rng.normal())
     model.w = [rng.normal(size=f.width) for f in schema.fields]
@@ -173,13 +172,21 @@ def explicit_pair_matrix(inter, e, f):
         P_f = np.zeros((k, m * k))
         P_f[:, f * k : (f + 1) * k] = np.eye(k)
         return P_f.T @ P_e  # block f of x against block e of y
-    return inter.matrices[(e, f)] if e < f else inter.matrices[(f, e)].T
+    return pair_matrix(inter, e, f) if e < f else pair_matrix(inter, f, e).T
+
+
+def pair_matrix(inter, e, f):
+    """An FmFM's matrix of the pair e < f, found by the pair's place in the
+    list of every pair of its fields."""
+    pairs = list(itertools.combinations(range(inter.num_fields), 2))
+    return inter.matrices[pairs.index((e, f))]
 
 
 def pair_loop_scores(inter, P, total):
     """`total` plus the score of every pair e < f, added pair by pair in
     order, each pair read from the two (n, k) field vectors it names: the
-    loop every variant's `scores` must equal bit for bit."""
+    loop every variant's `scores` must equal bit for bit. An FmFM pair adds
+    its terms (P[e]_k M_kl) P[f]_l onto 0.0 one at a time, k then l."""
     for e, f in itertools.combinations(range(len(P)), 2):
         if isinstance(inter, FFMFieldConcat):
             k = inter.block_dim
@@ -190,7 +197,10 @@ def pair_loop_scores(inter, P, total):
         elif isinstance(inter, FwFMScalars):
             total += inter.strengths[e, f] * np.einsum("nk,nk->n", P[e], P[f])
         else:
-            total += np.einsum("nk,kl,nl->n", P[e], inter.matrices[(e, f)], P[f])
+            M, pair = pair_matrix(inter, e, f), np.zeros(len(total))
+            for k, l in itertools.product(range(M.shape[0]), repeat=2):
+                pair += (P[e][:, k] * M[k, l]) * P[f][:, l]
+            total += pair
     return total
 
 
@@ -224,7 +234,7 @@ def sum_reduced_score(model, raw, field_name):
     z = model.schema.field_named(field_name)
     start = offsets(model.schema)[z.field_id]
     w = np.concatenate(model.w)
-    summed_p = np.zeros(model.interaction.embed_dim(z.field_id))
+    summed_p = np.zeros(model.interaction.width)
     summed_w = 0.0
     reduced = []
     for idx, x, fid in entries(model.schema, raw):
@@ -349,8 +359,7 @@ def perturb(model, kind, key, h):
         if e != f:
             model.interaction.strengths[f, e] += h
     elif kind == "m":
-        pair, r, c = key
-        model.interaction.matrices[pair][r, c] += h
+        model.interaction.matrices[key] += h
 
 
 def train_step(model, data, matrix=None):
@@ -411,8 +420,7 @@ def touched_params(model, data, grad):
                 if pos[0] <= pos[1]:
                     out.append(("s", pos, g[pos]))
             else:
-                pair = tuple(int(i) for i in name.split(","))
-                out.append(("m", (pair, *pos), g[pos]))
+                out.append(("m", pos, g[pos]))
     return out
 
 

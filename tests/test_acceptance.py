@@ -124,7 +124,7 @@ def test_acceptance_2_pairwise_spanning(capsys):
     for i in range(5):
         schema = two_field_schema(6, 5)
         model = random_model(schema, "fmfm", seed=2100 + i)
-        model.interaction.matrices[(1, 2)] = np.zeros((3, 3))
+        model.interaction.matrices[2] = 0.0  # the pair (1, 2)
         alpha, _, res = fit_pairwise_span(model, {"a": "1"}, "u", "v")
         worst_res = max(worst_res, res)
         worst_cross = max(worst_cross, float(np.max(np.abs(alpha[1:, 1:]))))

@@ -186,7 +186,7 @@ def test_exported_schema_and_table_shape():
     assert (lo, hi, mid) == ("0.0", "2.5", "1.25")
     assert linear == repr(float(export.bin_linear[0]))
     assert embed == [repr(v) for v in export.bin_embeddings[0].tolist()]
-    assert len(embed) == model.interaction.embed_dim(1)
+    assert len(embed) == model.interaction.width
 
 
 def test_export_requires_continuous_field():

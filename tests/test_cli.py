@@ -555,6 +555,26 @@ def test_eval_unparsable_model_file_is_data_error(trained, tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_eval_deeply_nested_model_file_is_data_error(trained, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    err = _eval_data_error(trained, path, capsys)
+    assert "nests JSON too deeply" in err
+
+
+def test_eval_fmfm_model_of_unequal_dims_is_data_error(trained, tmp_path, capsys):
+    # Every array agrees with dims [4, 2]: a file the format held before
+    # every field had one embedding width.
+    def unequal(doc):
+        matrices = {"0,1": [[0.5] * 2] * 4}
+        doc["interaction"] = {"variant": "fmfm", "dims": [4, 2], "matrices": matrices}
+        doc["V"][1] = [row[:2] for row in doc["V"][1]]
+
+    path = _broken_model(tmp_path, trained, "unequal.json", unequal)
+    err = _eval_data_error(trained, path, capsys)
+    assert "dims [4, 2] differ" in err
+
+
 def test_eval_short_embedding_table_is_data_error(trained, tmp_path, capsys):
     def drop_two_rows(doc):
         doc["V"][1] = doc["V"][1][:-2]
@@ -850,6 +870,17 @@ def test_unreadable_input_file_exits_with_its_code(trained, tmp_path, capsys, wh
     assert main(argv) == code
     err = capsys.readouterr().err
     assert f"cannot read {what} file {bad}" in err
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_deeply_nested_config_is_config_error(trained, tmp_path, capsys, verb):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("train: {seed: " + "[" * 5_000 + "]" * 5_000 + "}\n")
+    model, data = trained["out"] / "model.json", trained["data"]
+    argv = ["train", deep] if verb == "train" else ["eval", model, data, "--config", deep]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert f"cannot parse config {deep}: it nests too deeply" in capsys.readouterr().err
 
 
 def _synth_curves(edit):

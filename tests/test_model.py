@@ -123,7 +123,7 @@ def test_one_hot_lookup_equals_the_sum_over_entries_bitwise(variant):
     P, linear = model_module._field_vectors(model, data)
     for got, want in zip((*P, linear), (*want_P, want_linear), strict=True):
         assert got.tobytes() == want.tobytes()
-    want = model.interaction.scores(want_P, want_linear)
+    want = model.interaction.scores(np.stack(want_P), want_linear)
     assert predict_scores(model, data).tobytes() == want.tobytes()
 
 
@@ -177,9 +177,11 @@ def test_ffm_against_textbook_block_oracle():
 
 
 def _block_models():
-    """Every variant at dims 0 and 3, and an FmFM with unequal dims, on a
-    categorical, a binned and a continuous field; then every variant at
-    dim 3 on 9 fields, three of each kind, as many as `spline_ctr` has."""
+    """Every variant at dims 0 and 3, and an FmFM at dim 2 (where einsum's
+    order of its terms changed with the block's size) built on its
+    constructor, on a categorical, a binned and a continuous field; then
+    every variant at dim 3 on 9 fields, three of each kind, as many as
+    `spline_ctr` has."""
     kinds = [
         ("a", Categorical({"p": 0, "q": 1, "r": 2}, unknown_slot=True)),
         ("b", BinnedNumerical(np.array([0.0, 0.3, 0.6, 1.0]))),
@@ -189,12 +191,10 @@ def _block_models():
     models = [random_model(schema, v, seed=s, dim=d)
               for s, (v, d) in enumerate((v, d) for v in VARIANTS for d in (0, 3))]
     rng = np.random.default_rng(8)
-    dims = (1, 4, 2)
-    matrices = {(e, f): rng.normal(size=(dims[e], dims[f])) for e, f in ((0, 1), (0, 2), (1, 2))}
-    unequal = init_params(schema, FmFMMatrices(dims=dims, matrices=matrices), seed=9)
-    unequal.w0, unequal.w = 0.3, [rng.normal(size=f.width) for f in schema.fields]
+    fmfm = init_params(schema, FmFMMatrices(3, 2, rng.normal(size=(3, 2, 2))), seed=9)
+    fmfm.w0, fmfm.w = 0.3, [rng.normal(size=f.width) for f in schema.fields]
     wide = build_schema([(f"{name}{i}", kind) for i in range(3) for name, kind in kinds])
-    return models + [unequal] + [random_model(wide, v, seed=10 + s) for s, v in enumerate(VARIANTS)]
+    return models + [fmfm] + [random_model(wide, v, seed=10 + s) for s, v in enumerate(VARIANTS)]
 
 
 _BLOCK_VALUES = {  # a field's value, by the first letter of its name
@@ -221,8 +221,7 @@ def test_scoring_in_blocks_changes_no_bit(monkeypatch, n):
         scored = (model, dataclasses.replace(model, schema=real)) if n else ()
         data = _block_rows(model.schema, n, seed=i)
         P, linear = model_module._field_vectors(model, data)
-        stacked = model.interaction.stack_dim is not None
-        assert isinstance(P, np.ndarray) == stacked and (not stacked or P.flags.c_contiguous), i
+        assert isinstance(P, np.ndarray) and P.flags.c_contiguous, i
         unblocked = model.interaction.scores(P, linear)
         metrics = [training.evaluate(m, data) for m in scored]
         with monkeypatch.context() as patch:
@@ -238,31 +237,30 @@ def _pair_interactions(m, dim, rng):
     """(interaction, width of each field's vector) for every variant over m
     fields of embedding dim `dim`."""
     s = rng.normal(size=(m, m))
-    matrices = {(e, f): rng.normal(size=(dim, dim)) for e in range(m) for f in range(e + 1, m)}
+    matrices = rng.normal(size=(m * (m - 1) // 2, dim, dim))
     return [
         (FMIdentity(dim=dim), dim),
         (FFMFieldConcat(num_fields=m, block_dim=dim), m * dim),
         (FwFMScalars(strengths=s + s.T, dim=dim), dim),
-        (FmFMMatrices(dims=(dim,) * m, matrices=matrices), dim),
+        (FmFMMatrices(num_fields=m, dim=dim, matrices=matrices), dim),
     ]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 1025])
 def test_scores_equal_the_pair_loop_bitwise(m, n):
-    # `scores` on the stacked (m, n, k) P and on a list of (n, k) arrays, -0.0
-    # planted in both P and the total, equals adding pair after pair.
+    # `scores` on P (m, n, k), -0.0 planted in both P and the total, equals
+    # adding pair after pair.
     rng = np.random.default_rng([m, n])
-    for dim in (0, 3):
+    for dim in (0, 2, 3):
         for inter, width in _pair_interactions(m, dim, rng):
             P = rng.normal(size=(m, n, width)) * (rng.random((m, n, width)) < 0.7)
             P[rng.random(P.shape) < 0.1] = -0.0
             total = rng.normal(size=n)
             total[::3] = -0.0
             want = pair_loop_scores(inter, [p.copy() for p in P], total.copy())
-            for given in (P, [p.copy() for p in P]):
-                got = inter.scores(given, total.copy())
-                assert got.tobytes() == want.tobytes(), (type(inter).__name__, dim)
+            got = inter.scores(P, total.copy())
+            assert got.tobytes() == want.tobytes(), (type(inter).__name__, dim)
 
 
 def test_scoring_peak_memory_is_one_block_plus_the_scores():
@@ -359,10 +357,9 @@ def test_fwfm_unit_strengths_collapses_to_fm():
 def test_fmfm_identity_matrices_collapses_to_fm():
     schema = small_schema()
     fm = random_model(schema, "fm", seed=10)
-    matrices = {(e, f): np.eye(3) for e in range(3) for f in range(e, 3)}
     fmfm = ModelParams(
         schema=schema,
-        interaction=FmFMMatrices(dims=(3, 3, 3), matrices=matrices),
+        interaction=FmFMMatrices(num_fields=3, dim=3, matrices=np.tile(np.eye(3), (3, 1, 1))),
         w0=fm.w0,
         w=[a.copy() for a in fm.w],
         V=[v.copy() for v in fm.V],
@@ -565,7 +562,7 @@ def test_pairwise_spanning_residual(variant):
 def test_pairwise_zero_matrix_has_no_cross_terms():
     schema = two_continuous_schema()
     model = random_model(schema, "fmfm", seed=18)
-    model.interaction.matrices[(1, 2)] = np.zeros((3, 3))
+    model.interaction.matrices[2] = 0.0  # the pair (1, 2)
     alpha, _, res = fit_pairwise_span(model, {"a": "1"}, "u", "v")
     assert res < 1e-9
     assert np.max(np.abs(alpha[1:, 1:])) < 1e-9
@@ -693,7 +690,7 @@ def test_save_model_peak_memory_not_above_json_dump(tmp_path):
         ("fm", lambda m: m.w[1].__setitem__(0, float("inf"))),
         ("fm", lambda m: m.V[2].__setitem__((1, 0), float("-inf"))),
         ("fwfm", lambda m: m.interaction.strengths.__setitem__((0, 1), float("nan"))),
-        ("fmfm", lambda m: m.interaction.matrices[(1, 2)].__setitem__((0, 0), float("inf"))),
+        ("fmfm", lambda m: m.interaction.matrices.__setitem__((2, 0, 0), float("inf"))),
     ],
     ids=["w0", "w", "V", "strengths", "matrix"],
 )
@@ -730,6 +727,12 @@ def _doc(variant="fmfm"):
          "pairs"),
         ("fmfm", lambda d: d["interaction"]["matrices"].pop("0,1"), "pairs e < f"),
         ("fmfm", lambda d: d["interaction"]["dims"].pop(), "dims"),
+        ("fmfm", lambda d: d["interaction"]["dims"].__setitem__(1, 2), r"dims \[3, 2, 3\] differ"),
+        # Equal but huge dims: the 1 x 1 matrices are refused before any array
+        # is sized by dims, which could not be allocated.
+        ("fmfm", lambda d: d["interaction"].update(
+            dims=[10**9] * 3, matrices={key: [[0.0]] for key in d["interaction"]["matrices"]}),
+         r"pair matrix 0,1 has shape \(1, 1\), expected \(1000000000, 1000000000\)"),
         ("fmfm", lambda d: d["V"][1][0].__setitem__(0, float("-inf")), "non-finite"),
         # The integer entries must be ints >= 0; each message names its key.
         ("fm", lambda d: d["interaction"].__setitem__("dim", 3.0), "interaction dim must"),

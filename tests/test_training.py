@@ -315,31 +315,8 @@ def test_spec_tensors_move_where_a_score_reads_them(variant):
         moved = tensors["strengths"] != before["strengths"]
         assert (moved == ~np.eye(m, dtype=bool)).all()
     else:
-        assert list(tensors) == [f"{e},{f}" for e, f in pairs]
-        for name, a in tensors.items():
-            assert (a != before[name]).all(), name
-
-
-def test_fmfm_trains_the_same_without_diagonal_matrices():
-    # An (e, e) matrix per field, as model format 1 held, is stepped with a
-    # zero gradient, since no score reads it: w, V and every e < f matrix
-    # come out bit for bit as without it.
-    schema = mixed_schema()
-    rows, labels = random_rows(300, 16)
-    data = pack(schema, rows, labels)
-    inter = make_interaction("fmfm", schema, 2)
-    diagonal = {(e, e): np.eye(2) for e in range(len(schema.fields))}
-    with_diagonal = FmFMMatrices(dims=inter.dims, matrices={**inter.matrices, **diagonal})
-    cfg = TrainConfig(epochs=3, seed=5, holdout_fraction=0.2)
-    model, _ = train(cfg, schema, inter, data)
-    full, _ = train(cfg, schema, with_diagonal, data)
-    assert model.w0 == full.w0
-    # w, the V tables, then the e < f matrices; `full` lists its (e, e) ones last.
-    for a, b in zip(training._tensors(model), training._tensors(full)):
-        assert a.tobytes() == b.tobytes()
-    for pair in diagonal:
-        assert (full.interaction.matrices[pair] == np.eye(2)).all()
-    assert full.num_parameters - model.num_parameters == len(diagonal) * 2 * 2
+        assert list(tensors) == ["matrices"] and tensors["matrices"].shape == (len(pairs), 2, 2)
+        assert (tensors["matrices"] != before["matrices"]).all()
 
 
 @pytest.mark.parametrize("variant", ("fwfm", "fmfm"))
@@ -592,8 +569,7 @@ def randomized(model, seed):
         s = rng.normal(size=inter.strengths.shape)
         inter.strengths[:] = 0.5 * (s + s.T)
     elif isinstance(inter, FmFMMatrices):
-        for M in inter.matrices.values():
-            M[:] = rng.normal(size=M.shape)
+        inter.matrices[:] = rng.normal(size=inter.matrices.shape)
     return model
 
 
@@ -802,8 +778,8 @@ def test_fields_at_the_config_limits_take_the_gather_path():
                     rng.integers(0, 2, size=n).astype(float))
         cfg = TrainConfig(batch_size=n, epochs=1, seed=3)
         peak = traced_peak(lambda: train(cfg, schema, inter, data))
-        tables = sum(8 * f.width * (inter.embed_dim(f.field_id) + 1) for f in schema.fields)
-        gathers = sum(8 * n * c * inter.embed_dim(fid) for fid, c in enumerate((1, 4)))
+        tables = sum(8 * f.width * (inter.width + 1) for f in schema.fields)
+        gathers = sum(8 * n * c * inter.width for c in (1, 4))
         assert peak <= 2 * tables + 8 * gathers, (functions, peak, tables, gathers)
 
 
